@@ -46,10 +46,57 @@ func requireSameRun(t *testing.T, name string, ref, got *congestmst.Result) {
 	}
 }
 
+// lockstepReference pins the reference engine itself: Lockstep's
+// Rounds, Messages and non-zero ByKind counters for every
+// (graph, algorithm) cell of TestEngineMatrixDeterminism. The other
+// engines are compared with Lockstep, so without this table a change
+// that shifted the reference would shift every comparison with it and
+// still pass.
+var lockstepReference = map[string]struct {
+	rounds, messages int64
+	byKind           map[uint8]int64
+}{
+	"path-48/elkin":               {20380, 5891, map[uint8]int64{1: 47, 2: 47, 4: 47, 5: 47, 6: 47, 7: 94, 9: 20, 10: 94, 20: 1572, 21: 1663, 22: 64, 23: 51, 24: 564, 25: 73, 26: 1066, 27: 26, 28: 6, 29: 21, 30: 248, 50: 94}},
+	"path-48/elkin-fixed-k":       {3333, 4529, map[uint8]int64{1: 47, 2: 47, 4: 47, 5: 47, 6: 47, 7: 188, 9: 375, 10: 188, 11: 296, 12: 94, 20: 663, 21: 644, 22: 21, 23: 15, 24: 282, 25: 66, 26: 1014, 27: 24, 28: 6, 29: 18, 30: 109, 50: 282, 51: 9}},
+	"path-48/ghs":                 {192, 761, map[uint8]int64{80: 94, 81: 72, 82: 192, 83: 64, 84: 42, 85: 22, 86: 192, 87: 35, 88: 48}},
+	"path-48/pipeline":            {2795, 3387, map[uint8]int64{1: 47, 2: 47, 4: 47, 5: 47, 6: 47, 20: 495, 21: 560, 22: 21, 23: 15, 24: 282, 25: 66, 26: 1014, 27: 24, 28: 6, 29: 18, 30: 109, 100: 119, 101: 47, 102: 235, 103: 47, 104: 94}},
+	"grid-6x8/elkin":              {5329, 4806, map[uint8]int64{1: 82, 2: 47, 3: 35, 4: 47, 5: 47, 6: 47, 7: 141, 9: 54, 10: 141, 11: 27, 12: 47, 20: 880, 21: 885, 22: 14, 23: 14, 24: 656, 25: 65, 26: 1040, 27: 21, 28: 7, 29: 23, 30: 154, 50: 328, 51: 4}},
+	"grid-6x8/elkin-fixed-k":      {2837, 4242, map[uint8]int64{1: 82, 2: 47, 3: 35, 4: 47, 5: 47, 6: 47, 7: 188, 9: 110, 10: 188, 11: 84, 12: 94, 20: 551, 21: 509, 22: 6, 23: 7, 24: 492, 25: 61, 26: 988, 27: 19, 28: 7, 29: 23, 30: 110, 50: 492, 51: 8}},
+	"grid-6x8/ghs":                {75, 829, map[uint8]int64{80: 164, 81: 63, 82: 144, 83: 148, 84: 68, 85: 32, 86: 144, 87: 18, 88: 48}},
+	"grid-6x8/pipeline":           {2585, 3393, map[uint8]int64{1: 82, 2: 47, 3: 35, 4: 47, 5: 47, 6: 47, 20: 383, 21: 425, 22: 6, 23: 7, 24: 492, 25: 61, 26: 988, 27: 19, 28: 7, 29: 23, 30: 110, 100: 74, 101: 47, 102: 235, 103: 47, 104: 164}},
+	"lollipop-8+24/elkin":         {10360, 3656, map[uint8]int64{1: 73, 2: 31, 3: 42, 4: 31, 5: 31, 6: 31, 7: 62, 9: 3, 10: 62, 20: 840, 21: 868, 22: 20, 23: 19, 24: 520, 25: 48, 26: 702, 27: 17, 28: 4, 29: 14, 30: 134, 50: 104}},
+	"lollipop-8+24/elkin-fixed-k": {2886, 2639, map[uint8]int64{1: 73, 2: 31, 3: 42, 4: 31, 5: 31, 6: 31, 7: 93, 9: 64, 10: 93, 11: 32, 12: 31, 20: 384, 21: 362, 22: 9, 23: 9, 24: 312, 25: 44, 26: 650, 27: 16, 28: 4, 29: 12, 30: 73, 50: 208, 51: 4}},
+	"lollipop-8+24/ghs":           {94, 518, map[uint8]int64{80: 104, 81: 45, 82: 96, 83: 69, 84: 27, 85: 30, 86: 96, 87: 19, 88: 32}},
+	"lollipop-8+24/pipeline":      {2652, 2281, map[uint8]int64{1: 73, 2: 31, 3: 42, 4: 31, 5: 31, 6: 31, 20: 300, 21: 334, 22: 9, 23: 9, 24: 312, 25: 44, 26: 650, 27: 16, 28: 4, 29: 12, 30: 73, 100: 20, 101: 31, 102: 93, 103: 31, 104: 104}},
+	"random-96/elkin":             {5280, 12643, map[uint8]int64{1: 407, 2: 95, 3: 312, 4: 95, 5: 95, 6: 95, 7: 380, 9: 46, 10: 380, 11: 32, 12: 190, 20: 1896, 21: 1911, 22: 21, 23: 19, 24: 2304, 25: 134, 26: 2080, 27: 44, 28: 17, 29: 46, 30: 308, 50: 1728, 51: 8}},
+	"random-96/elkin-fixed-k":     {5280, 12643, map[uint8]int64{1: 407, 2: 95, 3: 312, 4: 95, 5: 95, 6: 95, 7: 380, 9: 46, 10: 380, 11: 32, 12: 190, 20: 1896, 21: 1911, 22: 21, 23: 19, 24: 2304, 25: 134, 26: 2080, 27: 44, 28: 17, 29: 46, 30: 308, 50: 1728, 51: 8}},
+	"random-96/ghs":               {116, 2591, map[uint8]int64{80: 576, 81: 130, 82: 384, 83: 572, 84: 278, 85: 158, 86: 384, 87: 13, 88: 96}},
+	"random-96/pipeline":          {5037, 10774, map[uint8]int64{1: 407, 2: 95, 3: 312, 4: 95, 5: 95, 6: 95, 20: 1536, 21: 1731, 22: 21, 23: 19, 24: 2304, 25: 134, 26: 2080, 27: 44, 28: 17, 29: 46, 30: 308, 100: 194, 101: 95, 102: 475, 103: 95, 104: 576}},
+}
+
+// requireReference asserts one Lockstep run against its pinned cell.
+func requireReference(t *testing.T, cell string, got *congestmst.Result) {
+	t.Helper()
+	want, ok := lockstepReference[cell]
+	if !ok {
+		t.Fatalf("no pinned reference for %s", cell)
+	}
+	if got.Rounds != want.rounds || got.Messages != want.messages {
+		t.Errorf("lockstep %s: rounds/messages %d/%d, pinned %d/%d",
+			cell, got.Rounds, got.Messages, want.rounds, want.messages)
+	}
+	for k, c := range got.Stats.ByKind {
+		if c != want.byKind[uint8(k)] {
+			t.Errorf("lockstep %s: ByKind[%d] = %d, pinned %d", cell, k, c, want.byKind[uint8(k)])
+		}
+	}
+}
+
 // TestEngineMatrixDeterminism is the cross-engine contract test: every
 // algorithm, on a matrix of topologies, must report identical Rounds,
 // Messages and per-kind counters (and the same MST) on the lockstep
-// engine, the parallel engine, and the TCP cluster engine.
+// engine, the parallel engine, and the TCP cluster engine, and the
+// lockstep figures must equal the pinned lockstepReference table.
 func TestEngineMatrixDeterminism(t *testing.T) {
 	type gen struct {
 		name string
@@ -70,13 +117,15 @@ func TestEngineMatrixDeterminism(t *testing.T) {
 	}
 	for _, gn := range gens {
 		for _, alg := range algs {
-			t.Run(fmt.Sprintf("%s/%s", gn.name, alg), func(t *testing.T) {
+			cell := fmt.Sprintf("%s/%s", gn.name, alg)
+			t.Run(cell, func(t *testing.T) {
 				lock, err := congestmst.Run(gn.g, congestmst.Options{
 					Algorithm: alg, Engine: congestmst.Lockstep,
 				})
 				if err != nil {
 					t.Fatalf("lockstep: %v", err)
 				}
+				requireReference(t, cell, lock)
 				for _, eng := range enginesUnderTest {
 					opts := eng
 					opts.Algorithm = alg
