@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build fmt vet lint test test-short race fuzz bench-tables bench-cluster bench-fiber bench-async serve smoke-serve smoke-trace smoke-cluster smoke-async check
+.PHONY: all build fmt vet lint test test-short race fuzz bench-tables bench-cluster bench-fiber bench-async serve smoke-serve smoke-trace smoke-cluster smoke-async perfbench-check check
 
 all: check
 
@@ -55,13 +55,11 @@ bench-tables:
 bench-cluster:
 	$(GO) run ./cmd/mstbench -e e12
 
-# The fiber benches at full scale: E13 (GHS fiber-vs-goroutine memory
-# race at 10^5 and 10^6 vertices) and E14 (all four algorithms at 10^6,
-# worker sweep), regenerating BENCH_fiber.json. Budget hours on one
-# core — E14 runs every algorithm five times at 10^6 vertices — and
-# ~4 GB of RAM for the goroutine-mode baselines.
+# The worker-sweep bench at full scale: E14 runs all four algorithms
+# at 10^6 vertices once per worker count, regenerating
+# BENCH_fiber.json. Budget hours on one core.
 bench-fiber:
-	$(GO) run ./cmd/mstbench -full -e e13,e14
+	$(GO) run ./cmd/mstbench -full -e e14
 
 # The E15 async race at full scale: the windowed async engine against
 # the barrier fiber engine on Elkin and GHS at 10^5 and 10^6 vertices,
@@ -101,4 +99,10 @@ smoke-cluster:
 smoke-async:
 	$(GO) test -race -short -run 'Async' ./internal/parsim/ .
 
-check: build fmt vet lint test-short smoke-async
+# The benchmark (perfbench/) is its own Go module, so `go test ./...`
+# never builds it: vet and short-test it here, so an API change that
+# breaks `bash perfbench/run.sh` fails check instead of the benchmark.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test -short ./...
+
+check: build fmt vet lint test-short smoke-async perfbench-check

@@ -1,6 +1,6 @@
-// Benchmarks: one per reproduction experiment (E1-E9, see DESIGN.md
-// section 6 and EXPERIMENTS.md), each regenerating its table at the
-// quick scale, plus micro-benchmarks of the simulator and the
+// Benchmarks: one per reproduction experiment (see internal/bench and
+// the README's experiment sections), each regenerating its table at
+// the quick scale, plus micro-benchmarks of the simulator and the
 // sequential ground truth. Run the full-scale tables with
 // `go run ./cmd/mstbench -full`.
 package congestmst_test
@@ -135,7 +135,3 @@ func BenchmarkE10PipelineMessages(b *testing.B) { benchExperiment(b, "e10") }
 // BenchmarkE12ClusterTransport races the TCP cluster engine against
 // the lockstep engine at the quick scale.
 func BenchmarkE12ClusterTransport(b *testing.B) { benchExperiment(b, "e12") }
-
-// BenchmarkE13FiberMemory races the parallel engine's fiber and
-// goroutine modes on GHS at the quick scale.
-func BenchmarkE13FiberMemory(b *testing.B) { benchExperiment(b, "e13") }

@@ -16,10 +16,9 @@ func longRunGraph(t *testing.T) *Graph {
 	return Path(20000, GenOptions{Seed: 5})
 }
 
-// cancelAlg picks the algorithm that exercises the engine's own
-// cancellation path: GHS on the Fiber and Async engines (the original
-// resumable form; TestFiberCancelElkinAndPipeline covers the
-// step-built ones), Elkin everywhere else.
+// cancelAlg spreads the algorithms over the engines: GHS (a hand-written
+// Fiber) on the Fiber and Async engines, whose step-built algorithms
+// TestFiberCancelElkinAndPipeline covers, and Elkin everywhere else.
 func cancelAlg(eng Engine) Algorithm {
 	if eng == Fiber || eng == Async {
 		return GHS
@@ -29,7 +28,7 @@ func cancelAlg(eng Engine) Algorithm {
 
 // awaitGoroutineBaseline waits for the goroutine count to settle back
 // to (or below) baseline plus slack: a cancelled engine must unwind
-// every vertex goroutine, worker and socket reader it spawned.
+// every worker, shard loop and socket reader it spawned.
 func awaitGoroutineBaseline(t *testing.T, baseline int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -111,11 +110,10 @@ func TestRunContextDeadlineAllEngines(t *testing.T) {
 	}
 }
 
-// TestFiberCancelElkinAndPipeline cancels fiber-mode Elkin and
-// Pipeline runs mid-flight, mirroring the GHS coverage above: their
-// step-built resumable forms park as slab state inside the engine, so
-// teardown must drop that state and unwind only the worker pool — no
-// per-vertex goroutines exist to leak.
+// TestFiberCancelElkinAndPipeline cancels Elkin and Pipeline runs on
+// the Fiber engine mid-flight, mirroring the GHS coverage above: their
+// step-built fibers park as slab state inside the engine, so teardown
+// must drop that state and unwind only the worker pool.
 func TestFiberCancelElkinAndPipeline(t *testing.T) {
 	g := longRunGraph(t)
 	g.Connected()

@@ -1,6 +1,6 @@
-// Command mstbench regenerates the reproduction experiments of
-// DESIGN.md (E1-E8), printing one table per experiment. The output of
-// `mstbench -full` is what EXPERIMENTS.md records.
+// Command mstbench regenerates the reproduction experiments defined in
+// internal/bench, printing one table per experiment. The output of
+// `mstbench -full` is what the README's experiment sections record.
 //
 // Usage:
 //
@@ -23,10 +23,10 @@ import (
 )
 
 func main() {
-	full := flag.Bool("full", false, "run the full-size experiments recorded in EXPERIMENTS.md")
+	full := flag.Bool("full", false, "run the experiments at the full size the README records")
 	only := flag.String("e", "", "comma-separated experiment ids (default: all)")
-	engine := flag.String("engine", "lockstep", "execution engine for the experiments: "+strings.Join(congestmst.EngineNames(), " | ")+" (e11-e15 always measure their own pairs)")
-	workers := flag.String("workers", "", "comma-separated fiber worker counts for the e14 sweep (default 1,2,4,8)")
+	engine := flag.String("engine", "lockstep", "execution engine for the experiments: "+strings.Join(congestmst.EngineNames(), " | ")+" (e11-e15 always measure their own engines)")
+	workers := flag.String("workers", "", "comma-separated worker counts for the e14 sweep (default 1,2,4,8)")
 	traceDir := flag.String("trace", "", "write one NDJSON run trace per experiment run into this directory (created if missing)")
 	flag.Parse()
 	eng, err := congestmst.ParseEngine(*engine)

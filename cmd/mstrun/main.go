@@ -176,9 +176,6 @@ func run(ctx context.Context, graphType string, n, m, rows, cols, clique, tail i
 	fmt.Printf("graph     : %s n=%d m=%d\n", graphType, g.N(), g.M())
 	fmt.Printf("algorithm : %s (b=%d)\n", algorithm, bandwidth)
 	fmt.Printf("engine    : %s\n", eng)
-	if res.Stats != nil && res.Stats.FiberFallback {
-		fmt.Fprintf(os.Stderr, "mstrun: %s has no resumable form; the %s engine ran it in goroutine mode\n", algorithm, eng)
-	}
 	fmt.Printf("rounds    : %d\n", res.Rounds)
 	fmt.Printf("messages  : %d\n", res.Messages)
 	fmt.Printf("wall clock: %v\n", elapsed.Round(time.Millisecond))

@@ -82,15 +82,17 @@ type Engine int
 
 const (
 	// Lockstep is the single-coordinator engine of internal/congest:
-	// lowest constant overhead, the default, and the reference
+	// it runs every vertex program on the caller's goroutine, has the
+	// lowest constant overhead, is the default, and is the reference
 	// implementation the other engines are validated against. Use it
 	// for graphs up to roughly 10^5 vertices.
 	Lockstep Engine = iota
 	// Parallel is the event-driven engine of internal/parsim: sparse
 	// activation with a calendar heap, a worker pool over vertex
-	// shards, and per-shard outbox arenas merged deterministically.
-	// Use it for large graphs (10^5 vertices and up) on multi-core
-	// hosts; at a million vertices it is the only practical option.
+	// shards running the vertex programs inline, and per-shard
+	// delivery arenas merged deterministically. Use it for large
+	// graphs (10^5 vertices and up) on multi-core hosts; at a million
+	// vertices it is the only practical option.
 	Parallel
 	// Cluster is the TCP engine of internal/nettrans: vertices are
 	// partitioned into shards (Options.Shards), each shard pair shares
@@ -100,18 +102,11 @@ const (
 	// network transport; the socket count is Shards·(Shards-1)/2,
 	// independent of the number of edges.
 	Cluster
-	// Fiber is the parallel engine in fiber mode: algorithms with a
-	// resumable (state-machine) form run inline on the shard workers,
-	// so a parked vertex is a small struct in the calendar instead of
-	// a goroutine, a stack and a channel — an order of magnitude less
-	// memory than Parallel at 10^6 vertices. Every stock algorithm
-	// (Elkin, ElkinFixedK, GHS, Pipeline) has a resumable form; a
-	// custom algorithm without one falls back to goroutine mode for
-	// that run, reported by Stats.FiberFallback and an Observer
-	// PhaseEvent named "goroutine-fallback". Statistics are
-	// bit-identical either way.
+	// Fiber is another name for Parallel: the same engine, the same
+	// code path. It is kept so existing callers and the "fiber" engine
+	// name keep working.
 	Fiber
-	// Async is the fiber engine without the round barrier: per-shard
+	// Async is the parallel engine without the round barrier: per-shard
 	// delivery queues drained concurrently with execution, windows
 	// closed by an acknowledgment-counting quiescence detector, and an
 	// α-synchronizer-style logical clock in place of the global round
@@ -122,8 +117,6 @@ const (
 	// Stats across repeated runs with the same seed. (The current
 	// implementation preserves logical synchrony, so its Stats in fact
 	// coincide with lockstep; only the weaker contract is promised.)
-	// Algorithms without a resumable form fall back to goroutine mode
-	// exactly as under Fiber.
 	Async
 )
 
@@ -366,10 +359,8 @@ type Options struct {
 	// Algorithm selects the MST algorithm (default Elkin).
 	Algorithm Algorithm
 	// Engine selects the execution engine (default Lockstep). All
-	// engines produce identical results and statistics; Parallel
-	// scales to million-vertex graphs on multi-core hosts, Fiber is
-	// Parallel with resumable vertex programs instead of goroutines
-	// (an order of magnitude less memory for converted algorithms),
+	// engines produce identical results and statistics; Parallel (also
+	// named Fiber) scales to million-vertex graphs on multi-core hosts,
 	// Cluster runs over loopback TCP.
 	Engine Engine
 	// Workers sets the worker-pool size of the Parallel and Fiber
@@ -519,8 +510,8 @@ func Run(g *Graph, opts Options) (*Result, error) {
 
 // RunContext is Run under a context: cancelling ctx (or letting its
 // deadline expire) stops the selected engine at the next round
-// boundary, tears down its goroutines (and, for the Cluster engine,
-// its TCP mesh), and returns an error wrapping context.Canceled or
+// boundary, tears down its workers (and, for the Cluster engine, its
+// TCP mesh), and returns an error wrapping context.Canceled or
 // context.DeadlineExceeded. There is no separate Options deadline knob:
 // wrap the context with context.WithTimeout or context.WithDeadline.
 func RunContext(ctx context.Context, g *Graph, opts Options) (*Result, error) {
@@ -536,30 +527,8 @@ func RunContext(ctx context.Context, g *Graph, opts Options) (*Result, error) {
 	ports := make([][]int, g.N())
 	res := &Result{PortsByVertex: ports}
 
-	var program func(congest.Context)
 	switch opts.Algorithm {
-	case Elkin, ElkinFixedK:
-		cfg := elkinConfig(opts, g.N())
-		program = func(ctx congest.Context) {
-			r := core.Run(ctx, cfg)
-			ports[ctx.ID()] = r.MSTPorts
-			if ctx.ID() == opts.Root {
-				res.K = r.K
-				res.BoruvkaPhases = r.BoruvkaPhases
-			}
-		}
-	case GHS:
-		program = func(ctx congest.Context) {
-			ports[ctx.ID()] = ghs.Run(ctx).MSTPorts
-		}
-	case Pipeline:
-		program = func(ctx congest.Context) {
-			r := pipeline.Run(ctx, opts.Root)
-			ports[ctx.ID()] = r.MSTPorts
-			if ctx.ID() == opts.Root {
-				res.K = r.K
-			}
-		}
+	case Elkin, ElkinFixedK, GHS, Pipeline:
 	default:
 		return nil, fmt.Errorf("congestmst: unknown algorithm %v", opts.Algorithm)
 	}
@@ -573,56 +542,13 @@ func RunContext(ctx context.Context, g *Graph, opts Options) (*Result, error) {
 			MaxRounds: opts.MaxRounds,
 			Observer:  opts.Observer,
 		})
-		stats, err = engine.RunContext(ctx, func(c *congest.Ctx) { program(c) })
-	case Parallel:
-		engine := parsim.NewEngine(g, parsim.Config{
-			Bandwidth: opts.Bandwidth,
-			MaxRounds: opts.MaxRounds,
-			Workers:   opts.Workers,
-			Observer:  opts.Observer,
-		})
-		stats, err = engine.RunContext(ctx, program)
-	case Fiber:
-		engine := parsim.NewEngine(g, parsim.Config{
-			Bandwidth: opts.Bandwidth,
-			MaxRounds: opts.MaxRounds,
-			Workers:   opts.Workers,
-			Observer:  opts.Observer,
-		})
-		if factory := fiberProgram(opts, g.N(), ports, res); factory != nil {
-			stats, err = engine.RunFiberContext(ctx, factory)
-		} else {
-			// No resumable form for this algorithm: run the blocking
-			// program on the same engine in goroutine mode, and say so.
-			if o := opts.Observer; o != nil {
-				o.OnPhase(congest.PhaseEvent{Name: "goroutine-fallback"})
-			}
-			stats, err = engine.RunContext(ctx, program)
-			if stats != nil {
-				stats.FiberFallback = true
-			}
-		}
+		stats, err = engine.RunContext(ctx, program(opts, g.N(), ports, res))
+	case Parallel, Fiber:
+		engine := parsim.NewEngine(g, parsimConfig(opts))
+		stats, err = engine.RunContext(ctx, program(opts, g.N(), ports, res))
 	case Async:
-		engine := parsim.NewEngine(g, parsim.Config{
-			Bandwidth: opts.Bandwidth,
-			MaxRounds: opts.MaxRounds,
-			Workers:   opts.Workers,
-			Observer:  opts.Observer,
-		})
-		if factory := fiberProgram(opts, g.N(), ports, res); factory != nil {
-			stats, err = engine.RunAsyncContext(ctx, factory, opts.AsyncSeed)
-		} else {
-			// No resumable form: the windowed delivery path needs
-			// fibers, so run the blocking program on the same engine in
-			// goroutine (barrier) mode, and say so.
-			if o := opts.Observer; o != nil {
-				o.OnPhase(congest.PhaseEvent{Name: "goroutine-fallback"})
-			}
-			stats, err = engine.RunContext(ctx, program)
-			if stats != nil {
-				stats.FiberFallback = true
-			}
-		}
+		engine := parsim.NewEngine(g, parsimConfig(opts))
+		stats, err = engine.RunAsync(ctx, program(opts, g.N(), ports, res), opts.AsyncSeed)
 	case Cluster:
 		if opts.Cluster != nil {
 			// Distributed mode: the workers run the program; the driver
@@ -650,7 +576,7 @@ func RunContext(ctx context.Context, g *Graph, opts Options) (*Result, error) {
 				MaxRounds: opts.MaxRounds,
 				Shards:    opts.Shards,
 				Observer:  opts.Observer,
-			}, program)
+			}, program(opts, g.N(), ports, res))
 		}
 	default:
 		return nil, fmt.Errorf("congestmst: unknown engine %v", opts.Engine)
@@ -682,22 +608,12 @@ func RunContext(ctx context.Context, g *Graph, opts Options) (*Result, error) {
 	return res, nil
 }
 
-// fiberProgram returns the resumable (fiber) form of the selected
-// algorithm, writing each vertex's MST ports into ports (and the root
-// vertex's run parameters into res) on completion, or nil when only
-// the blocking form exists — the Fiber engine then falls back to
-// goroutine mode for the run. All four stock algorithms have a fiber
-// form; only out-of-tree Algorithm values return nil.
-func fiberProgram(opts Options, n int, ports [][]int, res *Result) func(id int) congest.Fiber {
+// program returns the fiber factory of the selected algorithm, writing
+// each vertex's MST ports into ports (and the root vertex's run
+// parameters into res) on completion. RunContext has already rejected
+// unknown algorithms, so the Elkin variants are the remaining case.
+func program(opts Options, n int, ports [][]int, res *Result) func(id int) congest.Fiber {
 	switch opts.Algorithm {
-	case Elkin, ElkinFixedK:
-		return core.FiberFactory(n, elkinConfig(opts, n), func(id int, r *core.Result) {
-			ports[id] = r.MSTPorts
-			if id == opts.Root {
-				res.K = r.K
-				res.BoruvkaPhases = r.BoruvkaPhases
-			}
-		})
 	case GHS:
 		return ghs.FiberFactory(n, func(id int, mstPorts []int) { ports[id] = mstPorts })
 	case Pipeline:
@@ -708,13 +624,29 @@ func fiberProgram(opts Options, n int, ports [][]int, res *Result) func(id int) 
 			}
 		})
 	default:
-		return nil
+		return core.FiberFactory(n, elkinConfig(opts, n), func(id int, r *core.Result) {
+			ports[id] = r.MSTPorts
+			if id == opts.Root {
+				res.K = r.K
+				res.BoruvkaPhases = r.BoruvkaPhases
+			}
+		})
 	}
 }
 
-// elkinConfig builds the core.Config for an Elkin-variant run; the
-// blocking and fiber paths share it so both resolve FixedK the same
-// way.
+// parsimConfig is the parsim.Config of the Parallel, Fiber and Async
+// engines.
+func parsimConfig(opts Options) parsim.Config {
+	return parsim.Config{
+		Bandwidth: opts.Bandwidth,
+		MaxRounds: opts.MaxRounds,
+		Workers:   opts.Workers,
+		Observer:  opts.Observer,
+	}
+}
+
+// elkinConfig builds the core.Config for an Elkin-variant run,
+// resolving FixedK.
 func elkinConfig(opts Options, n int) core.Config {
 	cfg := core.Config{
 		Root:        opts.Root,

@@ -3,17 +3,16 @@ package congestmst_test
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"congestmst"
 )
 
-// engineUnderTest configures one non-reference engine of the matrix:
+// enginesUnderTest configures the non-reference engines of the matrix:
 // Parallel with enough workers to force real cross-shard traffic,
 // Cluster with enough shards to force real cross-socket traffic, and
-// Fiber with the same worker spread (every stock algorithm now has a
-// resumable form, so the fiber rows run Elkin, ElkinFixedK, GHS and
-// Pipeline as inline state machines — no goroutine fallback).
+// Fiber (another name for Parallel) with the same worker spread.
 var enginesUnderTest = []congestmst.Options{
 	{Engine: congestmst.Parallel, Workers: 3},
 	{Engine: congestmst.Cluster, Shards: 3},
@@ -296,10 +295,9 @@ func TestEngineMatrixBandwidth(t *testing.T) {
 	}
 }
 
-// TestFiberEngineNoFallback pins the "fiber mode everywhere" contract:
-// under Engine: Fiber, every stock algorithm must run its resumable
-// form — Stats.FiberFallback reports a run that silently degraded to
-// per-vertex goroutines, and no stock algorithm is allowed to.
+// TestFiberEngineNoFallback pins that Engine: Fiber is Parallel: every
+// stock algorithm reports Parallel's Stats under it, and an observer
+// sees no phase event beyond the Elkin stage boundaries.
 func TestFiberEngineNoFallback(t *testing.T) {
 	g, err := congestmst.RandomConnected(64, 192, congestmst.GenOptions{Seed: 11})
 	if err != nil {
@@ -308,17 +306,44 @@ func TestFiberEngineNoFallback(t *testing.T) {
 	algs := []congestmst.Algorithm{
 		congestmst.Elkin, congestmst.ElkinFixedK, congestmst.GHS, congestmst.Pipeline,
 	}
+	stages := map[string]bool{"bfs-build": true, "base-forest": true, "register": true, "boruvka": true}
 	for _, alg := range algs {
-		res, err := congestmst.Run(g, congestmst.Options{
-			Algorithm: alg, Engine: congestmst.Fiber, Workers: 2,
+		rec := &phaseNames{}
+		fib, err := congestmst.Run(g, congestmst.Options{
+			Algorithm: alg, Engine: congestmst.Fiber, Workers: 2, Observer: rec,
 		})
 		if err != nil {
 			t.Fatalf("fiber %s: %v", alg, err)
 		}
-		if res.Stats.FiberFallback {
-			t.Errorf("%s fell back to goroutine mode under Engine: Fiber", alg)
+		par, err := congestmst.Run(g, congestmst.Options{
+			Algorithm: alg, Engine: congestmst.Parallel, Workers: 2,
+		})
+		if err != nil {
+			t.Fatalf("parallel %s: %v", alg, err)
+		}
+		if *fib.Stats != *par.Stats {
+			t.Errorf("%s: Fiber stats differ from Parallel's", alg)
+		}
+		for _, name := range rec.names {
+			if !stages[name] {
+				t.Errorf("%s: unexpected phase event %q under Engine: Fiber", alg, name)
+			}
 		}
 	}
+}
+
+// phaseNames records the names of the PhaseEvents a run emits.
+type phaseNames struct {
+	mu    sync.Mutex
+	names []string
+}
+
+func (p *phaseNames) OnRound(congestmst.RoundEvent) {}
+
+func (p *phaseNames) OnPhase(ev congestmst.PhaseEvent) {
+	p.mu.Lock()
+	p.names = append(p.names, ev.Name)
+	p.mu.Unlock()
 }
 
 // TestEngineMatrixAsyncEquivalence is the acceptance test for the
@@ -326,9 +351,9 @@ func TestFiberEngineNoFallback(t *testing.T) {
 // stock algorithm it must produce the same MST (edges and weight) as
 // lockstep, message totals within the paper's bounds (pinned here as
 // no worse than the synchronous total — the windowed path adds no
-// protocol traffic of its own), no goroutine fallback, and — the
-// seeded-determinism regression gate — bit-identical Stats across
-// repeated runs with the same AsyncSeed.
+// protocol traffic of its own), and — the seeded-determinism
+// regression gate — bit-identical Stats across repeated runs with the
+// same AsyncSeed.
 func TestEngineMatrixAsyncEquivalence(t *testing.T) {
 	g, err := congestmst.RandomConnected(96, 288, congestmst.GenOptions{Seed: 7})
 	if err != nil {
@@ -351,9 +376,6 @@ func TestEngineMatrixAsyncEquivalence(t *testing.T) {
 				})
 				if err != nil {
 					t.Fatalf("async seed=%d: %v", seed, err)
-				}
-				if res.Stats.FiberFallback {
-					t.Fatalf("%s fell back to goroutine mode under Engine: Async", alg)
 				}
 				return res
 			}

@@ -1,7 +1,8 @@
-// Package bench defines the reproduction experiments (E1-E15): one per
-// claim of the paper plus the engine races, each regenerating a table
-// that EXPERIMENTS.md records. The same definitions back cmd/mstbench
-// and the root-level testing.B benchmarks.
+// Package bench defines the reproduction experiments (E1-E12, E14,
+// E15): one per claim of the paper plus the engine races, each
+// regenerating a table that the README's experiment sections record.
+// The same definitions back cmd/mstbench and the root-level testing.B
+// benchmarks.
 //
 // The paper is a theory paper with no empirical tables, so the "tables"
 // reproduced here are its complexity claims: each experiment reports
@@ -103,8 +104,8 @@ func (t *Table) Format() string {
 type Experiment struct {
 	ID    string
 	Title string
-	// Run executes the experiment; full selects the EXPERIMENTS.md
-	// scale (false = the quicker scale used by `go test -bench`).
+	// Run executes the experiment; full selects the scale the README
+	// records (false = the quicker scale used by `go test -bench`).
 	Run func(full bool) (*Table, error)
 }
 
@@ -123,8 +124,7 @@ func All() []Experiment {
 		{"e10", "Message separation vs Pipeline-MST (Section 1.1)", E10PipelineMessages},
 		{"e11", "Engine scaling: parsim vs lockstep up to 10^6 vertices", E11ParsimScaling},
 		{"e12", "Cluster transport: TCP shard mesh vs lockstep", E12ClusterTransport},
-		{"e13", "Fiber memory: resumable vs goroutine vertex programs", E13FiberMemory},
-		{"e14", "Fiber mode everywhere: four algorithms, worker sweep", E14FiberSweep},
+		{"e14", "Worker sweep: four algorithms on the parallel engine", E14FiberSweep},
 		{"e15", "Async engine: barrier-free delivery windows vs the fiber barrier", E15AsyncRace},
 	}
 }
@@ -164,9 +164,7 @@ func tauTraffic(s *congestmst.Stats) int64 {
 func runAlg(g *graph.Graph, opts congestmst.Options) (*congestmst.Result, error) {
 	opts.Engine = DefaultEngine
 	if TraceDir == "" {
-		res, err := congestmst.RunContext(BaseContext, g, opts)
-		noteFallback(res)
-		return res, err
+		return congestmst.RunContext(BaseContext, g, opts)
 	}
 	alg := opts.Algorithm
 	if alg == 0 {
@@ -188,7 +186,6 @@ func runAlg(g *graph.Graph, opts congestmst.Options) (*congestmst.Result, error)
 	opts.Observer = tr
 	start := time.Now()
 	res, runErr := congestmst.RunContext(BaseContext, g, opts)
-	noteFallback(res)
 	var rounds, messages int64
 	if res != nil {
 		rounds, messages = res.Rounds, res.Messages
@@ -216,17 +213,19 @@ func runAlg(g *graph.Graph, opts congestmst.Options) (*congestmst.Result, error)
 func forestRun(g *graph.Graph, k int, bandwidth int) ([]*forest.State, *forest.Trace, *congest.Stats, error) {
 	states := make([]*forest.State, g.N())
 	trace := forest.NewTrace(g.N(), k)
-	program := func(ctx congest.Context) {
-		bfstree.Build(ctx, 0)
-		states[ctx.ID()] = forest.Run(ctx, k, trace)
-	}
+	factory := congest.StepFiberFactory(g.N(), func(c congest.Context) congest.Step {
+		return bfstree.BuildStep(c, 0, func(c congest.Context, _ *bfstree.Tree) congest.Step {
+			return forest.Program(c, k, trace, func(c congest.Context, st *forest.State) congest.Step {
+				states[c.ID()] = st
+				return congest.Done()
+			})
+		})
+	})
 	if DefaultEngine == congestmst.Parallel {
-		e := parsim.NewEngine(g, parsim.Config{Bandwidth: bandwidth})
-		stats, err := e.RunContext(BaseContext, program)
+		stats, err := parsim.NewEngine(g, parsim.Config{Bandwidth: bandwidth}).RunContext(BaseContext, factory)
 		return states, trace, stats, err
 	}
-	e := congest.NewEngine(g, congest.Config{Bandwidth: bandwidth})
-	stats, err := e.RunContext(BaseContext, func(ctx *congest.Ctx) { program(ctx) })
+	stats, err := congest.NewEngine(g, congest.Config{Bandwidth: bandwidth}).RunContext(BaseContext, factory)
 	return states, trace, stats, err
 }
 

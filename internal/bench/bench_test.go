@@ -15,7 +15,7 @@ func TestAllExperimentsProduceSaneTables(t *testing.T) {
 	// the suite; short mode (CI) skips them and keeps the structural
 	// coverage of e1-e8 (CI covers the cluster engine with its own
 	// smoke job instead).
-	slow := map[string]bool{"e9": true, "e10": true, "e11": true, "e12": true, "e13": true, "e14": true, "e15": true}
+	slow := map[string]bool{"e9": true, "e10": true, "e11": true, "e12": true, "e14": true, "e15": true}
 	for _, exp := range All() {
 		exp := exp
 		t.Run(exp.ID, func(t *testing.T) {
@@ -56,8 +56,8 @@ func TestLookup(t *testing.T) {
 	if _, ok := Lookup("nope"); ok {
 		t.Error("bogus id found")
 	}
-	if len(All()) != 15 {
-		t.Errorf("expected 15 experiments, got %d", len(All()))
+	if len(All()) != 14 {
+		t.Errorf("expected 14 experiments, got %d", len(All()))
 	}
 }
 

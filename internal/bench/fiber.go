@@ -20,30 +20,13 @@ const FiberJSONPath = "BENCH_fiber.json"
 // (mstbench -workers overrides it).
 var WorkerSweep = []int{1, 2, 4, 8}
 
-// FiberRow is one E13 measurement (one graph size, both execution
-// modes side by side).
-type FiberRow struct {
-	N                  int     `json:"n"`
-	M                  int     `json:"m"`
-	Workers            int     `json:"workers"`
-	Rounds             int64   `json:"rounds"`
-	Messages           int64   `json:"messages"`
-	GoroutineSeconds   float64 `json:"goroutine_seconds"`
-	FiberSeconds       float64 `json:"fiber_seconds"`
-	GoroutinePeakBytes uint64  `json:"goroutine_peak_mem_bytes"`
-	FiberPeakBytes     uint64  `json:"fiber_peak_mem_bytes"`
-	MemRatio           float64 `json:"mem_ratio"`
-	StatsMatch         bool    `json:"stats_match"`
-}
-
-// SweepRow is one E14 measurement: one algorithm in one execution mode
-// at one worker count. StatsMatch compares the run against the
-// algorithm's goroutine-mode baseline.
+// SweepRow is one E14 measurement: one algorithm at one worker count.
+// StatsMatch compares the run against the algorithm's first (fewest
+// workers) row.
 type SweepRow struct {
 	Algorithm  string  `json:"algorithm"`
 	N          int     `json:"n"`
 	M          int     `json:"m"`
-	Mode       string  `json:"mode"` // "goroutine" or "fiber"
 	Workers    int     `json:"workers"`
 	Rounds     int64   `json:"rounds"`
 	Messages   int64   `json:"messages"`
@@ -56,8 +39,7 @@ type SweepRow struct {
 // remembers the high-water mark: a portable stand-in for peak RSS
 // that attributes memory to the run in progress (unlike /proc VmHWM,
 // which is monotonic over the whole process). StackInuse is included
-// because goroutine stacks — the dominant cost of goroutine mode at
-// 10^6 vertices — live outside the heap.
+// because goroutine stacks live outside the heap.
 type memWatcher struct {
 	stop chan struct{}
 	done chan struct{}
@@ -104,83 +86,13 @@ func timedRun(g *graph.Graph, alg congestmst.Algorithm, engine congestmst.Engine
 	})
 	elapsed := time.Since(start).Seconds()
 	peak := w.Peak()
-	noteFallback(res)
 	return res, elapsed, peak, err
 }
 
-// noteFallback prints the one-line goroutine-fallback notice mstbench
-// owes the user: a fiber-engine run that silently degraded to
-// goroutine mode would otherwise be invisible in the tables.
-func noteFallback(res *congestmst.Result) {
-	if res != nil && res.Stats != nil && res.Stats.FiberFallback {
-		fmt.Fprintln(os.Stderr, "mstbench: algorithm has no resumable form; fiber engine ran it in goroutine mode")
-	}
-}
-
-// E13FiberMemory sweeps n on sparse random graphs (m = 2n, average
-// degree 4) and races the parallel engine's two execution modes on
-// GHS against each other: goroutine mode parks one goroutine (stack,
-// channel, per-vertex accounting) per vertex, fiber mode parks a state
-// struct in the calendar. Rounds/Messages/ByKind must agree bit for
-// bit (asserted per row); the headline is the peak memory ratio, which
-// is what caps the graph sizes the engine can demonstrate the paper's
-// bounds on. At full scale the sweep reaches 10^6 vertices. (The
-// machine-readable BENCH_fiber.json rows are E14's, which cover all
-// four algorithms and a worker sweep.)
-func E13FiberMemory(full bool) (*Table, error) {
-	ns := []int{4096, 16384}
-	if full {
-		ns = []int{100_000, 1_000_000}
-	}
-	workers := runtime.GOMAXPROCS(0)
-	t := &Table{
-		ID:    "e13",
-		Title: fmt.Sprintf("fiber vs goroutine execution of GHS on sparse random graphs (m = 2n, workers = %d)", workers),
-		Claim: "fiber mode runs a converted algorithm with >=5x lower peak memory at 10^6 vertices, stats bit-identical",
-		Columns: []string{"n", "m", "rounds", "msgs", "goroutine s", "fiber s",
-			"goroutine peak MB", "fiber peak MB", "mem ratio", "stats equal"},
-	}
-	for _, n := range ns {
-		g, err := graph.RandomConnected(n, 2*n, graph.GenOptions{Seed: uint64(131 + n)})
-		if err != nil {
-			return nil, err
-		}
-		// Warm the shared CSR outside the timed windows so it is not
-		// charged to whichever run goes first.
-		g.CSR()
-		fib, fibSec, fibPeak, err := timedRun(g, congestmst.GHS, congestmst.Fiber, 0)
-		if err != nil {
-			return nil, fmt.Errorf("fiber n=%d: %w", n, err)
-		}
-		gor, gorSec, gorPeak, err := timedRun(g, congestmst.GHS, congestmst.Parallel, 0)
-		if err != nil {
-			return nil, fmt.Errorf("goroutine n=%d: %w", n, err)
-		}
-		match := gor.Rounds == fib.Rounds && gor.Messages == fib.Messages &&
-			*gor.Stats == *fib.Stats
-		matchStr := "yes"
-		if !match {
-			matchStr = "VIOLATED"
-		}
-		mb := func(b uint64) string { return fmt.Sprintf("%.1f", float64(b)/(1<<20)) }
-		t.Rows = append(t.Rows, []string{
-			di(n), di(g.M()), d(gor.Rounds), d(gor.Messages),
-			fmt.Sprintf("%.3f", gorSec), fmt.Sprintf("%.3f", fibSec),
-			mb(gorPeak), mb(fibPeak), f2(float64(gorPeak) / float64(fibPeak)), matchStr,
-		})
-	}
-	t.Notes = append(t.Notes,
-		"verification is skipped in both runs so the measurements cover the engines, not Kruskal",
-		"peak MB is the sampled HeapInuse+StackInuse high-water mark during the run (stacks are where goroutine mode's memory lives)",
-		"mem ratio is goroutine/fiber peak; see e14 for all four algorithms and the worker sweep (BENCH_fiber.json)")
-	return t, nil
-}
-
-// E14FiberSweep is the full fiber-coverage bench: every stock
-// algorithm (Elkin, ElkinFixedK, GHS, Pipeline) on one sparse random
-// graph, first in goroutine mode as the baseline, then in fiber mode
-// across WorkerSweep worker counts. Every fiber row must report
-// Rounds/Messages/ByKind bit-identical to its goroutine baseline. At
+// E14FiberSweep is the worker sweep of the parallel engine: every
+// stock algorithm (Elkin, ElkinFixedK, GHS, Pipeline) on one sparse
+// random graph across WorkerSweep worker counts. Every row must report
+// Rounds/Messages/ByKind bit-identical to the algorithm's first row. At
 // full scale the graph has 10^6 vertices and the rows are written to
 // BENCH_fiber.json.
 func E14FiberSweep(full bool) (*Table, error) {
@@ -195,67 +107,55 @@ func E14FiberSweep(full bool) (*Table, error) {
 	g.CSR()
 	t := &Table{
 		ID:    "e14",
-		Title: fmt.Sprintf("fiber mode everywhere: all four algorithms on a sparse random graph (n = %d, m = %d)", n, g.M()),
-		Claim: "every algorithm runs fiber-native with goroutine-identical stats; fiber peak memory undercuts goroutine mode",
-		Columns: []string{"algorithm", "mode", "workers", "rounds", "msgs",
+		Title: fmt.Sprintf("worker sweep: all four algorithms on a sparse random graph (n = %d, m = %d)", n, g.M()),
+		Claim: "every algorithm reports identical stats at every worker count",
+		Columns: []string{"algorithm", "workers", "rounds", "msgs",
 			"seconds", "peak MB", "stats equal"},
 	}
 	algs := []congestmst.Algorithm{
 		congestmst.Elkin, congestmst.ElkinFixedK, congestmst.GHS, congestmst.Pipeline,
 	}
 	mb := func(b uint64) string { return fmt.Sprintf("%.1f", float64(b)/(1<<20)) }
-	// At full scale the sweep runs for hours on one core; a progress
-	// line per run keeps a watching terminal honest about liveness.
-	progress := func(alg congestmst.Algorithm, mode string, workers int, sec float64, peak uint64) {
-		if full {
-			fmt.Fprintf(os.Stderr, "mstbench: e14 %s %s workers=%d: %.1fs peak=%sMB\n",
-				alg, mode, workers, sec, mb(peak))
-		}
-	}
 	var rows []SweepRow
 	for _, alg := range algs {
-		base, baseSec, basePeak, err := timedRun(g, alg, congestmst.Parallel, 0)
-		if err != nil {
-			return nil, fmt.Errorf("goroutine %s: %w", alg, err)
-		}
-		progress(alg, "goroutine", runtime.GOMAXPROCS(0), baseSec, basePeak)
-		rows = append(rows, SweepRow{
-			Algorithm: alg.String(), N: n, M: g.M(), Mode: "goroutine",
-			Workers: runtime.GOMAXPROCS(0), Rounds: base.Rounds, Messages: base.Messages,
-			Seconds: baseSec, PeakBytes: basePeak, StatsMatch: true,
-		})
-		t.Rows = append(t.Rows, []string{
-			alg.String(), "goroutine", di(runtime.GOMAXPROCS(0)), d(base.Rounds), d(base.Messages),
-			fmt.Sprintf("%.3f", baseSec), mb(basePeak), "baseline",
-		})
+		var base *congestmst.Result
 		for _, w := range WorkerSweep {
-			fib, fibSec, fibPeak, err := timedRun(g, alg, congestmst.Fiber, w)
+			res, sec, peak, err := timedRun(g, alg, congestmst.Fiber, w)
 			if err != nil {
-				return nil, fmt.Errorf("fiber %s workers=%d: %w", alg, w, err)
+				return nil, fmt.Errorf("%s workers=%d: %w", alg, w, err)
 			}
-			if fib.Stats.FiberFallback {
-				return nil, fmt.Errorf("fiber %s workers=%d fell back to goroutine mode", alg, w)
+			if full {
+				// At full scale the sweep runs for hours on one core; a
+				// progress line per run keeps a watching terminal honest
+				// about liveness.
+				fmt.Fprintf(os.Stderr, "mstbench: e14 %s workers=%d: %.1fs peak=%sMB\n", alg, w, sec, mb(peak))
 			}
-			progress(alg, "fiber", w, fibSec, fibPeak)
-			match := *base.Stats == *fib.Stats
-			matchStr := "yes"
-			if !match {
-				matchStr = "VIOLATED"
+			matchStr := "baseline"
+			match := true
+			if base == nil {
+				base = res
+			} else {
+				match = *base.Stats == *res.Stats
+				matchStr = "yes"
+				if !match {
+					matchStr = "VIOLATED"
+				}
 			}
 			rows = append(rows, SweepRow{
-				Algorithm: alg.String(), N: n, M: g.M(), Mode: "fiber",
-				Workers: w, Rounds: fib.Rounds, Messages: fib.Messages,
-				Seconds: fibSec, PeakBytes: fibPeak, StatsMatch: match,
+				Algorithm: alg.String(), N: n, M: g.M(),
+				Workers: w, Rounds: res.Rounds, Messages: res.Messages,
+				Seconds: sec, PeakBytes: peak, StatsMatch: match,
 			})
 			t.Rows = append(t.Rows, []string{
-				alg.String(), "fiber", di(w), d(fib.Rounds), d(fib.Messages),
-				fmt.Sprintf("%.3f", fibSec), mb(fibPeak), matchStr,
+				alg.String(), di(w), d(res.Rounds), d(res.Messages),
+				fmt.Sprintf("%.3f", sec), mb(peak), matchStr,
 			})
 		}
 	}
 	t.Notes = append(t.Notes,
-		"verification is skipped so the measurements cover the engines, not Kruskal",
-		"goroutine rows are the Parallel-engine baseline; stats equal compares a fiber row's full Stats against it",
+		"verification is skipped so the measurements cover the engine, not Kruskal",
+		"stats equal compares a row's full Stats against the algorithm's first row",
+		"peak MB is the sampled HeapInuse+StackInuse high-water mark during the run",
 		fmt.Sprintf("worker sweep: %v (host has %d CPU(s) — workers beyond that add scheduling, not parallelism)", WorkerSweep, runtime.NumCPU()))
 	if full {
 		if err := writeFiberJSON(rows); err != nil {

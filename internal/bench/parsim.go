@@ -70,7 +70,7 @@ func (w *heapWatcher) Peak() uint64 {
 }
 
 // timedElkinRun executes one Elkin run on the given engine, reporting
-// the result, elapsed seconds and peak sampled heap. (E13/E14 use the
+// the result, elapsed seconds and peak sampled heap. (E14 uses the
 // generalised timedRun in fiber.go, which also samples StackInuse.)
 func timedElkinRun(g *graph.Graph, engine congestmst.Engine) (*congestmst.Result, float64, uint64, error) {
 	runtime.GC()

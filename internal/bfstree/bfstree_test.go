@@ -35,24 +35,35 @@ func testGraphs(t *testing.T) map[string]*graph.Graph {
 	}
 }
 
-// runTrees builds a tree on every vertex and returns the per-vertex
-// views plus the run stats.
+// runTrees builds a tree on every vertex, continues with body (nil:
+// retire at once), and returns the per-vertex views plus the run
+// stats.
 func runTrees(t *testing.T, g *graph.Graph, root int, cfg congest.Config,
-	body func(*Tree)) ([]*Tree, *congest.Stats) {
+	body func(c congest.Context, tr *Tree) congest.Step) ([]*Tree, *congest.Stats) {
 	t.Helper()
 	trees := make([]*Tree, g.N())
 	e := congest.NewEngine(g, cfg)
-	stats, err := e.Run(func(ctx *congest.Ctx) {
-		tr := Build(ctx, root)
-		trees[ctx.ID()] = tr
-		if body != nil {
-			body(tr)
-		}
-	})
+	stats, err := e.Run(congest.StepFiberFactory(g.N(), func(c congest.Context) congest.Step {
+		return BuildStep(c, root, func(c congest.Context, tr *Tree) congest.Step {
+			trees[c.ID()] = tr
+			if body == nil {
+				return congest.Done()
+			}
+			return body(c, tr)
+		})
+	}))
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	return trees, stats
+}
+
+// realign ends a test program with a SyncBroadcastStep, so every vertex
+// retires in the same round.
+func realign(c congest.Context, tr *Tree) congest.Step {
+	return tr.SyncBroadcastStep(c, congest.Message{}, func(congest.Context, congest.Message) congest.Step {
+		return congest.Done()
+	})
 }
 
 func TestBuildDepthsMatchBFS(t *testing.T) {
@@ -195,10 +206,13 @@ func TestSyncBroadcast(t *testing.T) {
 			n := g.N()
 			payloads := make([]congest.Message, n)
 			returnRounds := make([]int64, n)
-			runTrees(t, g, 0, congest.Config{}, func(tr *Tree) {
-				got := tr.SyncBroadcast(congest.Message{A: 11, B: 22, C: 33})
-				payloads[tr.ctx.ID()] = got
-				returnRounds[tr.ctx.ID()] = tr.ctx.Round()
+			runTrees(t, g, 0, congest.Config{}, func(c congest.Context, tr *Tree) congest.Step {
+				return tr.SyncBroadcastStep(c, congest.Message{A: 11, B: 22, C: 33},
+					func(c congest.Context, got congest.Message) congest.Step {
+						payloads[c.ID()] = got
+						returnRounds[c.ID()] = c.Round()
+						return congest.Done()
+					})
 			})
 			for v := 0; v < n; v++ {
 				if payloads[v].A != 11 || payloads[v].B != 22 || payloads[v].C != 33 {
@@ -216,17 +230,19 @@ func TestConverge(t *testing.T) {
 	for name, g := range testGraphs(t) {
 		t.Run(name, func(t *testing.T) {
 			var rootGot [3]int64
-			runTrees(t, g, 0, congest.Config{}, func(tr *Tree) {
-				id := int64(tr.ctx.ID())
-				got := tr.Converge([3]int64{1, id, id}, func(a, b [3]int64) [3]int64 {
+			runTrees(t, g, 0, congest.Config{}, func(c congest.Context, tr *Tree) congest.Step {
+				id := int64(c.ID())
+				combine := func(a, b [3]int64) [3]int64 {
 					return [3]int64{a[0] + b[0], max64(a[1], b[1]), min64(a[2], b[2])}
-				})
-				if tr.Root {
-					rootGot = got
 				}
-				// Realign so the engine does not see ragged termination
-				// as a protocol anomaly in subsequent tests.
-				tr.SyncBroadcast(congest.Message{})
+				return tr.ConvergeStep(c, [3]int64{1, id, id}, combine, func(c congest.Context, got [3]int64) congest.Step {
+					if tr.Root {
+						rootGot = got
+					}
+					// Realign so the engine does not see ragged
+					// termination as a protocol anomaly.
+					return realign(c, tr)
+				})
 			})
 			if rootGot[0] != int64(g.N()) {
 				t.Errorf("count = %d, want %d", rootGot[0], g.N())
@@ -244,14 +260,15 @@ func TestPipelinedUpcastAllDistinctGroups(t *testing.T) {
 	for name, g := range testGraphs(t) {
 		t.Run(name, func(t *testing.T) {
 			var got []Item
-			runTrees(t, g, 0, congest.Config{}, func(tr *Tree) {
-				id := int64(tr.ctx.ID())
+			runTrees(t, g, 0, congest.Config{}, func(c congest.Context, tr *Tree) congest.Step {
+				id := int64(c.ID())
 				items := []Item{{Group: id, W: 1000 - id, U: id, V: 0}}
-				res := tr.PipelinedUpcast(items)
-				if tr.Root {
-					got = res
-				}
-				tr.SyncBroadcast(congest.Message{})
+				return tr.PipelinedUpcastStep(c, items, func(c congest.Context, res []Item) congest.Step {
+					if tr.Root {
+						got = res
+					}
+					return realign(c, tr)
+				})
 			})
 			if len(got) != g.N() {
 				t.Fatalf("root received %d items, want %d", len(got), g.N())
@@ -292,12 +309,14 @@ func TestPipelinedUpcastMinFiltering(t *testing.T) {
 					want[grp] = it
 				}
 			}
-			runTrees(t, g, 0, congest.Config{}, func(tr *Tree) {
-				res := tr.PipelinedUpcast(append([]Item(nil), contributions[tr.ctx.ID()]...))
-				if tr.Root {
-					got = res
-				}
-				tr.SyncBroadcast(congest.Message{})
+			runTrees(t, g, 0, congest.Config{}, func(c congest.Context, tr *Tree) congest.Step {
+				own := append([]Item(nil), contributions[c.ID()]...)
+				return tr.PipelinedUpcastStep(c, own, func(c congest.Context, res []Item) congest.Step {
+					if tr.Root {
+						got = res
+					}
+					return realign(c, tr)
+				})
 			})
 			if len(got) != len(want) {
 				t.Fatalf("root got %d groups, want %d", len(got), len(want))
@@ -316,19 +335,20 @@ func TestPipelinedUpcastSharedEdgeTwoGroups(t *testing.T) {
 	// (regression test for the stream tie-break on Group).
 	g := graph.Path(6, graph.GenOptions{})
 	var got []Item
-	runTrees(t, g, 0, congest.Config{}, func(tr *Tree) {
+	runTrees(t, g, 0, congest.Config{}, func(c congest.Context, tr *Tree) congest.Step {
 		var items []Item
-		switch tr.ctx.ID() {
+		switch c.ID() {
 		case 4:
 			items = []Item{{Group: 1, W: 5, U: 2, V: 3}}
 		case 5:
 			items = []Item{{Group: 2, W: 5, U: 2, V: 3}}
 		}
-		res := tr.PipelinedUpcast(items)
-		if tr.Root {
-			got = res
-		}
-		tr.SyncBroadcast(congest.Message{})
+		return tr.PipelinedUpcastStep(c, items, func(c congest.Context, res []Item) congest.Step {
+			if tr.Root {
+				got = res
+			}
+			return realign(c, tr)
+		})
 	})
 	if len(got) != 2 {
 		t.Fatalf("got %d items, want 2: %v", len(got), got)
@@ -339,16 +359,17 @@ func TestPipelinedUpcastRoundBound(t *testing.T) {
 	// K groups over height H must finish in O(H + K) rounds.
 	g := graph.Path(64, graph.GenOptions{})
 	var start, end int64
-	runTrees(t, g, 0, congest.Config{}, func(tr *Tree) {
+	runTrees(t, g, 0, congest.Config{}, func(c congest.Context, tr *Tree) congest.Step {
 		if tr.Root {
-			start = tr.ctx.Round()
+			start = c.Round()
 		}
-		id := int64(tr.ctx.ID())
-		tr.PipelinedUpcast([]Item{{Group: id, W: id, U: id}})
-		if tr.Root {
-			end = tr.ctx.Round()
-		}
-		tr.SyncBroadcast(congest.Message{})
+		id := int64(c.ID())
+		return tr.PipelinedUpcastStep(c, []Item{{Group: id, W: id, U: id}}, func(c congest.Context, _ []Item) congest.Step {
+			if tr.Root {
+				end = c.Round()
+			}
+			return realign(c, tr)
+		})
 	})
 	rounds := end - start
 	bound := int64(3*(64+64) + 20)
@@ -362,11 +383,11 @@ func TestPipelinedUpcastBandwidthSpeedup(t *testing.T) {
 	g := graph.Path(48, graph.GenOptions{})
 	run := func(b int) int64 {
 		var start, end int64
-		runTrees(t, g, 0, congest.Config{Bandwidth: b}, func(tr *Tree) {
+		runTrees(t, g, 0, congest.Config{Bandwidth: b}, func(c congest.Context, tr *Tree) congest.Step {
 			if tr.Root {
-				start = tr.ctx.Round()
+				start = c.Round()
 			}
-			id := int64(tr.ctx.ID())
+			id := int64(c.ID())
 			// Everyone contributes 4 private groups.
 			items := []Item{
 				{Group: id * 4, W: id},
@@ -374,11 +395,12 @@ func TestPipelinedUpcastBandwidthSpeedup(t *testing.T) {
 				{Group: id*4 + 2, W: id + 2000},
 				{Group: id*4 + 3, W: id + 3000},
 			}
-			tr.PipelinedUpcast(items)
-			if tr.Root {
-				end = tr.ctx.Round()
-			}
-			tr.SyncBroadcast(congest.Message{})
+			return tr.PipelinedUpcastStep(c, items, func(c congest.Context, _ []Item) congest.Step {
+				if tr.Root {
+					end = c.Round()
+				}
+				return realign(c, tr)
+			})
 		})
 		return end - start
 	}
@@ -394,8 +416,8 @@ func TestRouteDown(t *testing.T) {
 			n := g.N()
 			received := make([][]Routed, n)
 			labels := make([]int64, n)
-			runTrees(t, g, 0, congest.Config{}, func(tr *Tree) {
-				labels[tr.ctx.ID()] = tr.Lo
+			runTrees(t, g, 0, congest.Config{}, func(c congest.Context, tr *Tree) congest.Step {
+				labels[c.ID()] = tr.Lo
 				var pairs []Routed
 				if tr.Root {
 					// Address two payloads to every vertex, including
@@ -405,8 +427,10 @@ func TestRouteDown(t *testing.T) {
 						pairs = append(pairs, Routed{Target: l, A: l * 11, B: l * 101})
 					}
 				}
-				received[tr.ctx.ID()] = tr.RouteDown(pairs)
-				tr.SyncBroadcast(congest.Message{})
+				return tr.RouteDownStep(c, pairs, func(c congest.Context, mine []Routed) congest.Step {
+					received[c.ID()] = mine
+					return realign(c, tr)
+				})
 			})
 			for v := 0; v < n; v++ {
 				l := labels[v]
@@ -425,11 +449,13 @@ func TestRouteDown(t *testing.T) {
 
 func TestRouteDownEmpty(t *testing.T) {
 	g := graph.Grid(3, 3, graph.GenOptions{})
-	runTrees(t, g, 0, congest.Config{}, func(tr *Tree) {
-		if got := tr.RouteDown(nil); len(got) != 0 {
-			t.Errorf("vertex %d received %v from empty downcast", tr.ctx.ID(), got)
-		}
-		tr.SyncBroadcast(congest.Message{})
+	runTrees(t, g, 0, congest.Config{}, func(c congest.Context, tr *Tree) congest.Step {
+		return tr.RouteDownStep(c, nil, func(c congest.Context, got []Routed) congest.Step {
+			if len(got) != 0 {
+				t.Errorf("vertex %d received %v from empty downcast", c.ID(), got)
+			}
+			return realign(c, tr)
+		})
 	})
 }
 
@@ -440,35 +466,48 @@ func TestPrimitiveComposition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runTrees(t, g, 0, congest.Config{}, func(tr *Tree) {
-		for iter := 0; iter < 2; iter++ {
-			m := tr.SyncBroadcast(congest.Message{A: int64(iter)})
-			if m.A != int64(iter) {
-				t.Errorf("broadcast payload %d, want %d", m.A, iter)
+	wantSum := int64(g.N()*(g.N()-1)) / 2
+	runTrees(t, g, 0, congest.Config{}, func(c congest.Context, tr *Tree) congest.Step {
+		var iter func(c congest.Context, i int) congest.Step
+		iter = func(c congest.Context, i int) congest.Step {
+			if i == 2 {
+				return congest.Done()
 			}
-			total := tr.Converge([3]int64{int64(tr.ctx.ID()), 0, 0}, func(a, b [3]int64) [3]int64 {
-				return [3]int64{a[0] + b[0], 0, 0}
-			})
-			wantSum := int64(g.N()*(g.N()-1)) / 2
-			if tr.Root && total[0] != wantSum {
-				t.Errorf("converge sum %d, want %d", total[0], wantSum)
-			}
-			tr.SyncBroadcast(congest.Message{})
-			res := tr.PipelinedUpcast([]Item{{Group: int64(tr.ctx.ID()), W: int64(tr.ctx.ID())}})
-			var pairs []Routed
-			if tr.Root {
-				if len(res) != g.N() {
-					t.Errorf("upcast returned %d, want %d", len(res), g.N())
+			return tr.SyncBroadcastStep(c, congest.Message{A: int64(i)}, func(c congest.Context, m congest.Message) congest.Step {
+				if m.A != int64(i) {
+					t.Errorf("broadcast payload %d, want %d", m.A, i)
 				}
-				pairs = []Routed{{Target: tr.N, A: 7}}
-			}
-			tr.SyncBroadcast(congest.Message{})
-			got := tr.RouteDown(pairs)
-			if tr.Lo == tr.N && (len(got) != 1 || got[0].A != 7) {
-				t.Errorf("deep vertex got %v", got)
-			}
-			tr.SyncBroadcast(congest.Message{})
+				sum := func(a, b [3]int64) [3]int64 { return [3]int64{a[0] + b[0], 0, 0} }
+				return tr.ConvergeStep(c, [3]int64{int64(c.ID()), 0, 0}, sum, func(c congest.Context, total [3]int64) congest.Step {
+					if tr.Root && total[0] != wantSum {
+						t.Errorf("converge sum %d, want %d", total[0], wantSum)
+					}
+					return tr.SyncBroadcastStep(c, congest.Message{}, func(c congest.Context, _ congest.Message) congest.Step {
+						own := []Item{{Group: int64(c.ID()), W: int64(c.ID())}}
+						return tr.PipelinedUpcastStep(c, own, func(c congest.Context, res []Item) congest.Step {
+							var pairs []Routed
+							if tr.Root {
+								if len(res) != g.N() {
+									t.Errorf("upcast returned %d, want %d", len(res), g.N())
+								}
+								pairs = []Routed{{Target: tr.N, A: 7}}
+							}
+							return tr.SyncBroadcastStep(c, congest.Message{}, func(c congest.Context, _ congest.Message) congest.Step {
+								return tr.RouteDownStep(c, pairs, func(c congest.Context, got []Routed) congest.Step {
+									if tr.Lo == tr.N && (len(got) != 1 || got[0].A != 7) {
+										t.Errorf("deep vertex got %v", got)
+									}
+									return tr.SyncBroadcastStep(c, congest.Message{}, func(c congest.Context, _ congest.Message) congest.Step {
+										return iter(c, i+1)
+									})
+								})
+							})
+						})
+					})
+				})
+			})
 		}
+		return iter(c, 0)
 	})
 }
 

@@ -2,9 +2,10 @@ package bfstree
 
 import "congestmst/internal/congest"
 
-// Build constructs the BFS tree rooted at the designated vertex. Every
-// vertex calls Build at round 0 and returns from it at the common round
-// T0 with its Tree filled in. Cost: O(D) rounds, O(m) messages.
+// BuildStep constructs the BFS tree rooted at the designated vertex.
+// Every vertex enters BuildStep at round 0 and continues with then at
+// the common round T0, handed its Tree. Cost: O(D) rounds, O(m)
+// messages.
 //
 // The construction is the textbook synchronous BFS with ack/nack child
 // discovery, followed by a convergecast of (subtree size, max depth), a
@@ -12,25 +13,6 @@ import "congestmst/internal/congest"
 // assignment (Section 3): the root takes [1, n]; every vertex keeps the
 // low endpoint of its interval as its label and hands its children
 // disjoint subintervals sized by their subtree sizes.
-//
-// Build is a blocking wrapper over BuildStep, the resumable form the
-// fiber engine runs; the two share every handler and are therefore
-// bit-identical in rounds and messages.
-func Build(ctx congest.Context, root int) *Tree {
-	var tree *Tree
-	congest.RunSteps(ctx, BuildStep(ctx, root, func(c congest.Context, t *Tree) congest.Step {
-		tree = t
-		return congest.Done()
-	}))
-	tree.ctx = ctx
-	return tree
-}
-
-// BuildStep is the resumable form of Build: it performs the same
-// construction and hands the completed Tree to then at the common
-// round T0. The Tree it builds carries no Context (fiber engines
-// re-point theirs between wakes); use the *Step tree primitives with
-// it, or attach a Context as the blocking Build does.
 func BuildStep(c congest.Context, root int, then func(c congest.Context, t *Tree) congest.Step) congest.Step {
 	t := &Tree{ParentPort: -1}
 	t.Root = c.ID() == root
@@ -240,10 +222,4 @@ func waitQuietStep(c congest.Context, t0 int64, then func(c congest.Context) con
 		return then(c)
 	}
 	return loop(c, nil)
-}
-
-// waitQuiet parks until the common round t0, asserting no stray traffic.
-func waitQuiet(ctx congest.Context, t0 int64) {
-	congest.RunSteps(ctx, waitQuietStep(ctx, t0,
-		func(c congest.Context) congest.Step { return congest.Done() }))
 }

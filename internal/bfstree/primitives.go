@@ -6,32 +6,19 @@ import (
 	"congestmst/internal/congest"
 )
 
-// Each tree primitive is written once in resumable Step form
-// (SyncBroadcastStep, ConvergeStep, PipelinedUpcastStep,
-// RouteDownStep) and the blocking method is a congest.RunSteps wrapper
-// over it, so the fiber engine and the blocking engines run the same
-// handlers and report bit-identical statistics.
+// Each tree primitive is written in the Step form of
+// internal/congest/task.go: it takes the live Context and hands its
+// result to a continuation.
 
-// SyncBroadcast distributes a payload from the root to every vertex and
-// realigns the whole network: every vertex returns at the same round
-// (root send round + Height + 1). Only the root's m is used; its A, B, C
-// fields are the payload (D is reserved for the send round). Cost:
-// O(Height) rounds, n-1 messages.
+// SyncBroadcastStep distributes a payload from the root to every vertex
+// and realigns the whole network: every vertex continues with then at
+// the same round (root send round + Height + 1), handed the broadcast
+// message. Only the root's m is used; its A, B, C fields are the
+// payload (D is reserved for the send round). Cost: O(Height) rounds,
+// n-1 messages.
 //
-// All vertices must enter SyncBroadcast aligned (as Build and the other
-// primitives guarantee on return at the root's initiation points).
-func (t *Tree) SyncBroadcast(m congest.Message) congest.Message {
-	var res congest.Message
-	congest.RunSteps(t.ctx, t.SyncBroadcastStep(t.ctx, m,
-		func(c congest.Context, got congest.Message) congest.Step {
-			res = got
-			return congest.Done()
-		}))
-	return res
-}
-
-// SyncBroadcastStep is the resumable form of SyncBroadcast; then
-// receives the broadcast message.
+// All vertices must enter SyncBroadcastStep aligned (as BuildStep and
+// the other primitives guarantee at the root's initiation points).
 func (t *Tree) SyncBroadcastStep(c congest.Context, m congest.Message,
 	then func(c congest.Context, got congest.Message) congest.Step) congest.Step {
 	if t.Root {
@@ -54,24 +41,12 @@ func (t *Tree) SyncBroadcastStep(c congest.Context, m congest.Message,
 	})
 }
 
-// Converge aggregates a 3-word value up the tree with the supplied
-// associative, commutative combiner. The root returns the combined value
-// over all vertices; every other vertex returns the zero value as soon
-// as it has reported upward (an initiation by the root, typically a
-// SyncBroadcast, must follow before the tree is reused). Cost: O(Height)
-// rounds, n-1 messages.
-func (t *Tree) Converge(v [3]int64, combine func(a, b [3]int64) [3]int64) [3]int64 {
-	var res [3]int64
-	congest.RunSteps(t.ctx, t.ConvergeStep(t.ctx, v, combine,
-		func(c congest.Context, acc [3]int64) congest.Step {
-			res = acc
-			return congest.Done()
-		}))
-	return res
-}
-
-// ConvergeStep is the resumable form of Converge; then receives the
-// blocking form's result.
+// ConvergeStep aggregates a 3-word value up the tree with the supplied
+// associative, commutative combiner. The root's then receives the
+// combined value over all vertices; every other vertex continues with
+// the zero value as soon as it has reported upward (an initiation by
+// the root, typically a SyncBroadcastStep, must follow before the tree
+// is reused). Cost: O(Height) rounds, n-1 messages.
 func (t *Tree) ConvergeStep(c congest.Context, v [3]int64, combine func(a, b [3]int64) [3]int64,
 	then func(c congest.Context, acc [3]int64) congest.Step) congest.Step {
 	acc := v
@@ -121,30 +96,17 @@ func itemLess(a, b Item) bool {
 	return a.Group < b.Group
 }
 
-// PipelinedUpcast performs the pipelined convergecast of Section 3:
+// PipelinedUpcastStep performs the pipelined convergecast of Section 3:
 // every vertex contributes items, every intermediate vertex forwards,
-// per group, only the lightest item seen in its subtree, and the root
-// returns the per-group minima sorted by weight key. Other vertices
-// return nil after their subtree's stream is exhausted.
+// per group, only the lightest item seen in its subtree, and the root's
+// then receives the per-group minima sorted by weight key. Other
+// vertices continue with nil after their subtree's stream is exhausted.
 //
 // With K distinct groups the upcast takes O(Height + K/b) rounds and
 // O(Height·K) messages (each vertex forwards at most one item per group
 // plus one end-of-stream marker). This is the classical upcast of Peleg
 // Ch. 3 used twice by the paper: to register base fragments and to lift
 // per-base-fragment MWOE candidates.
-func (t *Tree) PipelinedUpcast(own []Item) []Item {
-	var res []Item
-	congest.RunSteps(t.ctx, t.PipelinedUpcastStep(t.ctx, own,
-		func(c congest.Context, results []Item) congest.Step {
-			res = results
-			return congest.Done()
-		}))
-	return res
-}
-
-// PipelinedUpcastStep is the resumable form of PipelinedUpcast; then
-// receives the blocking form's result (per-group minima at the root,
-// nil elsewhere).
 func (t *Tree) PipelinedUpcastStep(c congest.Context, own []Item,
 	then func(c congest.Context, results []Item) congest.Step) congest.Step {
 	b := c.Bandwidth()
@@ -253,8 +215,7 @@ func (t *Tree) PipelinedUpcastStep(c congest.Context, own []Item,
 			}
 			if sent >= b {
 				// Bandwidth refresh before the marker; anything that
-				// round delivers is dropped, exactly like the blocking
-				// form's discarded ctx.Step().
+				// round delivers is dropped.
 				return congest.Quiesce(func(c congest.Context, _ []congest.Inbound) congest.Step {
 					c.Send(t.ParentPort, congest.Message{Kind: KindUpDone})
 					return then(c, nil)
@@ -280,28 +241,17 @@ type Routed struct {
 	A, B   int64
 }
 
-// RouteDown pipelines the root's pairs down the tree along interval
+// RouteDownStep pipelines the root's pairs down the tree along interval
 // routes (the paper's downcast of (F, F-hat') relabel messages): each
 // vertex forwards a message to the unique child whose interval contains
 // the target label. Termination is by a FLUSH marker broadcast behind
 // the last payload on every tree edge; the marker carries a global
-// completion deadline, at which every vertex returns simultaneously
-// (self-aligning). Every vertex returns the pairs addressed to it.
+// completion deadline, at which every vertex continues simultaneously
+// (self-aligning). Every vertex's then receives the pairs addressed to
+// it.
 // Cost: O(Height + |pairs|/b) rounds and O(Height·|pairs| + n) messages.
 // Only the root's argument is consulted. All vertices must enter
-// RouteDown aligned.
-func (t *Tree) RouteDown(pairs []Routed) []Routed {
-	var res []Routed
-	congest.RunSteps(t.ctx, t.RouteDownStep(t.ctx, pairs,
-		func(c congest.Context, mine []Routed) congest.Step {
-			res = mine
-			return congest.Done()
-		}))
-	return res
-}
-
-// RouteDownStep is the resumable form of RouteDown; then receives the
-// pairs addressed to this vertex.
+// RouteDownStep aligned.
 func (t *Tree) RouteDownStep(c congest.Context, pairs []Routed,
 	then func(c congest.Context, mine []Routed) congest.Step) congest.Step {
 	b := int64(c.Bandwidth())

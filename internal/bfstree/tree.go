@@ -4,9 +4,9 @@
 // pipelined convergecast with per-group min-filtering (Peleg, Ch. 3),
 // and the paper's interval-labelled routed downcast.
 //
-// Build elects no leader: the root is a designated vertex, exactly as in
-// the paper ("an auxiliary BFS tree τ for the entire graph G rooted at a
-// root vertex rt"). Building the tree costs O(D) rounds and O(m)
+// BuildStep elects no leader: the root is a designated vertex, exactly
+// as in the paper ("an auxiliary BFS tree τ for the entire graph G
+// rooted at a root vertex rt"). Building the tree costs O(D) rounds and O(m)
 // messages and, as a by-product, gives every vertex the graph size n,
 // the tree height H <= D, its preorder interval, and a common time
 // origin T0 at which all vertices are released simultaneously.
@@ -15,8 +15,6 @@ package bfstree
 import (
 	"fmt"
 	"sort"
-
-	"congestmst/internal/congest"
 )
 
 // Message kinds used on the BFS tree (range 1-19).
@@ -36,11 +34,9 @@ const (
 )
 
 // Tree is one vertex's view of the BFS tree τ. All fields are local
-// knowledge acquired during Build; only the root's knowledge of n and
-// Height was redistributed by a broadcast.
+// knowledge acquired during BuildStep; only the root's knowledge of n
+// and Height was redistributed by a broadcast.
 type Tree struct {
-	ctx congest.Context
-
 	Root       bool
 	ParentPort int     // -1 at the root
 	ChildPorts []int   // ascending port order
@@ -51,11 +47,8 @@ type Tree struct {
 	N          int64 // |V|
 	Height     int64 // max depth of τ; Height <= D <= 2*Height
 	Lo, Hi     int64 // own interval; Lo is the vertex's unique label
-	T0         int64 // common round at which Build released all vertices
+	T0         int64 // common round at which BuildStep released all vertices
 }
-
-// Ctx returns the hosting processor context.
-func (t *Tree) Ctx() congest.Context { return t.ctx }
 
 // Label returns the vertex's unique routing label (the low endpoint of
 // its interval).

@@ -1,8 +1,12 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
+	"io"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -86,10 +90,10 @@ func startWorkers(t *testing.T, count, shards int, opts WorkerOptions) *Config {
 }
 
 // lockstep runs the reference engine for parity comparison.
-func lockstep(t *testing.T, g *graph.Graph, bandwidth int, program func(congest.Context)) *congest.Stats {
+func lockstep(t *testing.T, g *graph.Graph, bandwidth int, program func(id int) congest.Fiber) *congest.Stats {
 	t.Helper()
 	eng := congest.NewEngine(g, congest.Config{Bandwidth: bandwidth})
-	stats, err := eng.Run(func(ctx *congest.Ctx) { program(ctx) })
+	stats, err := eng.Run(program)
 	if err != nil {
 		t.Fatalf("lockstep: %v", err)
 	}
@@ -109,13 +113,12 @@ func TestDispatchParity(t *testing.T) {
 	t.Run("elkin", func(t *testing.T) {
 		wantPorts := make([][]int, g.N())
 		wantK := 0
-		want := lockstep(t, g, 1, func(ctx congest.Context) {
-			r := core.Run(ctx, core.Config{})
-			wantPorts[ctx.ID()] = r.MSTPorts
-			if ctx.ID() == 0 {
+		want := lockstep(t, g, 1, core.FiberFactory(g.N(), core.Config{}, func(id int, r *core.Result) {
+			wantPorts[id] = r.MSTPorts
+			if id == 0 {
 				wantK = r.K
 			}
-		})
+		}))
 		res, err := Dispatch(context.Background(), g, cfg, DispatchOptions{
 			Algorithm: "elkin",
 			Timeout:   60 * time.Second,
@@ -149,7 +152,7 @@ func TestDispatchParity(t *testing.T) {
 	})
 
 	t.Run("ghs", func(t *testing.T) {
-		want := lockstep(t, g, 1, func(ctx congest.Context) { ghs.Run(ctx) })
+		want := lockstep(t, g, 1, ghs.FiberFactory(g.N(), func(int, []int) {}))
 		res, err := Dispatch(context.Background(), g, cfg, DispatchOptions{
 			Algorithm: "ghs",
 			Timeout:   60 * time.Second,
@@ -175,7 +178,7 @@ func TestDispatchChaos(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := startWorkers(t, 3, 4, WorkerOptions{})
-	want := lockstep(t, g, 1, func(ctx congest.Context) { core.Run(ctx, core.Config{}) })
+	want := lockstep(t, g, 1, core.FiberFactory(g.N(), core.Config{}, func(int, *core.Result) {}))
 	res, err := Dispatch(context.Background(), g, cfg, DispatchOptions{
 		Algorithm:       "elkin",
 		Timeout:         60 * time.Second,
@@ -230,5 +233,37 @@ func TestDispatchWorkerDown(t *testing.T) {
 	}
 	if len(we.Shards) != 1 || we.Shards[0] != 1 {
 		t.Errorf("WorkerError.Shards = %v, want [1]", we.Shards)
+	}
+}
+
+// TestReadFrameBoundsAllocation: a control frame header declaring the
+// largest allowed payload, followed by EOF, must fail without
+// allocating for the declared size — a client that reaches the port
+// cannot pin memory it never sends.
+func TestReadFrameBoundsAllocation(t *testing.T) {
+	var hdr [5]byte
+	hdr[0] = frameJob
+	binary.LittleEndian.PutUint32(hdr[1:], maxFramePayload)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err := readFrame(bytes.NewReader(hdr[:]))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("truncated frame read without error")
+	}
+	if d := after.TotalAlloc - before.TotalAlloc; d >= 1<<20 {
+		t.Errorf("reading a 5-byte frame allocated %d bytes", d)
+	}
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Errorf("err = %v, want a truncated-frame error", err)
+	}
+
+	var buf bytes.Buffer
+	if err := writeFrame(&buf, frameResult, []byte("abc")); err != nil {
+		t.Fatal(err)
+	}
+	typ, payload, err := readFrame(&buf)
+	if err != nil || typ != frameResult || string(payload) != "abc" {
+		t.Errorf("round trip = %d %q %v, want %d \"abc\" <nil>", typ, payload, err, frameResult)
 	}
 }

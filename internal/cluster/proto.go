@@ -29,8 +29,8 @@ const (
 	frameJob    = 1
 	frameResult = 2
 
-	// maxFramePayload bounds one control frame (64 MiB of edges is a
-	// ~4M-edge job; larger graphs should not go through Dispatch's
+	// maxFramePayload bounds one control frame (1 GiB of edges is a
+	// ~67M-edge job; larger graphs should not go through Dispatch's
 	// single-frame shipping anyway).
 	maxFramePayload = 1 << 30
 
@@ -129,7 +129,9 @@ func writeFrame(w io.Writer, typ byte, payload []byte) error {
 	return err
 }
 
-// readFrame receives one control frame.
+// readFrame receives one control frame. The payload buffer grows with
+// the bytes actually received, not with the declared length, so a
+// header promising a huge frame costs nothing until the bytes arrive.
 func readFrame(r io.Reader) (byte, []byte, error) {
 	var hdr [5]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -139,9 +141,12 @@ func readFrame(r io.Reader) (byte, []byte, error) {
 	if n > maxFramePayload {
 		return 0, nil, fmt.Errorf("cluster: frame of %d bytes exceeds limit", n)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	payload, err := io.ReadAll(io.LimitReader(r, int64(n)))
+	if err != nil {
 		return 0, nil, err
+	}
+	if len(payload) != int(n) {
+		return 0, nil, fmt.Errorf("cluster: frame truncated at %d of %d bytes: %w", len(payload), n, io.ErrUnexpectedEOF)
 	}
 	return hdr[0], payload, nil
 }

@@ -296,8 +296,10 @@ func (w *Worker) runJob(payload []byte) jobResult {
 // buildProgram mirrors the facade's algorithm dispatch (congestmst
 // cannot be imported here — it imports this package), including the
 // ElkinFixedK sqrt(n) default, so a remote run executes exactly the
-// program the in-process engines run.
-func buildProgram(h jobHeader, ports [][]int, rootMu *sync.Mutex, k, phases *int) (func(congest.Context), error) {
+// fibers the in-process engines run. It returns the fiber factory; the
+// root vertex reports its k (and Boruvka phase count) through k and
+// phases, under rootMu.
+func buildProgram(h jobHeader, ports [][]int, rootMu *sync.Mutex, k, phases *int) (func(id int) congest.Fiber, error) {
 	switch h.Algorithm {
 	case "elkin", "elkin-fixed-k":
 		cfg := core.Config{Root: h.Root}
@@ -307,29 +309,25 @@ func buildProgram(h jobHeader, ports [][]int, rootMu *sync.Mutex, k, phases *int
 				cfg.FixedK = mathx.Max(1, mathx.ISqrtCeil(h.N))
 			}
 		}
-		return func(ctx congest.Context) {
-			r := core.Run(ctx, cfg)
-			ports[ctx.ID()] = r.MSTPorts
-			if ctx.ID() == h.Root {
+		return core.FiberFactory(h.N, cfg, func(id int, r *core.Result) {
+			ports[id] = r.MSTPorts
+			if id == h.Root {
 				rootMu.Lock()
 				*k, *phases = r.K, r.BoruvkaPhases
 				rootMu.Unlock()
 			}
-		}, nil
+		}), nil
 	case "ghs":
-		return func(ctx congest.Context) {
-			ports[ctx.ID()] = ghs.Run(ctx).MSTPorts
-		}, nil
+		return ghs.FiberFactory(h.N, func(id int, mstPorts []int) { ports[id] = mstPorts }), nil
 	case "pipeline":
-		return func(ctx congest.Context) {
-			r := pipeline.Run(ctx, h.Root)
-			ports[ctx.ID()] = r.MSTPorts
-			if ctx.ID() == h.Root {
+		return pipeline.FiberFactory(h.N, h.Root, func(id int, r *pipeline.Result) {
+			ports[id] = r.MSTPorts
+			if id == h.Root {
 				rootMu.Lock()
 				*k = r.K
 				rootMu.Unlock()
 			}
-		}, nil
+		}), nil
 	default:
 		return nil, fmt.Errorf("cluster: unknown algorithm %q", h.Algorithm)
 	}

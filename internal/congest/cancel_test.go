@@ -9,8 +9,7 @@ import (
 )
 
 // awaitGoroutines waits for the goroutine count to settle back to (or
-// near) baseline after a cancelled run: every vertex goroutine must
-// have unwound.
+// near) baseline after a cancelled run.
 func awaitGoroutines(t *testing.T, baseline int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -22,11 +21,16 @@ func awaitGoroutines(t *testing.T, baseline int) {
 	}
 }
 
+// stepForever parks for the next round, every round, forever.
+func stepForever(c Context) Step {
+	return nextRound(c, func(c Context, _ []Inbound) Step { return stepForever(c) })
+}
+
 // TestRunContextCancel cancels an endlessly stepping program. The
 // engine checks its context at every round boundary — and this program
 // produces thousands of boundaries per second — so a prompt return
-// here means cancellation was observed within one boundary, with every
-// processor goroutine drained and the error wrapping context.Canceled.
+// here means cancellation was observed within one boundary, with the
+// error wrapping context.Canceled.
 func TestRunContextCancel(t *testing.T) {
 	g := path3(t)
 	baseline := runtime.NumGoroutine()
@@ -35,11 +39,7 @@ func TestRunContextCancel(t *testing.T) {
 	defer cancel()
 	errCh := make(chan error, 1)
 	go func() {
-		_, err := e.RunContext(ctx, func(c *Ctx) {
-			for {
-				c.Step()
-			}
-		})
+		_, err := e.RunContext(ctx, StepFiberFactory(g.N(), stepForever))
 		errCh <- err
 	}()
 	time.Sleep(30 * time.Millisecond)
@@ -63,11 +63,7 @@ func TestRunContextDeadline(t *testing.T) {
 	e := NewEngine(g, Config{})
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
-	_, err := e.RunContext(ctx, func(c *Ctx) {
-		for {
-			c.Step()
-		}
-	})
+	_, err := e.RunContext(ctx, StepFiberFactory(g.N(), stepForever))
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Errorf("error %v does not wrap context.DeadlineExceeded", err)
 	}
@@ -75,15 +71,22 @@ func TestRunContextDeadline(t *testing.T) {
 }
 
 // TestRunContextPreCancelled: a context that is already dead must not
-// spawn a single processor goroutine.
+// start a single fiber or goroutine.
 func TestRunContextPreCancelled(t *testing.T) {
 	g := path3(t)
 	baseline := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := NewEngine(g, Config{}).RunContext(ctx, func(c *Ctx) { c.Step() })
+	started := false
+	_, err := NewEngine(g, Config{}).RunContext(ctx, StepFiberFactory(g.N(), func(c Context) Step {
+		started = true
+		return stepForever(c)
+	}))
 	if !errors.Is(err, context.Canceled) {
 		t.Errorf("error %v does not wrap context.Canceled", err)
+	}
+	if started {
+		t.Error("pre-cancelled run started a fiber")
 	}
 	if n := runtime.NumGoroutine(); n > baseline+2 {
 		t.Errorf("pre-cancelled run spawned goroutines: %d, baseline %d", n, baseline)
@@ -94,7 +97,7 @@ func TestRunContextPreCancelled(t *testing.T) {
 // normally (it is RunContext under context.Background()).
 func TestRunDelegatesToRunContext(t *testing.T) {
 	g := path3(t)
-	stats, err := NewEngine(g, Config{}).Run(func(c *Ctx) { c.Step() })
+	stats, err := run(g, Config{}, func(c Context) Step { return nextRound(c, done) })
 	if err != nil {
 		t.Fatal(err)
 	}

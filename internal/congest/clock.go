@@ -17,9 +17,7 @@ import (
 // tick happens only when the quiescence detector has seen every
 // in-flight message acknowledged, so "round r+1" means "the causal
 // frontier after window r", not "the barrier after round r". Both
-// interpretations share this one implementation, which is what keeps
-// the blocking Step/Recv API an exact compatibility shim over the
-// async code path.
+// interpretations share this one implementation.
 //
 // A Clock is owned by a single coordinator goroutine; it is not safe
 // for concurrent use. MaxRounds violations and deadlock (no due work

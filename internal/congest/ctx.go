@@ -2,116 +2,12 @@ package congest
 
 import "fmt"
 
-// Ctx is the interface a processor's program has to its host vertex and
-// to the network. All methods must be called only from the program's own
-// goroutine. The visible state matches the clean network model: own
-// identity, ports, and per-port edge weights.
-type Ctx struct {
-	engine *Engine
-	id     int
-	round  int64
-
-	outbox []outMsg
-	resume chan wake
-
-	// sentAt/sentN implement lazy per-round bandwidth accounting
-	// without an O(degree) reset every round.
-	sentAt []int64
-	sentN  []int
-}
-
-func newCtx(e *Engine, id int) *Ctx {
-	deg := e.g.Degree(id)
-	c := &Ctx{
-		engine: e,
-		id:     id,
-		resume: make(chan wake, 1),
-		sentAt: make([]int64, deg),
-		sentN:  make([]int, deg),
-	}
-	for p := range c.sentAt {
-		c.sentAt[p] = -1
-	}
-	return c
-}
-
-// ID returns the identity of the hosting vertex.
-func (c *Ctx) ID() int { return c.id }
-
-// Degree returns the number of ports (incident edges).
-func (c *Ctx) Degree() int { return c.engine.g.Degree(c.id) }
-
-// Weight returns the weight of the edge behind port p. Edge weights are
-// known to both endpoints at the start of the computation.
-func (c *Ctx) Weight(p int) int64 {
-	return c.engine.g.Edge(c.engine.g.Adj(c.id)[p].Edge).W
-}
-
-// Round returns the current round number (starting at 0).
-func (c *Ctx) Round() int64 { return c.round }
-
-// Bandwidth returns b, the number of messages each edge carries per
-// direction per round (public model knowledge).
-func (c *Ctx) Bandwidth() int { return c.engine.cfg.bandwidth() }
-
-// Send queues m on port p for delivery at the beginning of the next
-// round. Sending more than Bandwidth() messages on one port in a single
-// round violates the CONGEST model and aborts the run.
-func (c *Ctx) Send(p int, m Message) {
-	if p < 0 || p >= len(c.sentAt) {
-		c.engine.fail(fmt.Errorf("congest: processor %d sent on invalid port %d", c.id, p))
-		panic(errAborted)
-	}
-	if c.sentAt[p] != c.round {
-		c.sentAt[p] = c.round
-		c.sentN[p] = 0
-	}
-	if c.sentN[p] >= c.engine.cfg.bandwidth() {
-		c.engine.fail(fmt.Errorf("%w: processor %d port %d round %d (b=%d)",
-			ErrBandwidth, c.id, p, c.round, c.engine.cfg.bandwidth()))
-		panic(errAborted)
-	}
-	c.sentN[p]++
-	c.outbox = append(c.outbox, outMsg{port: p, msg: m})
-}
-
-// Step ends the current round and resumes at the next one, returning the
-// messages delivered then (possibly none), sorted by port.
-func (c *Ctx) Step() []Inbound { return c.yield(c.round + 1) }
-
-// Recv ends the current round and blocks until some future round
-// delivers at least one message; it resumes in that round and returns
-// the messages. A program blocked in Recv that can never be messaged
-// again deadlocks the run (reported as an error).
-func (c *Ctx) Recv() []Inbound { return c.yield(Forever) }
-
-// RecvUntil ends the current round and resumes at the earliest round
-// r' <= target that delivers a message (returning the messages), or at
-// target itself with nil if none arrive. target must exceed the current
-// round.
-func (c *Ctx) RecvUntil(target int64) []Inbound {
-	if target <= c.round {
-		c.engine.fail(fmt.Errorf("congest: processor %d: RecvUntil(%d) at round %d", c.id, target, c.round))
-		panic(errAborted)
-	}
-	return c.yield(target)
-}
-
-func (c *Ctx) yield(target int64) []Inbound {
-	c.engine.yields <- yieldMsg{id: c.id, outbox: c.outbox, target: target}
-	c.outbox = nil
-	w := <-c.resume
-	if w.abort {
-		panic(errAborted)
-	}
-	c.round = w.round
-	return w.msgs
-}
-
 // Context is the processor-side API of the CONGEST(b log n) model: what
-// an algorithm may see and do at one vertex. *Ctx (the in-process
-// simulator) and nettrans.Node (the TCP transport) both implement it,
-// so every algorithm in this repository runs unchanged on either.
+// an algorithm may see and do at one vertex during one Fiber call.
+// Every engine in this repository (lockstep, parallel, async, cluster)
+// implements it, so every algorithm runs unchanged on any of them.
+// Waiting is not part of the surface: a program ends its round by
+// returning a Park from Start or Resume.
 type Context interface {
 	// ID returns the identity of the hosting vertex.
 	ID() int
@@ -125,12 +21,70 @@ type Context interface {
 	Bandwidth() int
 	// Send queues m on port p for delivery at the next round.
 	Send(p int, m Message)
-	// Step ends the round; resumes next round with its deliveries.
-	Step() []Inbound
-	// Recv ends the round; resumes at the next round that delivers.
-	Recv() []Inbound
-	// RecvUntil is Recv with a deadline round.
-	RecvUntil(target int64) []Inbound
 }
 
-var _ Context = (*Ctx)(nil)
+// nodeCtx is the Context the lockstep engine hands to fibers. One
+// instance serves the whole run, re-pointed at each vertex before its
+// call: fibers run one at a time on the caller's goroutine, so a
+// single outbox and a single per-port send counter suffice.
+type nodeCtx struct {
+	e     *Engine
+	id    int
+	round int64
+
+	// outbox collects the current call's sends; the engine routes and
+	// clears it after every call.
+	outbox []outMsg
+
+	// sentN counts this call's sends per port. A fiber is called at
+	// most once per round, so per-call counts are per-round counts;
+	// the entries the outbox touched are re-zeroed as it is routed.
+	sentN []int
+}
+
+var _ Context = (*nodeCtx)(nil)
+
+// point aims the context at vertex id for one Start/Resume call.
+func (c *nodeCtx) point(id int, round int64) {
+	c.id = id
+	c.round = round
+	if deg := c.Degree(); deg > len(c.sentN) {
+		c.sentN = make([]int, deg)
+	}
+}
+
+// ID returns the identity of the hosting vertex.
+func (c *nodeCtx) ID() int { return c.id }
+
+// Degree returns the number of ports (incident edges).
+func (c *nodeCtx) Degree() int { return c.e.g.Degree(c.id) }
+
+// Weight returns the weight of the edge behind port p. Edge weights are
+// known to both endpoints at the start of the computation.
+func (c *nodeCtx) Weight(p int) int64 {
+	return c.e.g.Edge(c.e.g.Adj(c.id)[p].Edge).W
+}
+
+// Round returns the current round number (starting at 0).
+func (c *nodeCtx) Round() int64 { return c.round }
+
+// Bandwidth returns b, the number of messages each edge carries per
+// direction per round (public model knowledge).
+func (c *nodeCtx) Bandwidth() int { return c.e.cfg.bandwidth() }
+
+// Send queues m on port p for delivery at the beginning of the next
+// round. Sending more than Bandwidth() messages on one port in a single
+// round violates the CONGEST model and aborts the run.
+func (c *nodeCtx) Send(p int, m Message) {
+	if p < 0 || p >= c.Degree() {
+		c.e.fail(fmt.Errorf("congest: processor %d sent on invalid port %d", c.id, p))
+		panic(errAborted)
+	}
+	if c.sentN[p] >= c.e.cfg.bandwidth() {
+		c.e.fail(fmt.Errorf("%w: processor %d port %d round %d (b=%d)",
+			ErrBandwidth, c.id, p, c.round, c.e.cfg.bandwidth()))
+		panic(errAborted)
+	}
+	c.sentN[p]++
+	c.outbox = append(c.outbox, outMsg{port: p, msg: m})
+}

@@ -2,13 +2,15 @@
 // distributed computation (Peleg, "Distributed Computing: A
 // Locality-Sensitive Approach"; Section 2 of Elkin, PODC'17).
 //
-// Every vertex of a weighted graph hosts a processor, written as an
-// ordinary Go function running in its own goroutine against a *Ctx.
-// Computation proceeds in lockstep rounds: a message sent in round r is
-// delivered at the beginning of round r+1. Each edge carries at most b
-// messages per direction per round; exceeding the budget aborts the run
-// with an error, so every complexity figure measured under this engine
-// is an honest CONGEST figure.
+// Every vertex of a weighted graph hosts a processor, written as a
+// resumable Fiber: the engine calls Start once in round 0 and Resume
+// once per round in which the processor is woken, and the returned
+// Park says when to wake it next. Computation proceeds in lockstep
+// rounds: a message sent in round r is delivered at the beginning of
+// round r+1. Each edge carries at most b messages per direction per
+// round; exceeding the budget aborts the run with an error, so every
+// complexity figure measured under this engine is an honest CONGEST
+// figure.
 //
 // The model is "clean" (KT0): a processor knows its own identity, its
 // number of ports, and the weight of each incident edge - nothing else.
@@ -19,12 +21,13 @@
 // functions of their inputs. Two runs of the same program on the same
 // graph produce identical round and message counts.
 //
-// This is the lockstep reference engine: a single coordinator plays
-// each round and routes every message itself. Its sibling
-// internal/parsim runs the same programs on a worker pool with
-// bit-identical statistics and is the right choice beyond ~10^5
-// vertices; this engine remains the ground truth parsim is validated
-// against.
+// This is the lockstep reference engine: it plays each round on the
+// caller's goroutine, calling the woken fibers in ascending vertex
+// order and routing every message itself. Its siblings internal/parsim
+// (a worker pool over vertex shards, the right choice beyond ~10^5
+// vertices) and internal/nettrans (shards over TCP) run the same
+// fibers with bit-identical statistics; this engine remains the ground
+// truth they are validated against.
 package congest
 
 import (
@@ -33,13 +36,12 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 	"time"
 
 	"congestmst/internal/graph"
 )
 
-// Forever is the RecvUntil deadline meaning "wake only on delivery".
+// Forever is the wake deadline of a ParkAwait: "wake only on delivery".
 const Forever = int64(math.MaxInt64)
 
 // Config parameterizes an Engine.
@@ -77,13 +79,6 @@ type Stats struct {
 	Messages int64
 	// ByKind counts delivered Messages per Message.Kind.
 	ByKind [256]int64
-	// FiberFallback reports that the run was requested on the Fiber
-	// engine but the algorithm had no fiber form, so it executed as
-	// per-vertex goroutines on the same engine instead. Stock
-	// algorithms all have fiber forms; this only fires for custom
-	// programs, and the facade pairs it with a "goroutine-fallback"
-	// PhaseEvent so the degradation is observable rather than silent.
-	FiberFallback bool
 }
 
 // Errors produced by the engine.
@@ -94,11 +89,12 @@ var (
 	ErrReused    = errors.New("congest: Engine.Run may only be called once")
 )
 
-// errAborted is the sentinel panic value used to unwind node goroutines
+// errAborted is the sentinel panic value that unwinds a fiber call
 // after the run has failed. It never escapes the package.
 var errAborted = errors.New("congest: run aborted")
 
-// Engine executes one program on one graph. Engines are single-use.
+// Engine executes one vertex program on one graph. Engines are
+// single-use.
 type Engine struct {
 	g   *graph.Graph
 	cfg Config
@@ -108,8 +104,8 @@ type Engine struct {
 	// of vertex v.
 	csr *graph.CSR
 
-	nodes  []nodeState
-	yields chan yieldMsg
+	nodes []nodeState
+	ctx   nodeCtx
 
 	// clock is the shared round clock + park calendar (clock.go); this
 	// engine drives it in lockstep, one tick per played round.
@@ -117,61 +113,50 @@ type Engine struct {
 	stats Stats
 
 	// ready lists processors due at round+1 (fresh deliveries or an
-	// explicit Step); the clock's calendar orders the more distant
-	// deadlines.
+	// explicit next-round park); the clock's calendar orders the more
+	// distant deadlines. wake holds the detached inboxes of the round
+	// being played, parallel to its wake set.
 	ready []int
+	wake  [][]Inbound
 
-	mu      sync.Mutex
 	failErr error
-	aborted bool
 }
 
 type nodeState struct {
-	ctx    *Ctx
+	fib    Fiber // nil once done
 	inbox  []Inbound
 	queued bool  // already in the next wake set
-	parked bool  // blocked in a yield
-	target int64 // wake deadline while parked
+	parked bool  // between calls, waiting for a wake
 	gen    int64 // invalidates stale timer entries
 	done   bool
 }
 
-type yieldMsg struct {
-	id     int
-	outbox []outMsg
-	target int64
-	done   bool
-}
-
-type wake struct {
-	round int64
-	msgs  []Inbound
-	abort bool
-}
-
 // NewEngine prepares an engine for g under cfg.
 func NewEngine(g *graph.Graph, cfg Config) *Engine {
-	return &Engine{
-		g:      g,
-		cfg:    cfg,
-		csr:    g.CSR(),
-		nodes:  make([]nodeState, g.N()),
-		yields: make(chan yieldMsg, 64),
-		clock:  NewClock(cfg.maxRounds()),
+	e := &Engine{
+		g:     g,
+		cfg:   cfg,
+		csr:   g.CSR(),
+		nodes: make([]nodeState, g.N()),
+		clock: NewClock(cfg.maxRounds()),
 	}
+	e.ctx.e = e
+	return e
 }
 
-// Run executes program on every vertex and blocks until all processors
-// return (or the run fails). It returns the stats accumulated up to
-// completion or failure.
-func (e *Engine) Run(program func(*Ctx)) (*Stats, error) {
-	return e.RunContext(context.Background(), program)
+// Run executes the fiber factory(v) on every vertex v and returns once
+// every fiber parked Done (or the run fails). It returns the stats
+// accumulated up to completion or failure.
+func (e *Engine) Run(factory func(id int) Fiber) (*Stats, error) {
+	return e.RunContext(context.Background(), factory)
 }
 
 // RunContext is Run under a context: cancellation (or a deadline) is
-// checked at every round boundary, and a cancelled run tears down all
-// processor goroutines before returning an error wrapping ctx.Err().
-func (e *Engine) RunContext(ctx context.Context, program func(*Ctx)) (*Stats, error) {
+// checked at every round boundary, and a cancelled run drops every
+// parked fiber before returning an error wrapping ctx.Err(). Fibers
+// run on the caller's goroutine, one at a time in ascending vertex
+// order; the engine starts no goroutine of its own.
+func (e *Engine) RunContext(ctx context.Context, factory func(id int) Fiber) (*Stats, error) {
 	if e.nodes == nil {
 		return nil, ErrReused
 	}
@@ -180,27 +165,21 @@ func (e *Engine) RunContext(ctx context.Context, program func(*Ctx)) (*Stats, er
 		return &Stats{}, fmt.Errorf("congest: run cancelled: %w", err)
 	}
 	n := e.g.N()
-	for v := 0; v < n; v++ {
-		e.nodes[v].ctx = newCtx(e, v)
-	}
-	for v := 0; v < n; v++ {
-		go e.runNode(e.nodes[v].ctx, program)
-	}
-
 	// Round 0: release everyone.
 	current := make([]int, n)
 	for v := range current {
+		e.nodes[v].fib = factory(v)
 		current[v] = v
 	}
 	doneCount := 0
 	obs := e.cfg.Observer
-	for {
+	for n > 0 {
 		var roundStart time.Time
 		if obs != nil {
 			roundStart = time.Now() //lint:allow noclock observer round-wall-clock sampling, off the stats path
 		}
 		doneCount += e.playRound(current)
-		if obs != nil && len(current) > 0 {
+		if obs != nil {
 			obs.OnRound(RoundEvent{
 				Round:     e.clock.Now(),
 				Active:    len(current),
@@ -208,42 +187,33 @@ func (e *Engine) RunContext(ctx context.Context, program func(*Ctx)) (*Stats, er
 				WallNanos: time.Since(roundStart).Nanoseconds(), //lint:allow noclock observer round-wall-clock sampling, off the stats path
 			})
 		}
-		if e.isAborted() {
-			doneCount += e.drain()
-			break
-		}
-		if doneCount == n {
+		if e.failErr != nil || doneCount == n {
 			break
 		}
 		if err := ctx.Err(); err != nil {
 			e.fail(fmt.Errorf("congest: run cancelled: %w", err))
-			doneCount += e.drain()
 			break
 		}
 		next, err := e.nextWakeSet()
 		if err != nil {
 			e.fail(err)
-			doneCount += e.drain()
 			break
 		}
 		current = next
 	}
-	e.nodes = nil // single use
+	e.nodes = nil // single use; drops every parked fiber
 	if obs != nil {
 		// The final event pins the cumulative total to Stats.Messages,
 		// so a trace's per-round deltas sum exactly to the run total
 		// even when the run aborted mid-round.
 		obs.OnRound(RoundEvent{Round: e.stats.Rounds, Messages: e.stats.Messages})
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	stats := e.stats
 	return &stats, e.failErr
 }
 
-// playRound releases the given processors at the current round, waits
-// for all of them to yield, routes their messages, and returns how many
-// of them finished their program.
+// playRound calls the given processors at the current round, routes
+// their messages, and returns how many of them finished their program.
 func (e *Engine) playRound(ids []int) int {
 	if len(ids) == 0 {
 		return 0
@@ -252,6 +222,10 @@ func (e *Engine) playRound(ids []int) int {
 	if round > e.stats.Rounds {
 		e.stats.Rounds = round
 	}
+	// Detach every inbox of the wake set before the first call, so a
+	// message sent in this round reaches a later vertex of the same
+	// wake set only in the next round.
+	e.wake = e.wake[:0]
 	for _, id := range ids {
 		ns := &e.nodes[id]
 		ns.queued = false
@@ -261,34 +235,62 @@ func (e *Engine) playRound(ids []int) int {
 		if len(msgs) > 1 {
 			sort.SliceStable(msgs, func(i, j int) bool { return msgs[i].Port < msgs[j].Port })
 		}
-		ns.ctx.resume <- wake{round: round, msgs: msgs}
+		e.wake = append(e.wake, msgs)
 	}
 	finished := 0
-	for range ids {
-		y := <-e.yields
-		ns := &e.nodes[y.id]
-		for _, om := range y.outbox {
-			e.route(y.id, om)
+	for i, id := range ids {
+		ns := &e.nodes[id]
+		park, ok := e.call(ns, id, round, e.wake[i])
+		for _, om := range e.ctx.outbox {
+			e.ctx.sentN[om.port] = 0
+			if ok { // a failed call's partial outbox is discarded
+				e.route(id, om)
+			}
 		}
-		if y.done {
-			ns.done = true
+		e.ctx.outbox = e.ctx.outbox[:0]
+		if !ok || park == ParkDone {
+			ns.done, ns.fib = true, nil
+			finished++
+			continue
+		}
+		target := park.Deadline(round)
+		if target <= round {
+			e.fail(fmt.Errorf("congest: processor %d parked for round %d at round %d", id, target, round))
+			ns.done, ns.fib = true, nil
 			finished++
 			continue
 		}
 		ns.parked = true
-		ns.target = y.target
 		ns.gen++
 		switch {
-		case len(ns.inbox) > 0 || y.target == round+1:
-			if !ns.queued {
-				ns.queued = true
-				e.ready = append(e.ready, y.id)
-			}
-		case y.target < Forever:
-			e.clock.Schedule(TimerEntry{Round: y.target, ID: y.id, Gen: ns.gen})
+		case len(ns.inbox) > 0 || target == round+1:
+			ns.queued = true
+			e.ready = append(e.ready, id)
+		case target < Forever:
+			e.clock.Schedule(TimerEntry{Round: target, ID: id, Gen: ns.gen})
 		}
 	}
 	return finished
+}
+
+// call runs one Start (round 0) or Resume; a panic fails the run and
+// ok reports whether the fiber survived the call. errAborted is the
+// unwinding sentinel of an already-failed run (a bandwidth or port
+// violation) and is not reported again.
+func (e *Engine) call(ns *nodeState, id int, round int64, msgs []Inbound) (park Park, ok bool) {
+	defer func() {
+		if r := recover(); r != nil {
+			if r != errAborted { //nolint:errorlint // sentinel identity
+				e.fail(fmt.Errorf("congest: processor %d panicked: %v", id, r))
+			}
+			park, ok = ParkDone, false
+		}
+	}()
+	e.ctx.point(id, round)
+	if round == 0 {
+		return ns.fib.Start(&e.ctx), true
+	}
+	return ns.fib.Resume(&e.ctx, msgs), true
 }
 
 // route delivers one outbound message into the recipient's inbox and
@@ -320,6 +322,7 @@ func (e *Engine) nextWakeSet() ([]int, error) {
 		e.nodes[t.ID].queued = true // guards against double release
 		due = append(due, t.ID)
 	})
+	sort.Ints(due)
 	return due, nil
 }
 
@@ -331,54 +334,9 @@ func (e *Engine) liveTimer(t TimerEntry) bool {
 	return !ns.done && ns.parked && !ns.queued && ns.gen == t.Gen
 }
 
-// drain aborts every still-parked processor and waits for its goroutine
-// to exit, returning the number of processors drained. Scanning by id is
-// O(n) but drain runs at most once per Run.
-func (e *Engine) drain() int {
-	finished := 0
-	for id := range e.nodes {
-		ns := &e.nodes[id]
-		if ns.done || !ns.parked {
-			continue
-		}
-		ns.ctx.resume <- wake{abort: true}
-		y := <-e.yields
-		e.nodes[y.id].done = true
-		finished++
-	}
-	return finished
-}
-
-func (e *Engine) runNode(c *Ctx, program func(*Ctx)) {
-	defer func() {
-		if r := recover(); r != nil {
-			if r != errAborted { //nolint:errorlint // sentinel identity
-				e.fail(fmt.Errorf("congest: processor %d panicked: %v", c.id, r))
-			}
-			e.yields <- yieldMsg{id: c.id, done: true}
-			return
-		}
-		e.yields <- yieldMsg{id: c.id, done: true, outbox: c.outbox}
-	}()
-	w := <-c.resume
-	if w.abort {
-		panic(errAborted)
-	}
-	c.round = w.round
-	program(c)
-}
-
+// fail records the run's first error.
 func (e *Engine) fail(err error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	if e.failErr == nil {
 		e.failErr = err
 	}
-	e.aborted = true
-}
-
-func (e *Engine) isAborted() bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.aborted
 }

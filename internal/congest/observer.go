@@ -4,7 +4,7 @@ package congest
 // RoundEvent per played round and one PhaseEvent per algorithm phase
 // transition (Elkin variants only). It is the hook every execution
 // engine in this repository shares — internal/congest, internal/parsim
-// (goroutine and fiber modes) and internal/nettrans all emit the same
+// (barrier and async modes) and internal/nettrans all emit the same
 // event shapes — so a trace sink or a metrics exporter written against
 // it sees every engine identically.
 //

@@ -1,27 +1,27 @@
 package congest
 
-// This file is the resumable-program kit: a continuation-passing
-// representation of vertex programs that runs unchanged under both the
-// blocking Context API (RunSteps) and the Fiber engine (StepFiber).
-// Algorithms written once in Step form therefore produce bit-identical
-// Rounds/Messages/ByKind statistics in every execution mode by
-// construction — there is a single copy of each message handler, and
-// the two drivers differ only in who owns the scheduling loop.
+// This file is the resumable-program kit: a continuation-passing way to
+// write a Fiber as straight-line code. A program is a chain of Steps;
+// each Step names a park and the continuation to run when the vertex
+// next wakes. StepFiber adapts such a chain to the Fiber interface, so
+// every engine runs it, and because there is a single copy of each
+// message handler every engine reports bit-identical
+// Rounds/Messages/ByKind statistics by construction.
 //
-// The translation from a blocking program is mechanical:
+// A program written in the blocking style (wait calls that return the
+// next wake's messages) converts mechanically:
 //
-//	msgs := c.Recv()        →  return Await(k)       // k receives msgs
-//	msgs := c.RecvUntil(t)  →  return Until(t, k)
-//	msgs := c.Step()        →  return Until(c.Round()+1, k)
-//	return                  →  return Done()
+//	msgs := wait for any delivery      →  return Await(k)       // k receives msgs
+//	msgs := wait until round t         →  return Until(t, k)
+//	msgs := wait for the next round    →  return Until(c.Round()+1, k)
+//	return                             →  return Done()
 //
-// Step() and RecvUntil(Round()+1) are equivalent on every Context
-// implementation in this repository (lockstep, parsim goroutine,
-// cluster), so the kit needs only two park shapes plus Done.
+// where k is the rest of the program as a Resume. Loops become
+// recursive continuations that re-park to the same absolute deadline.
 //
 // Continuations receive the live Context as a parameter and must use
-// that value, never one captured before a park: fiber engines hand out
-// a per-shard Context that is re-pointed between wakes, so a captured
+// that value, never one captured before a park: engines hand out a
+// shared Context that is re-pointed between wakes, so a captured
 // Context silently aliases another vertex. Capturing plain data
 // (counters, buffers, the algorithm's own state) across parks is the
 // whole point and is always safe.
@@ -42,12 +42,12 @@ type Step struct {
 // Done retires the program: the algorithm finished.
 func Done() Step { return Step{park: ParkDone} }
 
-// Await parks until some future round delivers a message (Recv).
+// Await parks until some future round delivers a message.
 func Await(next Resume) Step { return Step{park: ParkAwait, next: next} }
 
 // Until parks until round r, or until the first earlier round that
-// delivers a message (RecvUntil). r must exceed the current round;
-// Until(c.Round()+1, k) is Step.
+// delivers a message. r must exceed the current round;
+// Until(c.Round()+1, k) wakes in the next round.
 func Until(r int64, next Resume) Step { return Step{park: ParkUntil(r), next: next} }
 
 // Quiesce parks until the synchronizer next advances past a quiescent
@@ -57,34 +57,15 @@ func Until(r int64, next Resume) Step { return Step{park: ParkUntil(r), next: ne
 // an absolute deadline.
 func Quiesce(next Resume) Step { return Step{park: ParkQuiesce, next: next} }
 
-// RunSteps drives a Step program to completion over the blocking
-// Context API. It is the compatibility shim that lets one Step-form
-// algorithm serve as both the blocking program (goroutine, lockstep
-// and cluster engines) and the fiber program (via StepFiber).
-func RunSteps(c Context, s Step) {
-	for s.park != ParkDone {
-		var msgs []Inbound
-		switch s.park {
-		case ParkAwait:
-			msgs = c.Recv()
-		case ParkQuiesce:
-			msgs = c.Step()
-		default:
-			msgs = c.RecvUntil(int64(s.park))
-		}
-		s = s.next(c, msgs)
-	}
-}
-
 // StepFiber adapts a Step program to the Fiber interface: Boot runs the
 // round-0 prologue and each engine wake feeds the stored continuation.
 // The struct is two words plus the boot closure, so a slab of them is
-// the "no goroutine, no stack" representation the fiber engine wants.
+// the "no goroutine, no stack" representation the engines want.
 type StepFiber struct {
-	// Boot builds the program's first Step (what a blocking program
-	// does before its first Recv/RecvUntil). It may read the vertex's
-	// identity and degree from the Context it is handed, so one shared
-	// closure serves every vertex in a slab.
+	// Boot builds the program's first Step (the round-0 prologue up
+	// to the first park). It may read the vertex's identity and degree
+	// from the Context it is handed, so one shared closure serves every
+	// vertex in a slab.
 	Boot func(c Context) Step
 	next Resume
 }

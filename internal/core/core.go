@@ -24,9 +24,8 @@
 // D), reproducing the message-inefficient strategy that the paper's
 // Section 1.2 identifies in [PRS16] for D >> sqrt(n).
 //
-// The whole algorithm is written once, in resumable Step form
-// (Program); the blocking Run and the fiber-engine FiberFactory are
-// both thin drivers over it, so every engine executes identical
+// The whole algorithm is one Step program (Program); FiberFactory
+// drives it on every vertex, so every engine executes identical
 // handlers and reports bit-identical statistics.
 package core
 
@@ -65,7 +64,7 @@ type Config struct {
 	// vertex at every stage boundary — bfs-build, base-forest, register
 	// (with |F|), and one per Boruvka phase (with |F̂_j|) — so a trace
 	// shows where the rounds of a run went while it runs. Callbacks
-	// execute on the root vertex's program goroutine.
+	// execute inside the root vertex's fiber call.
 	Observer congest.Observer
 }
 
@@ -95,23 +94,10 @@ type Result struct {
 	BoruvkaPhases int
 }
 
-// Run executes the full algorithm on this vertex. Every vertex must
-// invoke Run in round 0 with an identical Config; all vertices return
-// in the same round.
-func Run(ctx congest.Context, cfg Config) *Result {
-	var res *Result
-	congest.RunSteps(ctx, Program(ctx, cfg,
-		func(c congest.Context, r *Result) congest.Step {
-			res = r
-			return congest.Done()
-		}))
-	return res
-}
-
 // FiberFactory returns a fiber factory running the algorithm on every
 // vertex of an n-vertex graph; report is invoked with each vertex's
-// Result as its fiber retires. It is the facade's Engine: Fiber path
-// for the Elkin variants.
+// Result as its fiber retires. Every vertex runs it from round 0 with
+// an identical Config; all vertices finish in the same round.
 func FiberFactory(n int, cfg Config, report func(id int, res *Result)) func(id int) congest.Fiber {
 	return congest.StepFiberFactory(n, func(c congest.Context) congest.Step {
 		return Program(c, cfg, func(c congest.Context, res *Result) congest.Step {
@@ -121,9 +107,8 @@ func FiberFactory(n int, cfg Config, report func(id int, res *Result)) func(id i
 	})
 }
 
-// Program is the resumable form of Run: the same algorithm as a Step
-// program (see internal/congest/task.go), handing the completed Result
-// to then.
+// Program is the full algorithm at one vertex as a Step program (see
+// internal/congest/task.go), handing the completed Result to then.
 func Program(c congest.Context, cfg Config,
 	then func(c congest.Context, res *Result) congest.Step) congest.Step {
 	return bfstree.BuildStep(c, cfg.Root, func(c congest.Context, tau *bfstree.Tree) congest.Step {
@@ -203,7 +188,7 @@ func chooseK(n, height, b int64, fixed int) int {
 
 // boruvka is the per-vertex state of the Boruvka-over-τ stage. It is
 // plain data shared by every stage continuation; the live Context is
-// always a parameter, never a field (fiber engines re-point a shared
+// always a parameter, never a field (engines re-point a shared
 // per-shard Context between wakes).
 type boruvka struct {
 	tau *bfstree.Tree

@@ -9,14 +9,20 @@ import (
 	"congestmst/internal/mathx"
 )
 
+// lockstep runs the algorithm on the lockstep engine and returns the
+// per-vertex results.
+func lockstep(g *graph.Graph, cfg Config, engCfg congest.Config) ([]*Result, *congest.Stats, error) {
+	results := make([]*Result, g.N())
+	stats, err := congest.NewEngine(g, engCfg).Run(FiberFactory(g.N(), cfg, func(id int, res *Result) {
+		results[id] = res
+	}))
+	return results, stats, err
+}
+
 // runMST executes the algorithm and returns per-vertex results + stats.
 func runMST(t *testing.T, g *graph.Graph, cfg Config, engCfg congest.Config) ([]*Result, *congest.Stats) {
 	t.Helper()
-	results := make([]*Result, g.N())
-	e := congest.NewEngine(g, engCfg)
-	stats, err := e.Run(func(ctx *congest.Ctx) {
-		results[ctx.ID()] = Run(ctx, cfg)
-	})
+	results, stats, err := lockstep(g, cfg, engCfg)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -111,11 +117,8 @@ func TestMSTRandomizedProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		results := make([]*Result, g.N())
-		e := congest.NewEngine(g, congest.Config{})
-		if _, err := e.Run(func(ctx *congest.Ctx) {
-			results[ctx.ID()] = Run(ctx, Config{})
-		}); err != nil {
+		results, _, err := lockstep(g, Config{}, congest.Config{})
+		if err != nil {
 			return false
 		}
 		mst, err := g.Kruskal()

@@ -14,8 +14,8 @@
 // i by 6·2^(i+1); Lemma 4.2 grows the minimum fragment size to 2^i.
 // Both are asserted by the test suite from Trace snapshots.
 //
-// All vertices must call Run in the same round (as arranged by
-// bfstree.Build); they all return in the same round.
+// All vertices must enter Program in the same round (as arranged by
+// bfstree.BuildStep); they all continue in the same round.
 package forest
 
 import (
@@ -88,7 +88,7 @@ type Trace struct {
 }
 
 // NewTrace allocates a trace for n vertices and the number of phases
-// that Run(k) will execute.
+// that Program with parameter k will execute.
 func NewTrace(n, k int) *Trace {
 	t := Phases(k)
 	tr := &Trace{
@@ -126,27 +126,11 @@ func Phases(k int) int {
 // window boundaries.
 func heightBound(i int) int64 { return 6*(int64(1)<<uint(i)) + 2 }
 
-// Run executes the Controlled-GHS construction with parameter k and
-// returns this vertex's view of the resulting (n/k, O(k))-MST forest.
-// All vertices must call Run in the same round; all return in the same
-// round. The fragment-tree edges held in State are edges of the unique
-// MST.
-//
-// Run is a blocking wrapper over Program, the resumable form the fiber
-// engine drives; both execute the same phase code.
-func Run(ctx congest.Context, k int, trace *Trace) *State {
-	var st *State
-	congest.RunSteps(ctx, Program(ctx, k, trace,
-		func(c congest.Context, s *State) congest.Step {
-			st = s
-			return congest.Done()
-		}))
-	return st
-}
-
-// Program is the resumable form of Run: the same construction as a
-// Step program (see internal/congest/task.go), handing the completed
-// State to then.
+// Program executes the Controlled-GHS construction with parameter k as
+// a Step program (see internal/congest/task.go) and hands this vertex's
+// view of the resulting (n/k, O(k))-MST forest to then. All vertices
+// must enter Program in the same round; all continue in the same round.
+// The fragment-tree edges held in State are edges of the unique MST.
 func Program(c congest.Context, k int, trace *Trace,
 	then func(c congest.Context, st *State) congest.Step) congest.Step {
 	r := newRunner(c, k, trace)

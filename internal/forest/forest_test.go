@@ -16,10 +16,14 @@ func runForest(t *testing.T, g *graph.Graph, k int, cfg congest.Config) ([]*Stat
 	states := make([]*State, g.N())
 	trace := NewTrace(g.N(), k)
 	e := congest.NewEngine(g, cfg)
-	stats, err := e.Run(func(ctx *congest.Ctx) {
-		bfstree.Build(ctx, 0)
-		states[ctx.ID()] = Run(ctx, k, trace)
-	})
+	stats, err := e.Run(congest.StepFiberFactory(g.N(), func(c congest.Context) congest.Step {
+		return bfstree.BuildStep(c, 0, func(c congest.Context, _ *bfstree.Tree) congest.Step {
+			return Program(c, k, trace, func(c congest.Context, st *State) congest.Step {
+				states[c.ID()] = st
+				return congest.Done()
+			})
+		})
+	}))
 	if err != nil {
 		t.Fatalf("Run(k=%d): %v", k, err)
 	}

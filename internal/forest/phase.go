@@ -5,12 +5,10 @@ import (
 	"congestmst/internal/fragops"
 )
 
-// This file is the Controlled-GHS phase program in resumable Step form
-// (see internal/congest/task.go). The blocking Run and the fiber
-// factory both drive exactly this code, so rounds, messages and
-// per-kind counts are bit-identical across engines by construction.
-// Every stage takes the live Context as a parameter and chains into
-// `then`; no Context is ever captured across a park.
+// This file is the Controlled-GHS phase program in Step form (see
+// internal/congest/task.go). Every stage takes the live Context as a
+// parameter and chains into `then`; no Context is ever captured across
+// a park.
 
 // phase executes one Controlled-GHS phase (Section 4 of the paper).
 // All vertices enter aligned and leave aligned; the window schedule is

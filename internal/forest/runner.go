@@ -13,13 +13,13 @@ var sentinel = fragops.Sentinel
 
 // cont is a phase-program continuation: the next Step once a stage has
 // finished. Stages receive the live congest.Context as a parameter and
-// never store one in the runner — fiber engines re-point a shared
-// per-shard Context between wakes, so captured Contexts go stale.
+// never store one in the runner — engines re-point a shared Context
+// between wakes, so captured Contexts go stale.
 type cont = func(c congest.Context) congest.Step
 
 // runner is one vertex's state machine for the Controlled-GHS phases.
-// It is plain data shared by the blocking and fiber drivers; every
-// message handler lives in the Step-form methods of phase.go.
+// It is plain data; every message handler lives in the Step-form
+// methods of phase.go.
 type runner struct {
 	k, t  int
 	trace *Trace

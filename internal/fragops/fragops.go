@@ -5,19 +5,16 @@
 // Boruvka-over-τ stage of the main algorithm (internal/core).
 //
 // All primitives are driven by absolute round deadlines: every vertex
-// of the graph calls the same primitive in the same round with a common
-// `end`, and returns exactly at round `end`. A vertex whose fragment is
+// of the graph enters the same primitive in the same round with a
+// common `end`, and continues exactly at round `end`. A vertex whose fragment is
 // not active simply drains its (empty) window, so global alignment is
 // preserved without any coordination traffic.
 //
-// Each primitive is written once, in resumable Step form (the *Step
-// functions), and the blocking form is a congest.RunSteps wrapper over
-// it. There is a single copy of every message handler, so the fiber
-// engine and the blocking engines execute identical logic and report
-// bit-identical statistics. Step-form handlers and continuations take
-// the live congest.Context as a parameter and must not capture one
-// across parks (fiber engines re-point a shared per-shard Context
-// between wakes).
+// Each primitive is written in the Step form of internal/congest/task.go
+// (the *Step functions): it takes the live congest.Context and hands its
+// results to a continuation. Handlers and continuations take the live
+// Context as a parameter and must not capture one across parks (engines
+// re-point a shared Context between wakes).
 package fragops
 
 import (
@@ -53,7 +50,7 @@ func KeyLess(a, b [3]int64) bool {
 // WindowStep drains deliveries until the absolute round end,
 // dispatching each inbound message to handle, then continues with
 // then. If the vertex is already at or past end the continuation runs
-// immediately, matching the blocking Window's no-op return.
+// immediately.
 func WindowStep(c congest.Context, end int64, handle func(c congest.Context, in congest.Inbound),
 	then func(c congest.Context) congest.Step) congest.Step {
 	var loop congest.Resume
@@ -69,26 +66,12 @@ func WindowStep(c congest.Context, end int64, handle func(c congest.Context, in 
 	return loop(c, nil)
 }
 
-// Window drains deliveries until the absolute round end, dispatching
-// each inbound message to handle. On return the vertex is at round end.
-func Window(ctx congest.Context, end int64, handle func(congest.Inbound)) {
-	congest.RunSteps(ctx, WindowStep(ctx, end,
-		func(c congest.Context, in congest.Inbound) { handle(in) },
-		func(c congest.Context) congest.Step { return congest.Done() }))
-}
-
 // DrainStep asserts that nothing arrives until end, then continues.
 func DrainStep(c congest.Context, end int64, then func(c congest.Context) congest.Step) congest.Step {
 	return WindowStep(c, end, func(c congest.Context, in congest.Inbound) {
 		failf("vertex %d: unexpected kind %d on port %d at round %d",
 			c.ID(), in.Msg.Kind, in.Port, c.Round())
 	}, then)
-}
-
-// Drain asserts that nothing arrives until end.
-func Drain(ctx congest.Context, end int64) {
-	congest.RunSteps(ctx, DrainStep(ctx, end,
-		func(c congest.Context) congest.Step { return congest.Done() }))
 }
 
 func isChild(children []int, p int) bool {
@@ -100,8 +83,11 @@ func isChild(children []int, p int) bool {
 	return false
 }
 
-// ConvergeStep is the resumable form of Converge; then receives the
-// blocking form's results.
+// ConvergeStep runs one fragment-internal convergecast inside
+// [now, end): every vertex of an active fragment contributes own;
+// combine folds a child's reported value into the accumulator. At end
+// the fragment root continues with (combined, true); everyone else with
+// (partial, false).
 func ConvergeStep(c congest.Context, parent int, children []int, end int64, active bool,
 	own [3]int64, combine func(acc, child [3]int64) [3]int64,
 	then func(c congest.Context, acc [3]int64, isRoot bool) congest.Step) congest.Step {
@@ -135,25 +121,11 @@ func ConvergeStep(c congest.Context, parent int, children []int, end int64, acti
 	})
 }
 
-// Converge runs one fragment-internal convergecast inside [now, end):
-// every vertex of an active fragment contributes own; combine folds a
-// child's reported value into the accumulator. The fragment root
-// returns (combined, true); everyone else (partial, false).
-func Converge(ctx congest.Context, parent int, children []int, end int64, active bool,
-	own [3]int64, combine func(acc, child [3]int64) [3]int64) ([3]int64, bool) {
-	var res [3]int64
-	var isRoot bool
-	congest.RunSteps(ctx, ConvergeStep(ctx, parent, children, end, active, own, combine,
-		func(c congest.Context, acc [3]int64, root bool) congest.Step {
-			res, isRoot = acc, root
-			return congest.Done()
-		}))
-	return res, isRoot
-}
-
-// ArgminStep is the resumable form of Argmin; then receives the
-// blocking form's results (the winner pointer is written to *winner
-// before then runs).
+// ArgminStep is ConvergeStep specialised to lexicographic
+// minimisation. It records a winner pointer into *winner before then
+// runs: -2 if this vertex's own key won locally, -1 if no candidate
+// reached here, or the child port whose subtree supplied the local
+// minimum. A vertex with no candidate passes the Sentinel.
 func ArgminStep(c congest.Context, parent int, children []int, end int64, active bool,
 	own [3]int64, winner *int,
 	then func(c congest.Context, best [3]int64, isRoot bool) congest.Step) congest.Step {
@@ -195,25 +167,9 @@ func ArgminStep(c congest.Context, parent int, children []int, end int64, active
 	})
 }
 
-// Argmin is Converge specialised to lexicographic minimisation. It
-// records a winner pointer into *winner: -2 if this vertex's own key
-// won locally, -1 if no candidate reached here, or the child port whose
-// subtree supplied the local minimum. A vertex with no candidate passes
-// the Sentinel.
-func Argmin(ctx congest.Context, parent int, children []int, end int64, active bool,
-	own [3]int64, winner *int) ([3]int64, bool) {
-	var res [3]int64
-	var isRoot bool
-	congest.RunSteps(ctx, ArgminStep(ctx, parent, children, end, active, own, winner,
-		func(c congest.Context, best [3]int64, root bool) congest.Step {
-			res, isRoot = best, root
-			return congest.Done()
-		}))
-	return res, isRoot
-}
-
-// BroadcastStep is the resumable form of Broadcast; then receives the
-// blocking form's results.
+// BroadcastStep distributes a 3-word payload from the fragment root
+// inside [now, end); then receives the payload and whether one was
+// received (true everywhere in active fragments).
 func BroadcastStep(c congest.Context, parent int, children []int, end int64, active bool,
 	own [3]int64, then func(c congest.Context, got [3]int64, received bool) congest.Step) congest.Step {
 	if active && parent < 0 {
@@ -243,23 +199,11 @@ func BroadcastStep(c congest.Context, parent int, children []int, end int64, act
 	})
 }
 
-// Broadcast distributes a 3-word payload from the fragment root inside
-// [now, end), returning the payload and whether one was received (true
-// everywhere in active fragments).
-func Broadcast(ctx congest.Context, parent int, children []int, end int64, active bool,
-	own [3]int64) ([3]int64, bool) {
-	var res [3]int64
-	var received bool
-	congest.RunSteps(ctx, BroadcastStep(ctx, parent, children, end, active, own,
-		func(c congest.Context, got [3]int64, rec bool) congest.Step {
-			res, received = got, rec
-			return congest.Done()
-		}))
-	return res, received
-}
-
-// WinnerDowncastStep is the resumable form of WinnerDowncast; then
-// receives the blocking form's results.
+// WinnerDowncastStep follows argmin winner pointers from the fragment
+// root to the winning vertex inside [now, end). initiate must hold only
+// at roots of fragments that start a downcast; winner must read this
+// vertex's recorded pointer. then receives the payload and whether this
+// vertex is the target.
 func WinnerDowncastStep(c congest.Context, parent int, end int64, initiate bool,
 	winner func() int, payload [3]int64,
 	then func(c congest.Context, got [3]int64, target bool) congest.Step) congest.Step {
@@ -292,25 +236,9 @@ func WinnerDowncastStep(c congest.Context, parent int, end int64, initiate bool,
 	})
 }
 
-// WinnerDowncast follows argmin winner pointers from the fragment root
-// to the winning vertex inside [now, end). initiate must hold only at
-// roots of fragments that start a downcast; winner must read this
-// vertex's recorded pointer. It reports whether this vertex is the
-// target.
-func WinnerDowncast(ctx congest.Context, parent int, end int64, initiate bool,
-	winner func() int, payload [3]int64) ([3]int64, bool) {
-	var res [3]int64
-	var target bool
-	congest.RunSteps(ctx, WinnerDowncastStep(ctx, parent, end, initiate, winner, payload,
-		func(c congest.Context, got [3]int64, tgt bool) congest.Step {
-			res, target = got, tgt
-			return congest.Done()
-		}))
-	return res, target
-}
-
-// UpPathStep is the resumable form of UpPath; then receives the
-// blocking form's results.
+// UpPathStep sends a 3-word payload from one origin vertex up the
+// fragment tree to the root inside [now, end). The root's then receives
+// (payload, true) if an origin existed in its fragment.
 func UpPathStep(c congest.Context, parent int, children []int, end int64, origin bool,
 	payload [3]int64,
 	then func(c congest.Context, got [3]int64, received bool) congest.Step) congest.Step {
@@ -337,21 +265,6 @@ func UpPathStep(c congest.Context, parent int, children []int, end int64, origin
 	}, func(c congest.Context) congest.Step {
 		return then(c, got, received)
 	})
-}
-
-// UpPath sends a 3-word payload from one origin vertex up the fragment
-// tree to the root inside [now, end). The root returns (payload, true)
-// if an origin existed in its fragment.
-func UpPath(ctx congest.Context, parent int, children []int, end int64, origin bool,
-	payload [3]int64) ([3]int64, bool) {
-	var res [3]int64
-	var received bool
-	congest.RunSteps(ctx, UpPathStep(ctx, parent, children, end, origin, payload,
-		func(c congest.Context, got [3]int64, rec bool) congest.Step {
-			res, received = got, rec
-			return congest.Done()
-		}))
-	return res, received
 }
 
 func failf(format string, args ...any) {

@@ -7,24 +7,27 @@ import (
 	"congestmst/internal/graph"
 )
 
+// program is one vertex's Step program on a fragment tree, given its
+// fragment-tree parent port (-1 at the root) and child ports.
+type program func(c congest.Context, parent int, children []int) congest.Step
+
 // starTree runs a program on a star graph where vertex 0 is the
 // fragment root and every leaf is its child; all vertices share one
 // fragment spanning the graph.
-func starTree(t *testing.T, n int, prog func(ctx *congest.Ctx, parent int, children []int)) *congest.Stats {
+func starTree(t *testing.T, n int, prog program) *congest.Stats {
 	t.Helper()
 	g := graph.Star(n, graph.GenOptions{})
 	e := congest.NewEngine(g, congest.Config{})
-	stats, err := e.Run(func(ctx *congest.Ctx) {
-		if ctx.ID() == 0 {
-			children := make([]int, ctx.Degree())
+	stats, err := e.Run(congest.StepFiberFactory(g.N(), func(c congest.Context) congest.Step {
+		if c.ID() == 0 {
+			children := make([]int, c.Degree())
 			for i := range children {
 				children[i] = i
 			}
-			prog(ctx, -1, children)
-			return
+			return prog(c, -1, children)
 		}
-		prog(ctx, 0, nil)
-	})
+		return prog(c, 0, nil)
+	}))
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -33,25 +36,25 @@ func starTree(t *testing.T, n int, prog func(ctx *congest.Ctx, parent int, child
 
 // pathTree runs a program on a path where vertex 0 is the root and
 // each vertex's child is the next one.
-func pathTree(t *testing.T, n int, prog func(ctx *congest.Ctx, parent int, children []int)) {
+func pathTree(t *testing.T, n int, prog program) {
 	t.Helper()
 	g := graph.Path(n, graph.GenOptions{})
 	e := congest.NewEngine(g, congest.Config{})
-	_, err := e.Run(func(ctx *congest.Ctx) {
+	_, err := e.Run(congest.StepFiberFactory(g.N(), func(c congest.Context) congest.Step {
 		var parent int
 		var children []int
 		switch {
-		case ctx.ID() == 0:
+		case c.ID() == 0:
 			parent = -1
 			children = []int{0} // port 0 leads to vertex 1
-		case ctx.ID() == n-1:
+		case c.ID() == n-1:
 			parent = 0
 		default:
 			parent = 0          // port 0 leads to the smaller neighbor
 			children = []int{1} // port 1 leads to the larger neighbor
 		}
-		prog(ctx, parent, children)
-	})
+		return prog(c, parent, children)
+	}))
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -59,100 +62,117 @@ func pathTree(t *testing.T, n int, prog func(ctx *congest.Ctx, parent int, child
 
 func TestConvergeSumsOverStar(t *testing.T) {
 	const n = 12
-	starTree(t, n, func(ctx *congest.Ctx, parent int, children []int) {
-		got, isRoot := Converge(ctx, parent, children, ctx.Round()+4, true,
-			[3]int64{int64(ctx.ID()), 1, 0},
-			func(acc, child [3]int64) [3]int64 {
-				return [3]int64{acc[0] + child[0], acc[1] + child[1], 0}
+	starTree(t, n, func(c congest.Context, parent int, children []int) congest.Step {
+		sum := func(acc, child [3]int64) [3]int64 {
+			return [3]int64{acc[0] + child[0], acc[1] + child[1], 0}
+		}
+		return ConvergeStep(c, parent, children, c.Round()+4, true, [3]int64{int64(c.ID()), 1, 0}, sum,
+			func(c congest.Context, got [3]int64, isRoot bool) congest.Step {
+				if isRoot != (c.ID() == 0) {
+					t.Errorf("vertex %d isRoot=%v", c.ID(), isRoot)
+				}
+				if isRoot {
+					wantSum := int64(n * (n - 1) / 2)
+					if got[0] != wantSum || got[1] != n {
+						t.Errorf("root got %v, want sum=%d count=%d", got, wantSum, n)
+					}
+				}
+				return congest.Done()
 			})
-		if isRoot != (ctx.ID() == 0) {
-			t.Errorf("vertex %d isRoot=%v", ctx.ID(), isRoot)
-		}
-		if isRoot {
-			wantSum := int64(n * (n - 1) / 2)
-			if got[0] != wantSum || got[1] != n {
-				t.Errorf("root got %v, want sum=%d count=%d", got, wantSum, n)
-			}
-		}
 	})
 }
 
 func TestConvergeInactiveDrains(t *testing.T) {
-	starTree(t, 6, func(ctx *congest.Ctx, parent int, children []int) {
-		Converge(ctx, parent, children, ctx.Round()+3, false, [3]int64{}, nil)
-		if ctx.Round() == 0 {
-			t.Error("inactive Converge did not consume the window")
-		}
+	starTree(t, 6, func(c congest.Context, parent int, children []int) congest.Step {
+		return ConvergeStep(c, parent, children, c.Round()+3, false, [3]int64{}, nil,
+			func(c congest.Context, _ [3]int64, _ bool) congest.Step {
+				if c.Round() == 0 {
+					t.Error("inactive Converge did not consume the window")
+				}
+				return congest.Done()
+			})
 	})
 }
 
 func TestArgminFindsMinAndWinnerPath(t *testing.T) {
 	const n = 9
-	pathTree(t, n, func(ctx *congest.Ctx, parent int, children []int) {
+	pathTree(t, n, func(c congest.Context, parent int, children []int) congest.Step {
 		// Vertex i bids (100-i, i, 0); the tail vertex n-1 wins.
 		var winner int
-		own := [3]int64{int64(100 - ctx.ID()), int64(ctx.ID()), 0}
-		got, isRoot := Argmin(ctx, parent, children, ctx.Round()+int64(n+4), true, own, &winner)
-		if isRoot {
-			if got != [3]int64{int64(100 - (n - 1)), int64(n - 1), 0} {
-				t.Errorf("root argmin %v", got)
-			}
-		}
-		// Winner pointers: tail says self, everyone else points down.
-		if ctx.ID() == n-1 {
-			if winner != -2 {
-				t.Errorf("tail winner = %d, want -2", winner)
-			}
-		} else if winner != 1 && !(ctx.ID() == 0 && winner == 0) {
-			t.Errorf("vertex %d winner = %d, want child port", ctx.ID(), winner)
-		}
-		// Downcast to the winner.
-		_, target := WinnerDowncast(ctx, parent, ctx.Round()+int64(n+4), isRoot,
-			func() int { return winner }, [3]int64{7, 0, 0})
-		if target != (ctx.ID() == n-1) {
-			t.Errorf("vertex %d target=%v", ctx.ID(), target)
-		}
+		own := [3]int64{int64(100 - c.ID()), int64(c.ID()), 0}
+		return ArgminStep(c, parent, children, c.Round()+int64(n+4), true, own, &winner,
+			func(c congest.Context, got [3]int64, isRoot bool) congest.Step {
+				if isRoot && got != [3]int64{int64(100 - (n - 1)), int64(n - 1), 0} {
+					t.Errorf("root argmin %v", got)
+				}
+				// Winner pointers: tail says self, everyone else points down.
+				if c.ID() == n-1 {
+					if winner != -2 {
+						t.Errorf("tail winner = %d, want -2", winner)
+					}
+				} else if winner != 1 && !(c.ID() == 0 && winner == 0) {
+					t.Errorf("vertex %d winner = %d, want child port", c.ID(), winner)
+				}
+				// Downcast to the winner.
+				return WinnerDowncastStep(c, parent, c.Round()+int64(n+4), isRoot,
+					func() int { return winner }, [3]int64{7, 0, 0},
+					func(c congest.Context, _ [3]int64, target bool) congest.Step {
+						if target != (c.ID() == n-1) {
+							t.Errorf("vertex %d target=%v", c.ID(), target)
+						}
+						return congest.Done()
+					})
+			})
 	})
 }
 
 func TestArgminAllSentinel(t *testing.T) {
-	starTree(t, 5, func(ctx *congest.Ctx, parent int, children []int) {
+	starTree(t, 5, func(c congest.Context, parent int, children []int) congest.Step {
 		var winner int
-		got, isRoot := Argmin(ctx, parent, children, ctx.Round()+4, true, Sentinel, &winner)
-		if isRoot && got != Sentinel {
-			t.Errorf("root got %v, want sentinel", got)
-		}
-		if winner != -1 {
-			t.Errorf("winner = %d, want -1", winner)
-		}
+		return ArgminStep(c, parent, children, c.Round()+4, true, Sentinel, &winner,
+			func(c congest.Context, got [3]int64, isRoot bool) congest.Step {
+				if isRoot && got != Sentinel {
+					t.Errorf("root got %v, want sentinel", got)
+				}
+				if winner != -1 {
+					t.Errorf("winner = %d, want -1", winner)
+				}
+				return congest.Done()
+			})
 	})
 }
 
 func TestBroadcastReachesAll(t *testing.T) {
 	const n = 9
-	pathTree(t, n, func(ctx *congest.Ctx, parent int, children []int) {
-		got, ok := Broadcast(ctx, parent, children, ctx.Round()+int64(n+4), true, [3]int64{42, 43, 44})
-		if !ok {
-			t.Errorf("vertex %d did not receive the broadcast", ctx.ID())
-		}
-		if got != [3]int64{42, 43, 44} {
-			t.Errorf("vertex %d got %v", ctx.ID(), got)
-		}
+	pathTree(t, n, func(c congest.Context, parent int, children []int) congest.Step {
+		return BroadcastStep(c, parent, children, c.Round()+int64(n+4), true, [3]int64{42, 43, 44},
+			func(c congest.Context, got [3]int64, ok bool) congest.Step {
+				if !ok {
+					t.Errorf("vertex %d did not receive the broadcast", c.ID())
+				}
+				if got != [3]int64{42, 43, 44} {
+					t.Errorf("vertex %d got %v", c.ID(), got)
+				}
+				return congest.Done()
+			})
 	})
 }
 
 func TestUpPathFromDeepVertex(t *testing.T) {
 	const n = 7
-	pathTree(t, n, func(ctx *congest.Ctx, parent int, children []int) {
-		origin := ctx.ID() == n-1
-		got, received := UpPath(ctx, parent, children, ctx.Round()+int64(n+4), origin, [3]int64{9, 8, 7})
-		if ctx.ID() == 0 {
-			if !received || got != [3]int64{9, 8, 7} {
-				t.Errorf("root got %v received=%v", got, received)
-			}
-		} else if received {
-			t.Errorf("non-root %d claims receipt", ctx.ID())
-		}
+	pathTree(t, n, func(c congest.Context, parent int, children []int) congest.Step {
+		origin := c.ID() == n-1
+		return UpPathStep(c, parent, children, c.Round()+int64(n+4), origin, [3]int64{9, 8, 7},
+			func(c congest.Context, got [3]int64, received bool) congest.Step {
+				if c.ID() == 0 {
+					if !received || got != [3]int64{9, 8, 7} {
+						t.Errorf("root got %v received=%v", got, received)
+					}
+				} else if received {
+					t.Errorf("non-root %d claims receipt", c.ID())
+				}
+				return congest.Done()
+			})
 	})
 }
 
@@ -175,11 +195,13 @@ func TestKeyLess(t *testing.T) {
 }
 
 func TestWindowDeadlineExact(t *testing.T) {
-	starTree(t, 3, func(ctx *congest.Ctx, parent int, children []int) {
-		start := ctx.Round()
-		Drain(ctx, start+5)
-		if ctx.Round() != start+5 {
-			t.Errorf("vertex %d at round %d after Drain, want %d", ctx.ID(), ctx.Round(), start+5)
-		}
+	starTree(t, 3, func(c congest.Context, parent int, children []int) congest.Step {
+		start := c.Round()
+		return DrainStep(c, start+5, func(c congest.Context) congest.Step {
+			if c.Round() != start+5 {
+				t.Errorf("vertex %d at round %d after Drain, want %d", c.ID(), c.Round(), start+5)
+			}
+			return congest.Done()
+		})
 	})
 }

@@ -4,16 +4,10 @@ import (
 	"congestmst/internal/congest"
 )
 
-// Fiber is the resumable form of Run: the same GHS node, driven as a
-// congest.Fiber state machine instead of a blocking goroutine. The
-// blocking program has exactly two wait sites — the hello collection
-// loop and the main loop's Step/Recv — so the conversion is a
-// two-state machine around the shared node methods: Resume plays the
-// fixpoint message processing the blocking loop runs after a wake,
-// flush plays the output-queue drain it runs before the next park,
-// and the Step/Recv/return choice becomes the returned Park. Send
-// order, park targets and therefore Rounds/Messages/ByKind are
-// bit-identical to the blocking form on every engine.
+// Fiber is one GHS vertex, driven as a two-state congest.Fiber around
+// the node methods: the hello state collects neighbor identities, and
+// the main state plays the fixpoint message processing after a wake
+// (Resume) and the output-queue drain before the next park (flush).
 type Fiber struct {
 	n     node
 	state fiberState
@@ -31,8 +25,8 @@ const (
 	fsMain                    // the GHS protocol proper
 )
 
-// FiberFactory returns a factory producing the resumable form of Run
-// for each of n vertices, backed by one slab allocation — at 10^6
+// FiberFactory returns a factory producing a GHS Fiber for each of n
+// vertices, backed by one slab allocation — at 10^6
 // vertices, one million-entry array instead of a million little
 // structs matters. report is called exactly once per vertex, when the
 // protocol terminates there, with the ports of its incident MST edges
@@ -49,7 +43,7 @@ func FiberFactory(n int, report func(id int, mstPorts []int)) func(id int) conge
 var _ congest.Fiber = (*Fiber)(nil)
 
 // Start is the round-0 prologue: send the identity exchange and wait
-// for the replies, exactly like the blocking hello().
+// for the replies.
 func (f *Fiber) Start(c congest.Context) congest.Park {
 	deg := c.Degree()
 	if deg == 0 {
@@ -89,10 +83,11 @@ func (f *Fiber) Resume(c congest.Context, msgs []congest.Inbound) congest.Park {
 	return f.flush(c)
 }
 
-// flush drains the output queues and parks the way the blocking main
-// loop chooses its next wait: Step while there is a backlog (or a
-// halt still propagating), Recv when only another message can change
-// anything, done once halted with nothing left to send.
+// flush drains the output queues and chooses the next park: the next
+// round while there is a backlog (or a halt still propagating), any
+// delivery when only another message can change anything (a requeued
+// message's wait condition changes only through another inbound
+// message), done once halted with nothing left to send.
 func (f *Fiber) flush(c congest.Context) congest.Park {
 	n := &f.n
 	backlog := n.flushOutQ()
@@ -101,7 +96,7 @@ func (f *Fiber) flush(c congest.Context) congest.Park {
 		return congest.ParkDone
 	}
 	if backlog || n.halted {
-		return congest.ParkUntil(c.Round() + 1) // Step
+		return congest.ParkUntil(c.Round() + 1)
 	}
-	return congest.ParkAwait // Recv
+	return congest.ParkAwait
 }

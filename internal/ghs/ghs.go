@@ -10,6 +10,9 @@
 // the synchronous engine (with per-port output queues and message
 // requeueing for its wait conditions) is just one admissible execution.
 //
+// The protocol runs as a congest.Fiber (fiber.go) around the node
+// methods below.
+//
 // Deviation from the clean-network model: the original algorithm
 // assumes distinct edge weights. We use the repository-wide unique key
 // (w, min id, max id), which requires endpoints to learn neighbor
@@ -54,13 +57,6 @@ const (
 
 // inf is the "no outgoing edge" report weight.
 var inf = [2]int64{1<<63 - 1, 1<<63 - 1}
-
-// Result is one vertex's view of the computed MST.
-type Result struct {
-	// MSTPorts lists the ports of this vertex's incident MST edges
-	// (the Branch edges at termination).
-	MSTPorts []int
-}
 
 type node struct {
 	ctx congest.Context
@@ -112,27 +108,6 @@ func (q queued) unpack() congest.Message {
 	return congest.Message{Kind: q.kind, A: int64(q.a), B: q.b, C: q.c, D: int64(q.d)}
 }
 
-// Run executes GHS on this vertex and returns its view of the MST.
-// Every vertex must call Run in round 0.
-func Run(ctx congest.Context) *Result {
-	deg := ctx.Degree()
-	n := &node{
-		ctx:      ctx,
-		nbrID:    make([]int32, deg),
-		se:       make([]int8, deg),
-		bestEdge: -1,
-		testEdge: -1,
-		inBranch: -1,
-	}
-	if deg == 0 {
-		return &Result{} // isolated vertex: empty MST
-	}
-	n.hello()
-	n.wakeup()
-	n.mainLoop()
-	return &Result{MSTPorts: n.branchPorts()}
-}
-
 // branchPorts lists the Branch ports at termination: the vertex's
 // local view of the MST.
 func (n *node) branchPorts() []int {
@@ -143,19 +118,6 @@ func (n *node) branchPorts() []int {
 		}
 	}
 	return ports
-}
-
-// hello exchanges vertex identities so edge keys are comparable.
-func (n *node) hello() {
-	deg := n.ctx.Degree()
-	for p := 0; p < deg; p++ {
-		n.ctx.Send(p, congest.Message{Kind: KindHello, A: int64(n.ctx.ID())})
-	}
-	got := 0
-	for got < deg {
-		inbox := n.ctx.Recv()
-		got += n.helloBatch(inbox)
-	}
 }
 
 // helloBatch folds one wake's deliveries into the identity exchange:
@@ -234,26 +196,6 @@ func (n *node) wakeup() {
 	n.sn = stateFound
 	n.findCount = 0
 	n.send(m, congest.Message{Kind: KindConnect, A: 0})
-}
-
-func (n *node) mainLoop() {
-	for {
-		backlog := n.flushOutQ()
-		if n.halted && !backlog {
-			return
-		}
-		// A requeued message's wait condition (level, edge state) can
-		// only change through another inbound message, so a vertex with
-		// pending work but no backlog parks until something arrives
-		// instead of polling every round.
-		var inbox []congest.Inbound
-		if backlog || n.halted {
-			inbox = n.ctx.Step()
-		} else {
-			inbox = n.ctx.Recv()
-		}
-		n.process(inbox)
-	}
 }
 
 // flushOutQ drains the output queue in ascending port order with

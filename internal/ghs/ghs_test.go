@@ -9,20 +9,25 @@ import (
 	"congestmst/internal/mathx"
 )
 
-func runGHS(t *testing.T, g *graph.Graph, cfg congest.Config) ([]*Result, *congest.Stats) {
+// lockstep runs GHS on g and returns each vertex's MST ports.
+func lockstep(g *graph.Graph, cfg congest.Config) ([][]int, *congest.Stats, error) {
+	ports := make([][]int, g.N())
+	stats, err := congest.NewEngine(g, cfg).Run(FiberFactory(g.N(), func(id int, mstPorts []int) {
+		ports[id] = mstPorts
+	}))
+	return ports, stats, err
+}
+
+func runGHS(t *testing.T, g *graph.Graph, cfg congest.Config) ([][]int, *congest.Stats) {
 	t.Helper()
-	results := make([]*Result, g.N())
-	e := congest.NewEngine(g, cfg)
-	stats, err := e.Run(func(ctx *congest.Ctx) {
-		results[ctx.ID()] = Run(ctx)
-	})
+	ports, stats, err := lockstep(g, cfg)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	return results, stats
+	return ports, stats
 }
 
-func checkMST(t *testing.T, g *graph.Graph, results []*Result) {
+func checkMST(t *testing.T, g *graph.Graph, results [][]int) {
 	t.Helper()
 	mst, err := g.Kruskal()
 	if err != nil {
@@ -33,8 +38,8 @@ func checkMST(t *testing.T, g *graph.Graph, results []*Result) {
 		want[ei] = true
 	}
 	marked := make(map[int]int)
-	for v, res := range results {
-		for _, p := range res.MSTPorts {
+	for v, ports := range results {
+		for _, p := range ports {
 			marked[g.Adj(v)[p].Edge]++
 		}
 	}
@@ -86,11 +91,8 @@ func TestGHSProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		results := make([]*Result, g.N())
-		e := congest.NewEngine(g, congest.Config{})
-		if _, err := e.Run(func(ctx *congest.Ctx) {
-			results[ctx.ID()] = Run(ctx)
-		}); err != nil {
+		results, _, err := lockstep(g, congest.Config{})
+		if err != nil {
 			return false
 		}
 		mst, err := g.Kruskal()
@@ -98,8 +100,8 @@ func TestGHSProperty(t *testing.T) {
 			return false
 		}
 		marked := make(map[int]int)
-		for v, res := range results {
-			for _, p := range res.MSTPorts {
+		for v, ports := range results {
+			for _, p := range ports {
 				marked[g.Adj(v)[p].Edge]++
 			}
 		}

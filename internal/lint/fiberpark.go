@@ -9,11 +9,12 @@ import (
 )
 
 // Fiberpark proves the congest.Fiber contract statically: code that
-// runs as a parked-and-resumed vertex program must never block. At
-// runtime a blocking call inside a fiber aborts the run (or, through
-// the facade, forces the goroutine fallback surfaced by
-// Stats.FiberFallback); this analyzer turns that runtime detector
-// into a compile-time error.
+// runs as a parked-and-resumed vertex program must never block. The
+// congest.Context surface has no blocking method, so the compiler
+// already rejects a program that tries to wait through it; a raw
+// channel operation is the remaining way to park a goroutine, and the
+// engines call fibers on their own workers, where a parked call stalls
+// every vertex behind it.
 //
 // Root set: every function or method whose signature carries a
 // congest.Context parameter and returns congest.Step or congest.Park
@@ -21,16 +22,12 @@ import (
 // Fiber interface's Start/Resume. From those roots it follows
 // statically-resolvable same-package calls that pass a Context along,
 // and inside everything reachable (nested closures included) it flags
-// the blocking trio Step/Recv/RecvUntil and raw channel operations
-// (send, receive, select), all of which park a goroutine the fiber
-// engine does not have.
+// channel sends, receives and select statements.
 var Fiberpark = &analysis.Analyzer{
 	Name: "fiberpark",
-	Doc:  "forbids blocking Context calls and channel ops reachable from fiber/step-form code",
+	Doc:  "forbids channel operations reachable from fiber/step-form code",
 	Run:  runFiberpark,
 }
-
-var blockingCtxMethods = map[string]bool{"Step": true, "Recv": true, "RecvUntil": true}
 
 func runFiberpark(pass *analysis.Pass) error {
 	allow := buildAllowlist(pass)
@@ -85,14 +82,6 @@ func runFiberpark(pass *analysis.Pass) error {
 		ast.Inspect(body, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.CallExpr:
-				if m, recv, ok := methodCall(pass.TypesInfo, n); ok {
-					if blockingCtxMethods[m.Name()] && isCongestContext(pass.TypeOf(recv)) {
-						if !allow.allowed(pass.Fset, n.Pos(), pass.Analyzer.Name) {
-							pass.Reportf(n.Pos(), "blocking congest.Context.%s call reachable from fiber/step-form code; return a park (Await/Until/Done) instead", m.Name())
-						}
-						return true
-					}
-				}
 				// Follow same-package callees that receive a Context.
 				if callee := calleeFunc(pass.TypesInfo, n); callee != nil && !visited[callee] {
 					if fd, ok := decls[callee]; ok && hasContextParam(callee.Type()) {
@@ -170,14 +159,10 @@ func hasContextParam(t types.Type) bool {
 	return false
 }
 
-// isCongestContext reports whether t is the congest.Context interface,
-// the async park/resume surface congest.AsyncContext (so step-form
-// programs written against the narrower async type are rooted and
-// swept identically), or the in-process *congest.Ctx implementing
-// them.
+// isCongestContext reports whether t is the congest.Context interface.
 func isCongestContext(t types.Type) bool {
 	p, n := namedType(t)
-	return p == congestPath && (n == "Context" || n == "AsyncContext" || n == "Ctx")
+	return p == congestPath && n == "Context"
 }
 
 // calleeFunc resolves a call to its static callee, whether plain

@@ -13,9 +13,9 @@ import (
 // Each analyzer has a fixture package under testdata/src/<name>
 // containing both violating lines (marked `// want "re"`) and
 // conforming shapes that must stay silent, including the
-// //lint:allow directive path. The fiberpark fixture reproduces the
-// PR 5 goroutine-fallback shape (a Fiber whose Resume calls the
-// blocking Context API) against the real congest types.
+// //lint:allow directive path. The fiberpark fixture blocks on raw
+// channels from a Fiber, a continuation and helpers reached through
+// the call graph, against the real congest types.
 func TestAnalyzers(t *testing.T) {
 	for _, a := range lint.All() {
 		t.Run(a.Name, func(t *testing.T) {

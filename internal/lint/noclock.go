@@ -79,8 +79,8 @@ func runNoclock(pass *analysis.Pass) error {
 
 // isPackageLevel distinguishes math/rand's global-source entry points
 // (rand.Intn) from methods on explicitly-seeded generators
-// ((*rand.Rand).Intn), which share names.
+// ((*rand.Rand).Intn), which share names: only the former is declared
+// in its package's scope.
 func isPackageLevel(fn *types.Func) bool {
-	sig, ok := fn.Type().(*types.Signature)
-	return ok && sig.Recv() == nil
+	return fn.Pkg().Scope().Lookup(fn.Name()) == fn
 }

@@ -1,58 +1,73 @@
 // Fixture for the fiberpark analyzer: code reachable from fiber /
 // step-form shapes (a congest.Context parameter plus a congest.Step
-// or congest.Park result) must never block. The violating shapes
-// below reproduce the exact PR 5 goroutine-fallback hazard: an
-// algorithm that looks fiber-native but sneaks a blocking
-// Recv/Step/RecvUntil (or a raw channel op) into a continuation, which
-// at runtime aborts the fiber engine or silently forces the goroutine
-// fallback surfaced by Stats.FiberFallback.
+// or congest.Park result) must never block. congest.Context has no
+// blocking method, so the compiler rejects waiting through it; the
+// violating shapes below sneak a raw channel operation into a Fiber,
+// a continuation, or a helper a root passes its Context to, which
+// would stall the engine worker calling the fiber.
 package fiberpark
 
 import (
 	"congestmst/internal/congest"
 )
 
-// fallbackFiber is the PR 5 fallback shape: a Fiber implementation
-// whose Resume blocks on the Context instead of returning a park.
-type fallbackFiber struct {
-	round int64
+// chanFiber is a Fiber whose Resume waits on a channel instead of
+// returning a park.
+type chanFiber struct {
+	ready chan int
 }
 
-func (f *fallbackFiber) Start(c congest.Context) congest.Park {
+func (f *chanFiber) Start(c congest.Context) congest.Park {
 	c.Send(0, congest.Message{Kind: 1})
 	return congest.ParkUntil(c.Round() + 1)
 }
 
-func (f *fallbackFiber) Resume(c congest.Context, msgs []congest.Inbound) congest.Park {
-	in := c.Recv() // want "blocking congest.Context.Recv"
-	_ = in
+func (f *chanFiber) Resume(c congest.Context, msgs []congest.Inbound) congest.Park {
+	v := <-f.ready // want "channel receive"
+	_ = v
 	return congest.ParkDone
 }
 
 // blockingContinuation blocks inside a Step-form continuation.
-func blockingContinuation(c congest.Context) congest.Step {
+func blockingContinuation(c congest.Context, done chan struct{}) congest.Step {
 	return congest.Await(func(c congest.Context, msgs []congest.Inbound) congest.Step {
-		extra := c.RecvUntil(c.Round() + 2) // want "blocking congest.Context.RecvUntil"
-		_ = extra
+		done <- struct{}{} // want "channel send"
 		return congest.Done()
 	})
 }
 
-// stepInStepForm calls the third member of the blocking trio.
-func stepInStepForm(c congest.Context) congest.Step {
-	_ = c.Step() // want "blocking congest.Context.Step"
+// selectInStepForm waits in a select statement.
+func selectInStepForm(c congest.Context) congest.Step {
+	select { // want "select statement"
+	default:
+	}
 	return congest.Done()
 }
 
 // helperReached blocks inside a plain helper that a step-form root
 // passes its Context to — reachability must follow the call.
-func helperReached(c congest.Context) []congest.Inbound {
-	return c.Recv() // want "blocking congest.Context.Recv"
+func helperReached(c congest.Context, ch chan congest.Inbound) congest.Inbound {
+	return <-ch // want "channel receive"
 }
 
 func rootCallingHelper(c congest.Context) congest.Step {
-	msgs := helperReached(c)
-	_ = msgs
+	in := helperReached(c, make(chan congest.Inbound))
+	_ = in
+	return congest.Done()
+}
+
+// chainedHelper is reached two calls deep from a root, through
+// helperChain — the walk must follow calls transitively.
+func chainedHelper(c congest.Context, ch chan int) {
+	ch <- c.ID() // want "channel send"
+}
+
+func helperChain(c congest.Context, ch chan int) {
+	chainedHelper(c, ch)
+}
+
+func rootCallingChain(c congest.Context) congest.Step {
+	helperChain(c, make(chan int, 1))
 	return congest.Done()
 }
 
@@ -61,6 +76,12 @@ func channelFiber(c congest.Context, ch chan int) congest.Step {
 	ch <- 1   // want "channel send"
 	v := <-ch // want "channel receive"
 	_ = v
+	return congest.Done()
+}
+
+// allowedSignal is an explicitly allowed channel op on a fiber path.
+func allowedSignal(c congest.Context, ch chan int) congest.Step {
+	ch <- 1 //lint:allow fiberpark buffered signal that never blocks
 	return congest.Done()
 }
 
@@ -80,31 +101,9 @@ func conforming(c congest.Context) congest.Step {
 	})
 }
 
-// asyncBlocking is the ISSUE-10 hazard: a continuation typed against
-// the async park/resume surface (congest.AsyncContext) that sneaks a
-// blocking call in. AsyncContext's method set does not even include
-// the blocking trio, but the surface embeds Context, so the dynamic
-// value may still have them — the analyzer must root AsyncContext
-// signatures exactly like Context ones.
-func asyncBlocking(c congest.AsyncContext) congest.Step {
-	_ = c.Recv() // want "blocking congest.Context.Recv"
-	return congest.Done()
-}
-
-// asyncHelperReached blocks in a helper reached from an async root.
-func asyncHelperReached(c congest.AsyncContext) []congest.Inbound {
-	return c.Recv() // want "blocking congest.Context.Recv"
-}
-
-func asyncRootCallingHelper(c congest.AsyncContext) congest.Step {
-	_ = asyncHelperReached(c)
-	return congest.Done()
-}
-
-// asyncConforming is the legal async shape: quiesce-parks plus the
-// logical clock, no blocking reachable.
-func asyncConforming(c congest.AsyncContext) congest.Step {
-	start := c.Clock()
+// quiesceConforming is the legal quiesce-park shape.
+func quiesceConforming(c congest.Context) congest.Step {
+	start := c.Round()
 	return congest.Quiesce(func(c congest.Context, msgs []congest.Inbound) congest.Step {
 		for _, in := range msgs {
 			c.Send(in.Port, in.Msg)
@@ -114,8 +113,8 @@ func asyncConforming(c congest.AsyncContext) congest.Step {
 	})
 }
 
-// blockingHelper is NOT step-form (no Step/Park result) and is never
-// called from a root: the blocking engines may use this shape freely.
-func blockingHelper(c congest.Context) []congest.Inbound {
-	return c.Recv()
+// unreachedHelper is NOT step-form and is never called from a root:
+// code outside fiber reach may use channels freely.
+func unreachedHelper(c congest.Context, ch chan int) int {
+	return <-ch
 }

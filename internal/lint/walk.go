@@ -74,11 +74,10 @@ func pkgFuncCall(info *types.Info, call *ast.CallExpr) (pkgPath, name string, ok
 	default:
 		return "", "", false
 	}
+	// A bare identifier or a package-qualified selector never denotes
+	// a method, so a *types.Func here is package-level.
 	fn, isFunc := info.Uses[id].(*types.Func)
 	if !isFunc || fn.Pkg() == nil {
-		return "", "", false
-	}
-	if sig, isSig := fn.Type().(*types.Signature); !isSig || sig.Recv() != nil {
 		return "", "", false
 	}
 	return fn.Pkg().Path(), fn.Name(), true

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"congestmst/internal/congest"
 	"congestmst/internal/graph"
 )
 
@@ -37,8 +36,7 @@ func awaitFDBaseline(t *testing.T, baseline int) {
 }
 
 // awaitGoroutines waits for the goroutine count to settle back to (or
-// near) baseline: vertex goroutines, shard loops and socket readers
-// must all unwind.
+// near) baseline: shard loops and socket readers must all unwind.
 func awaitGoroutines(t *testing.T, baseline int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -63,11 +61,7 @@ func TestRunContextCancelReleasesSockets(t *testing.T) {
 	defer cancel()
 	errCh := make(chan error, 1)
 	go func() {
-		_, err := RunContext(ctx, g, Config{Shards: 4}, func(c congest.Context) {
-			for {
-				c.Step()
-			}
-		})
+		_, err := RunContext(ctx, g, Config{Shards: 4}, steps(g, stepForever))
 		errCh <- err
 	}()
 	time.Sleep(50 * time.Millisecond)
@@ -91,11 +85,7 @@ func TestRunContextDeadlineOverTCP(t *testing.T) {
 	fdBaseline := countFDs(t)
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
-	_, err := RunContext(ctx, g, Config{Shards: 3}, func(c congest.Context) {
-		for {
-			c.Step()
-		}
-	})
+	_, err := RunContext(ctx, g, Config{Shards: 3}, steps(g, stepForever))
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Errorf("error %v does not wrap context.DeadlineExceeded", err)
 	}
@@ -109,7 +99,7 @@ func TestRunContextPreCancelled(t *testing.T) {
 	fdBaseline := countFDs(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := RunContext(ctx, g, Config{Shards: 4}, func(c congest.Context) { c.Step() })
+	_, err := RunContext(ctx, g, Config{Shards: 4}, steps(g, stepForever))
 	if !errors.Is(err, context.Canceled) {
 		t.Errorf("error %v does not wrap context.Canceled", err)
 	}

@@ -53,7 +53,7 @@ func EffectiveShards(n, shards int) int {
 // inbound connections whose hello names this run are handed to Accept,
 // which routes them to the right shard link (both at mesh setup and
 // when a peer redials after a mid-run fault). Run establishes the mesh
-// and executes the program on the local vertices.
+// and executes the fibers of the local vertices.
 type Mesh struct {
 	c *cluster
 }
@@ -100,13 +100,13 @@ func (m *Mesh) Accept(h MeshHello, conn net.Conn) error {
 }
 
 // Run establishes the mesh (dialing peers and waiting for their dials,
-// as the pair direction dictates) and executes program on every local
-// vertex, blocking until the whole cluster terminates, fails, or ctx
-// is cancelled. The returned stats cover the local shards only; a
+// as the pair direction dictates) and executes the fiber factory(v) on
+// every local vertex v, blocking until the whole cluster terminates,
+// fails, or ctx is cancelled. The returned stats cover the local shards only; a
 // driver merges them across workers exactly as the in-process engine
 // merges shards (max of rounds, sum of messages), which is what keeps
 // a distributed run bit-identical.
-func (m *Mesh) Run(ctx context.Context, program func(congest.Context)) (*congest.Stats, error) {
+func (m *Mesh) Run(ctx context.Context, factory func(id int) congest.Fiber) (*congest.Stats, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("nettrans: run cancelled: %w", err)
 	}
@@ -114,7 +114,7 @@ func (m *Mesh) Run(ctx context.Context, program func(congest.Context)) (*congest
 		m.c.closeAll()
 		return nil, err
 	}
-	return m.c.run(ctx, program)
+	return m.c.run(ctx, factory)
 }
 
 // NetSample reports the transport account of the completed (or failed)

@@ -58,13 +58,14 @@ func TestMeshTwoWorkers(t *testing.T) {
 
 	ports := make([][]int, g.N())
 	var mu sync.Mutex
-	program := func(ctx congest.Context) {
-		res := ghs.Run(ctx)
-		mu.Lock()
-		ports[ctx.ID()] = res.MSTPorts
-		mu.Unlock()
+	program := func() func(id int) congest.Fiber {
+		return ghs.FiberFactory(g.N(), func(id int, mstPorts []int) {
+			mu.Lock()
+			ports[id] = mstPorts
+			mu.Unlock()
+		})
 	}
-	want := lockstepStats(t, g, 1, program)
+	want := lockstepStats(t, g, 1, program())
 	for i := range ports {
 		ports[i] = nil
 	}
@@ -108,7 +109,7 @@ func TestMeshTwoWorkers(t *testing.T) {
 	ch := make(chan result, 2)
 	for _, m := range []*Mesh{mA, mB} {
 		go func(m *Mesh) {
-			stats, err := m.Run(context.Background(), program)
+			stats, err := m.Run(context.Background(), program())
 			ch <- result{stats, err}
 		}(m)
 	}

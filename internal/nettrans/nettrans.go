@@ -20,8 +20,8 @@
 //     edge every round (the alpha-synchronizer cost that scales with
 //     idle rounds), each batch ends with a calendar announcement: the
 //     earliest future round at which the sending shard can be busy —
-//     the minimum over its fresh deliveries, its Step targets, its live
-//     RecvUntil deadlines (a timer heap, mirroring internal/parsim's
+//     the minimum over its fresh deliveries, its next-round parks, its
+//     live park deadlines (a timer heap, mirroring internal/parsim's
 //     calendar), and round+1 if it just sent messages. Every shard
 //     takes the minimum of all announcements, so all shards agree on
 //     the next busy round and fast-forward to it together. Wire
@@ -38,6 +38,11 @@
 // program panic, a bandwidth violation — closes every connection, which
 // unwinds all shards and surfaces as an error from Run instead of a
 // hang.
+//
+// Vertex programs are congest.Fiber state machines. Each shard loop
+// calls its wake set's fibers inline, one at a time in ascending vertex
+// order, through one shared Node context, so a run costs one goroutine
+// per shard (plus one reader per link), never one per vertex.
 package nettrans
 
 import (
@@ -177,25 +182,23 @@ func (c Config) acceptWindow() time.Duration {
 	return w
 }
 
-// errAborted unwinds vertex goroutines after a failure; it never
-// escapes the package.
+// errAborted unwinds a fiber call after a failure; it never escapes
+// the package.
 var errAborted = errors.New("nettrans: run aborted")
 
-// Run executes program on every vertex of g over the sharded TCP
-// cluster and blocks until all programs return (or the run fails). The
-// program receives a congest.Context, so any algorithm in this
-// repository runs unchanged, and the returned stats are bit-identical
-// to the in-process engines'.
-func Run(g *graph.Graph, cfg Config, program func(congest.Context)) (*congest.Stats, error) {
-	return RunContext(context.Background(), g, cfg, program)
+// Run executes the fiber factory(v) on every vertex v of g over the
+// sharded TCP cluster and blocks until every fiber parked Done (or the
+// run fails). Any algorithm in this repository runs unchanged, and the
+// returned stats are bit-identical to the in-process engines'.
+func Run(g *graph.Graph, cfg Config, factory func(id int) congest.Fiber) (*congest.Stats, error) {
+	return RunContext(context.Background(), g, cfg, factory)
 }
 
 // RunContext is Run under a context. Cancellation (or a deadline) is
 // observed while the shard mesh is dialing and at every agreed round
 // boundary once the run is underway: the whole mesh is torn down, every
-// shard loop and vertex goroutine unwinds, and the returned error wraps
-// ctx.Err().
-func RunContext(ctx context.Context, g *graph.Graph, cfg Config, program func(congest.Context)) (*congest.Stats, error) {
+// shard loop unwinds, and the returned error wraps ctx.Err().
+func RunContext(ctx context.Context, g *graph.Graph, cfg Config, factory func(id int) congest.Fiber) (*congest.Stats, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("nettrans: run cancelled: %w", err)
 	}
@@ -204,38 +207,25 @@ func RunContext(ctx context.Context, g *graph.Graph, cfg Config, program func(co
 		c.closeAll()
 		return nil, err
 	}
-	return c.run(ctx, program)
+	return c.run(ctx, factory)
 }
 
-type outMsg struct {
+// sentMsg is one staged send: the sending vertex, its port, and the
+// payload.
+type sentMsg struct {
+	src  int32
 	port int32
 	msg  congest.Message
 }
 
-type yieldRec struct {
-	outbox []outMsg
-	target int64
-	done   bool
-}
-
-type wake struct {
-	round int64
-	msgs  []congest.Inbound
-	abort bool
-}
-
 // nodeState is the shard-side state of one local vertex. Every field is
-// owned by the vertex's shard loop; out is written by the vertex
-// goroutine before it signals its yield, which happens-before the shard
-// reads it.
+// owned by the vertex's shard loop.
 type nodeState struct {
-	ctx    *Node
+	fib    congest.Fiber // nil once done
 	inbox  []congest.Inbound
-	out    yieldRec
 	queued bool
 	parked bool
 	done   bool
-	target int64
 	gen    int64
 }
 
@@ -295,12 +285,16 @@ type shard struct {
 	id     int
 	lo, hi int
 
-	links  []*link // indexed by peer shard id; links[id] is nil
-	nodes  []nodeState
-	yields chan int
+	links []*link // indexed by peer shard id; links[id] is nil
+	nodes []nodeState
+
+	// node is the Context every local fiber is handed, re-pointed at
+	// each vertex of the wake set in turn.
+	node Node
 
 	// ready lists local vertices due at round+1 (fresh deliveries or an
-	// explicit Step); timers orders the more distant RecvUntil deadlines.
+	// explicit next-round park); timers orders the more distant park
+	// deadlines.
 	ready  []int
 	timers timerHeap
 
@@ -376,7 +370,7 @@ func newCluster(g *graph.Graph, cfg Config, topo *Topology) *cluster {
 			hi: min((i+1)*c.shardSize, n),
 		}
 		s.nodes = make([]nodeState, s.hi-s.lo)
-		s.yields = make(chan int, s.hi-s.lo)
+		s.node.s = s
 		s.links = make([]*link, nShards)
 		for j := range s.links {
 			if j != i {
@@ -500,9 +494,9 @@ func (c *cluster) err() error {
 	return c.failErr
 }
 
-// run starts the readers, the vertex goroutines and the shard loops,
-// and blocks until the cluster terminates, fails, or ctx is cancelled.
-func (c *cluster) run(ctx context.Context, program func(congest.Context)) (*congest.Stats, error) {
+// run starts the readers and the shard loops, and blocks until the
+// cluster terminates, fails, or ctx is cancelled.
+func (c *cluster) run(ctx context.Context, factory func(id int) congest.Fiber) (*congest.Stats, error) {
 	defer c.closeAll()
 	if c.g.N() == 0 {
 		return &congest.Stats{}, nil
@@ -535,16 +529,11 @@ func (c *cluster) run(ctx context.Context, program func(congest.Context)) (*cong
 			continue
 		}
 		for v := s.lo; v < s.hi; v++ {
+			// Every vertex is in the round-0 wake set.
 			nd := &s.nodes[v-s.lo]
-			nd.ctx = newNode(s, v)
-			// The initial state is "parked at round -1 with target 0":
-			// every vertex is in the round-0 wake set, and an abort
-			// before its first resume drains it like any parked vertex.
-			nd.parked = true
+			nd.fib = factory(v)
 			nd.queued = true
-			nd.target = 0
 			s.ready = append(s.ready, v)
-			go s.runNode(nd, program)
 		}
 	}
 	var wg sync.WaitGroup
@@ -717,14 +706,12 @@ func (s *shard) wakeSet() []int {
 	return due
 }
 
-// exec resumes the wake set, waits for every resumed vertex to yield,
-// then processes outboxes and park targets in ascending vertex order:
-// local messages are delivered in place, remote ones staged per
-// destination shard.
+// exec calls the wake set's fibers inline, one at a time in ascending
+// vertex order, and records their parks. Their sends stay staged until
+// the whole wake set has run and are then routed: local messages are
+// delivered in place, remote ones staged per destination shard.
 func (s *shard) exec(wakes []int) {
-	if len(wakes) == 0 {
-		return
-	}
+	nc := &s.node
 	for _, v := range wakes {
 		nd := &s.nodes[v-s.lo]
 		nd.queued = false
@@ -734,48 +721,81 @@ func (s *shard) exec(wakes []int) {
 		if len(msgs) > 1 {
 			sort.SliceStable(msgs, func(i, j int) bool { return msgs[i].Port < msgs[j].Port })
 		}
-		nd.ctx.resume <- wake{round: s.round, msgs: msgs}
-	}
-	for range wakes {
-		<-s.yields
-	}
-	for _, v := range wakes {
-		nd := &s.nodes[v-s.lo]
-		y := nd.out
-		nd.out = yieldRec{}
-		for _, om := range y.outbox {
-			s.route(v, om)
+		mark := len(nc.outbox)
+		park, ok := s.call(nd, v, msgs)
+		for _, sm := range nc.outbox[mark:] {
+			nc.sentN[sm.port] = 0
 		}
-		if y.done {
-			nd.done = true
-			s.live--
+		target := park.Deadline(s.round)
+		switch {
+		case !ok:
+			// The fiber died mid-call: discard its partial outbox.
+			nc.outbox = nc.outbox[:mark]
+			s.retire(nd)
+			continue
+		case park == congest.ParkDone:
+			s.retire(nd)
+			continue
+		case target <= s.round:
+			s.c.fail(fmt.Errorf("nettrans: processor %d parked for round %d at round %d", v, target, s.round))
+			s.retire(nd)
 			continue
 		}
 		nd.parked = true
-		nd.target = y.target
 		nd.gen++
 		switch {
-		case len(nd.inbox) > 0 || y.target == s.round+1:
+		case target == s.round+1:
 			nd.queued = true
 			s.ready = append(s.ready, v)
-		case y.target < congest.Forever:
-			heap.Push(&s.timers, timerEntry{round: y.target, id: v, gen: nd.gen})
+		case target < congest.Forever:
+			heap.Push(&s.timers, timerEntry{round: target, id: v, gen: nd.gen})
 		}
 	}
+	for _, sm := range nc.outbox {
+		s.route(sm)
+	}
+	nc.outbox = nc.outbox[:0]
+}
+
+// call runs one Start (round 0) or Resume; a panic fails the run and
+// ok reports whether the fiber survived the call. errAborted is the
+// unwinding sentinel of an already-failed run and is not reported
+// again.
+func (s *shard) call(nd *nodeState, v int, msgs []congest.Inbound) (park congest.Park, ok bool) {
+	defer func() {
+		if r := recover(); r != nil {
+			if r != errAborted { //nolint:errorlint // sentinel identity
+				s.c.fail(fmt.Errorf("nettrans: processor %d panicked: %v", v, r))
+			}
+			park, ok = congest.ParkDone, false
+		}
+	}()
+	s.node.point(v, s.round)
+	if s.round == 0 {
+		return nd.fib.Start(&s.node), true
+	}
+	return nd.fib.Resume(&s.node, msgs), true
+}
+
+// retire marks a local vertex finished and releases its program.
+func (s *shard) retire(nd *nodeState) {
+	nd.done = true
+	nd.fib = nil
+	s.live--
 }
 
 // route stages one outbound message: delivered immediately if the
 // destination vertex is local, otherwise appended to the destination
 // shard's wire batch as a (src, port) frame.
-func (s *shard) route(v int, om outMsg) {
-	pos := s.c.csr.Off[v] + int64(om.port)
+func (s *shard) route(sm sentMsg) {
+	pos := s.c.csr.Off[sm.src] + int64(sm.port)
 	to := int(s.c.csr.To[pos])
 	d := s.c.shardOf(to)
 	if d == s.id {
-		s.deliver(to, int(s.c.csr.PeerPort[pos]), om.msg)
+		s.deliver(to, int(s.c.csr.PeerPort[pos]), sm.msg)
 		return
 	}
-	s.out[d] = append(s.out[d], wireMsg{src: int32(v), port: om.port, msg: om.msg})
+	s.out[d] = append(s.out[d], wireMsg{src: sm.src, port: sm.port, msg: sm.msg})
 }
 
 // deliver appends one message to a local vertex's inbox, counts it, and
@@ -888,50 +908,13 @@ func (s *shard) recvBatch(j int) (*batch, error) {
 	return b, nil
 }
 
-// abort tears down the mesh (unblocking every other shard) and drains
-// the local vertices still waiting on a resume.
-func (s *shard) abort() {
-	s.c.closeAll()
-	resumed := 0
-	for i := range s.nodes {
-		nd := &s.nodes[i]
-		if nd.done || !nd.parked {
-			continue
-		}
-		nd.ctx.resume <- wake{abort: true}
-		resumed++
-	}
-	for i := 0; i < resumed; i++ {
-		id := <-s.yields
-		s.nodes[id-s.lo].done = true
-	}
-}
+// abort tears down the mesh, unblocking every other shard. Parked
+// fibers are plain structs and need no unwinding.
+func (s *shard) abort() { s.c.closeAll() }
 
-// runNode hosts one vertex goroutine: it resumes for round 0, runs the
-// program, and converts returns and panics alike into a final yield.
-func (s *shard) runNode(nd *nodeState, program func(congest.Context)) {
-	defer func() {
-		if r := recover(); r != nil {
-			if r != errAborted { //nolint:errorlint // sentinel identity
-				s.c.fail(fmt.Errorf("nettrans: processor %d panicked: %v", nd.ctx.id, r))
-			}
-			nd.out = yieldRec{done: true}
-			s.yields <- nd.ctx.id
-			return
-		}
-		nd.out = yieldRec{done: true, outbox: nd.ctx.outbox}
-		s.yields <- nd.ctx.id
-	}()
-	w := <-nd.ctx.resume
-	if w.abort {
-		panic(errAborted)
-	}
-	nd.ctx.round = w.round
-	program(nd.ctx)
-}
-
-// Node implements congest.Context for one cluster vertex. All methods
-// must be called only from the program's own goroutine.
+// Node is the congest.Context of one shard: the shard loop re-points it
+// at each vertex of the wake set before calling that vertex's fiber.
+// All methods must be called only from within that call.
 type Node struct {
 	s     *shard
 	id    int
@@ -939,37 +922,27 @@ type Node struct {
 	deg   int
 	round int64
 
-	// outbox/spare double-buffer the per-round sends: the buffer handed
-	// over at a yield is fully consumed by the shard before the vertex
-	// can run again, so the two buffers alternate without allocation.
-	outbox []outMsg
-	spare  []outMsg
+	// outbox stages the wake set's sends, in call order; exec routes
+	// and clears it once the whole wake set has run.
+	outbox []sentMsg
 
-	resume chan wake
-
-	// sentAt/sentN implement lazy per-round bandwidth accounting
-	// without an O(degree) reset every round.
-	sentAt []int64
-	sentN  []int32
+	// sentN counts the current call's sends per port. A fiber is
+	// called at most once per round, so per-call counts are per-round
+	// counts; exec re-zeroes the entries a call touched.
+	sentN []int32
 }
 
 var _ congest.Context = (*Node)(nil)
 
-func newNode(s *shard, id int) *Node {
-	deg := s.c.csr.Degree(id)
-	nd := &Node{
-		s:      s,
-		id:     id,
-		base:   s.c.csr.Off[id],
-		deg:    deg,
-		resume: make(chan wake, 1),
-		sentAt: make([]int64, deg),
-		sentN:  make([]int32, deg),
+// point aims the context at vertex id for one Start/Resume call.
+func (nd *Node) point(id int, round int64) {
+	nd.id = id
+	nd.base = nd.s.c.csr.Off[id]
+	nd.deg = nd.s.c.csr.Degree(id)
+	nd.round = round
+	if nd.deg > len(nd.sentN) {
+		nd.sentN = make([]int32, nd.deg)
 	}
-	for p := range nd.sentAt {
-		nd.sentAt[p] = -1
-	}
-	return nd
 }
 
 // ID returns the identity of the hosting vertex.
@@ -995,51 +968,13 @@ func (nd *Node) Send(p int, m congest.Message) {
 		nd.s.c.fail(fmt.Errorf("nettrans: processor %d sent on invalid port %d", nd.id, p))
 		panic(errAborted)
 	}
-	if nd.sentAt[p] != nd.round {
-		nd.sentAt[p] = nd.round
-		nd.sentN[p] = 0
-	}
 	if int(nd.sentN[p]) >= nd.s.c.cfg.bandwidth() {
 		nd.s.c.fail(fmt.Errorf("%w: processor %d port %d round %d (b=%d)",
 			congest.ErrBandwidth, nd.id, p, nd.round, nd.s.c.cfg.bandwidth()))
 		panic(errAborted)
 	}
 	nd.sentN[p]++
-	nd.outbox = append(nd.outbox, outMsg{port: int32(p), msg: m})
-}
-
-// Step ends the current round and resumes at the next one, returning
-// the messages delivered then (possibly none), sorted by port.
-func (nd *Node) Step() []congest.Inbound { return nd.yield(nd.round + 1) }
-
-// Recv ends the current round and blocks until some future round
-// delivers at least one message; it resumes in that round and returns
-// the messages.
-func (nd *Node) Recv() []congest.Inbound { return nd.yield(congest.Forever) }
-
-// RecvUntil ends the current round and resumes at the earliest round
-// r' <= target that delivers a message (returning the messages), or at
-// target itself with nil if none arrive. target must exceed the
-// current round.
-func (nd *Node) RecvUntil(target int64) []congest.Inbound {
-	if target <= nd.round {
-		nd.s.c.fail(fmt.Errorf("nettrans: processor %d: RecvUntil(%d) at round %d", nd.id, target, nd.round))
-		panic(errAborted)
-	}
-	return nd.yield(target)
-}
-
-func (nd *Node) yield(target int64) []congest.Inbound {
-	ns := &nd.s.nodes[nd.id-nd.s.lo]
-	ns.out = yieldRec{outbox: nd.outbox, target: target}
-	nd.outbox, nd.spare = nd.spare[:0], nd.outbox
-	nd.s.yields <- nd.id
-	w := <-nd.resume
-	if w.abort {
-		panic(errAborted)
-	}
-	nd.round = w.round
-	return w.msgs
+	nd.outbox = append(nd.outbox, sentMsg{src: int32(nd.id), port: int32(p), msg: m})
 }
 
 type timerEntry struct {

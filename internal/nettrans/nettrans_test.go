@@ -16,7 +16,7 @@ import (
 // runWithTimeout guards every cluster run in this file: a transport bug
 // must fail the test, not hang the suite.
 func runWithTimeout(t *testing.T, d time.Duration, g *graph.Graph, cfg Config,
-	program func(congest.Context)) (*congest.Stats, error) {
+	program func(id int) congest.Fiber) (*congest.Stats, error) {
 	t.Helper()
 	type result struct {
 		stats *congest.Stats
@@ -38,35 +38,60 @@ func runWithTimeout(t *testing.T, d time.Duration, g *graph.Graph, cfg Config,
 
 // lockstepStats runs the same program on the reference engine.
 func lockstepStats(t *testing.T, g *graph.Graph, bandwidth int,
-	program func(congest.Context)) *congest.Stats {
+	program func(id int) congest.Fiber) *congest.Stats {
 	t.Helper()
 	eng := congest.NewEngine(g, congest.Config{Bandwidth: bandwidth})
-	stats, err := eng.Run(func(ctx *congest.Ctx) { program(ctx) })
+	stats, err := eng.Run(program)
 	if err != nil {
 		t.Fatalf("lockstep: %v", err)
 	}
 	return stats
 }
 
+// steps is the fiber factory running boot on every vertex of g through
+// the Step kit. Each run needs a factory of its own.
+func steps(g *graph.Graph, boot func(c congest.Context) congest.Step) func(id int) congest.Fiber {
+	return congest.StepFiberFactory(g.N(), boot)
+}
+
+// retire is the program that finishes at once.
+func retire(congest.Context) congest.Step { return congest.Done() }
+
+// done is the continuation that retires a program.
+func done(congest.Context, []congest.Inbound) congest.Step { return congest.Done() }
+
+// nextRound parks until the next round and continues with k.
+func nextRound(c congest.Context, k congest.Resume) congest.Step {
+	return congest.Until(c.Round()+1, k)
+}
+
+// stepForever parks for the next round, every round, forever.
+func stepForever(c congest.Context) congest.Step {
+	return nextRound(c, func(c congest.Context, _ []congest.Inbound) congest.Step { return stepForever(c) })
+}
+
 func TestPingPongOverTCP(t *testing.T) {
 	b := graph.NewBuilder(2)
 	b.AddEdge(0, 1, 7)
 	g := b.MustGraph()
-	stats, err := runWithTimeout(t, 30*time.Second, g, Config{Shards: 2}, func(ctx congest.Context) {
-		if ctx.ID() == 0 {
-			ctx.Send(0, congest.Message{Kind: 5, A: 42})
-			msgs := ctx.Recv()
-			if len(msgs) != 1 || msgs[0].Msg.A != 43 {
-				t.Errorf("node 0 got %v", msgs)
+	stats, err := runWithTimeout(t, 30*time.Second, g, Config{Shards: 2}, steps(g, func(c congest.Context) congest.Step {
+		if c.ID() == 0 {
+			c.Send(0, congest.Message{Kind: 5, A: 42})
+			return congest.Await(func(c congest.Context, msgs []congest.Inbound) congest.Step {
+				if len(msgs) != 1 || msgs[0].Msg.A != 43 {
+					t.Errorf("node 0 got %v", msgs)
+				}
+				return congest.Done()
+			})
+		}
+		return congest.Await(func(c congest.Context, msgs []congest.Inbound) congest.Step {
+			if len(msgs) != 1 || msgs[0].Msg.A != 42 {
+				t.Errorf("node 1 got %v", msgs)
 			}
-			return
-		}
-		msgs := ctx.Recv()
-		if len(msgs) != 1 || msgs[0].Msg.A != 42 {
-			t.Errorf("node 1 got %v", msgs)
-		}
-		ctx.Send(msgs[0].Port, congest.Message{Kind: 5, A: 43})
-	})
+			c.Send(msgs[0].Port, congest.Message{Kind: 5, A: 43})
+			return congest.Done()
+		})
+	}))
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -83,20 +108,26 @@ func TestPingPongOverTCP(t *testing.T) {
 
 func TestWeightAndRoundSemantics(t *testing.T) {
 	g := graph.Path(3, graph.GenOptions{})
-	_, err := runWithTimeout(t, 30*time.Second, g, Config{Shards: 3}, func(ctx congest.Context) {
-		if ctx.ID() == 1 {
-			if ctx.Weight(0) != ctx.Weight(0) || ctx.Degree() != 2 {
+	_, err := runWithTimeout(t, 30*time.Second, g, Config{Shards: 3}, steps(g, func(c congest.Context) congest.Step {
+		if c.ID() == 1 {
+			if c.Weight(0) != c.Weight(0) || c.Degree() != 2 {
 				t.Error("weight/degree broken")
 			}
 		}
-		for i := 0; i < 5; i++ {
-			before := ctx.Round()
-			ctx.Step()
-			if ctx.Round() != before+1 {
-				t.Errorf("round %d -> %d", before, ctx.Round())
+		i, before := 0, c.Round()
+		var k congest.Resume
+		k = func(c congest.Context, _ []congest.Inbound) congest.Step {
+			if c.Round() != before+1 {
+				t.Errorf("round %d -> %d", before, c.Round())
 			}
+			if i++; i == 5 {
+				return congest.Done()
+			}
+			before = c.Round()
+			return nextRound(c, k)
 		}
-	})
+		return nextRound(c, k)
+	}))
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -106,13 +137,13 @@ func TestBandwidthEnforcedOverTCP(t *testing.T) {
 	b := graph.NewBuilder(2)
 	b.AddEdge(0, 1, 1)
 	g := b.MustGraph()
-	_, err := runWithTimeout(t, 30*time.Second, g, Config{Shards: 2}, func(ctx congest.Context) {
-		if ctx.ID() == 0 {
-			ctx.Send(0, congest.Message{})
-			ctx.Send(0, congest.Message{}) // second on same port, b=1
+	_, err := runWithTimeout(t, 30*time.Second, g, Config{Shards: 2}, steps(g, func(c congest.Context) congest.Step {
+		if c.ID() == 0 {
+			c.Send(0, congest.Message{})
+			c.Send(0, congest.Message{}) // second on same port, b=1
 		}
-		ctx.Step()
-	})
+		return nextRound(c, done)
+	}))
 	if !errors.Is(err, congest.ErrBandwidth) {
 		t.Fatalf("bandwidth violation not reported: %v", err)
 	}
@@ -125,16 +156,14 @@ func TestBandwidthEnforcedOverTCP(t *testing.T) {
 func TestElkinOverTCPMatchesSimulator(t *testing.T) {
 	g := graph.Grid(4, 4, graph.GenOptions{Seed: 77})
 
-	simPorts := make([][]int, g.N())
-	program := func(ctx congest.Context) {
-		simPorts[ctx.ID()] = core.Run(ctx, core.Config{}).MSTPorts
+	elkin := func(ports [][]int) func(id int) congest.Fiber {
+		return core.FiberFactory(g.N(), core.Config{}, func(id int, r *core.Result) { ports[id] = r.MSTPorts })
 	}
-	simStats := lockstepStats(t, g, 1, program)
+	simPorts := make([][]int, g.N())
+	simStats := lockstepStats(t, g, 1, elkin(simPorts))
 
 	tcpPorts := make([][]int, g.N())
-	tcpStats, err := runWithTimeout(t, 120*time.Second, g, Config{Shards: 3}, func(ctx congest.Context) {
-		tcpPorts[ctx.ID()] = core.Run(ctx, core.Config{}).MSTPorts
-	})
+	tcpStats, err := runWithTimeout(t, 120*time.Second, g, Config{Shards: 3}, elkin(tcpPorts))
 	if err != nil {
 		t.Fatalf("tcp: %v", err)
 	}
@@ -165,11 +194,11 @@ func TestGHSOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	ports := make([][]int, g.N())
-	program := func(ctx congest.Context) {
-		ports[ctx.ID()] = ghs.Run(ctx).MSTPorts
+	program := func() func(id int) congest.Fiber {
+		return ghs.FiberFactory(g.N(), func(id int, mstPorts []int) { ports[id] = mstPorts })
 	}
-	simStats := lockstepStats(t, g, 1, program)
-	tcpStats, err := runWithTimeout(t, 60*time.Second, g, Config{Shards: 4}, program)
+	simStats := lockstepStats(t, g, 1, program())
+	tcpStats, err := runWithTimeout(t, 60*time.Second, g, Config{Shards: 4}, program())
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -188,9 +217,10 @@ func TestGHSOverTCP(t *testing.T) {
 func TestDegenerateInputs(t *testing.T) {
 	t.Run("n=0", func(t *testing.T) {
 		g := graph.NewBuilder(0).MustGraph()
-		stats, err := runWithTimeout(t, 10*time.Second, g, Config{}, func(congest.Context) {
+		stats, err := runWithTimeout(t, 10*time.Second, g, Config{}, steps(g, func(congest.Context) congest.Step {
 			t.Error("program ran on empty graph")
-		})
+			return congest.Done()
+		}))
 		if err != nil {
 			t.Fatalf("Run: %v", err)
 		}
@@ -200,12 +230,12 @@ func TestDegenerateInputs(t *testing.T) {
 	})
 	t.Run("n=1", func(t *testing.T) {
 		g := graph.Path(1, graph.GenOptions{})
-		stats, err := runWithTimeout(t, 10*time.Second, g, Config{Shards: 8}, func(ctx congest.Context) {
-			if ctx.Degree() != 0 || ctx.ID() != 0 {
+		stats, err := runWithTimeout(t, 10*time.Second, g, Config{Shards: 8}, steps(g, func(c congest.Context) congest.Step {
+			if c.Degree() != 0 || c.ID() != 0 {
 				t.Error("bad singleton context")
 			}
-			ctx.Step()
-		})
+			return nextRound(c, done)
+		}))
 		if err != nil {
 			t.Fatalf("Run: %v", err)
 		}
@@ -217,15 +247,17 @@ func TestDegenerateInputs(t *testing.T) {
 		b := graph.NewBuilder(2)
 		b.AddEdge(0, 1, 3)
 		g := b.MustGraph()
-		program := func(ctx congest.Context) {
-			ctx.Send(0, congest.Message{Kind: 9, A: int64(ctx.ID())})
-			msgs := ctx.Step()
-			if len(msgs) != 1 || msgs[0].Msg.A != int64(1-ctx.ID()) {
-				t.Errorf("vertex %d got %v", ctx.ID(), msgs)
-			}
+		program := func(c congest.Context) congest.Step {
+			c.Send(0, congest.Message{Kind: 9, A: int64(c.ID())})
+			return nextRound(c, func(c congest.Context, msgs []congest.Inbound) congest.Step {
+				if len(msgs) != 1 || msgs[0].Msg.A != int64(1-c.ID()) {
+					t.Errorf("vertex %d got %v", c.ID(), msgs)
+				}
+				return congest.Done()
+			})
 		}
-		want := lockstepStats(t, g, 1, program)
-		got, err := runWithTimeout(t, 10*time.Second, g, Config{Shards: 2}, program)
+		want := lockstepStats(t, g, 1, steps(g, program))
+		got, err := runWithTimeout(t, 10*time.Second, g, Config{Shards: 2}, steps(g, program))
 		if err != nil {
 			t.Fatalf("Run: %v", err)
 		}
@@ -237,22 +269,24 @@ func TestDegenerateInputs(t *testing.T) {
 		b := graph.NewBuilder(2)
 		b.AddEdge(0, 1, 1)
 		g := b.MustGraph()
-		program := func(ctx congest.Context) {
+		program := func(c congest.Context) congest.Step {
 			for i := int64(0); i < 3; i++ {
-				ctx.Send(0, congest.Message{Kind: 2, A: i})
+				c.Send(0, congest.Message{Kind: 2, A: i})
 			}
-			msgs := ctx.Step()
-			if len(msgs) != 3 {
-				t.Fatalf("vertex %d got %d msgs, want 3", ctx.ID(), len(msgs))
-			}
-			for i, in := range msgs {
-				if in.Msg.A != int64(i) {
-					t.Errorf("per-port FIFO broken: msg %d carries %d", i, in.Msg.A)
+			return nextRound(c, func(c congest.Context, msgs []congest.Inbound) congest.Step {
+				if len(msgs) != 3 {
+					t.Errorf("vertex %d got %d msgs, want 3", c.ID(), len(msgs))
 				}
-			}
+				for i, in := range msgs {
+					if in.Msg.A != int64(i) {
+						t.Errorf("per-port FIFO broken: msg %d carries %d", i, in.Msg.A)
+					}
+				}
+				return congest.Done()
+			})
 		}
-		want := lockstepStats(t, g, 3, program)
-		got, err := runWithTimeout(t, 10*time.Second, g, Config{Bandwidth: 3, Shards: 2}, program)
+		want := lockstepStats(t, g, 3, steps(g, program))
+		got, err := runWithTimeout(t, 10*time.Second, g, Config{Bandwidth: 3, Shards: 2}, steps(g, program))
 		if err != nil {
 			t.Fatalf("Run: %v", err)
 		}
@@ -262,9 +296,10 @@ func TestDegenerateInputs(t *testing.T) {
 	})
 	t.Run("return-at-round-0", func(t *testing.T) {
 		g := graph.Ring(8, graph.GenOptions{Seed: 5})
-		stats, err := runWithTimeout(t, 10*time.Second, g, Config{Shards: 3}, func(ctx congest.Context) {
-			ctx.Send(0, congest.Message{Kind: 1}) // sent, delivered to finished peers, still counted
-		})
+		stats, err := runWithTimeout(t, 10*time.Second, g, Config{Shards: 3}, steps(g, func(c congest.Context) congest.Step {
+			c.Send(0, congest.Message{Kind: 1}) // sent, delivered to finished peers, still counted
+			return congest.Done()
+		}))
 		if err != nil {
 			t.Fatalf("Run: %v", err)
 		}
@@ -278,25 +313,29 @@ func TestDegenerateInputs(t *testing.T) {
 }
 
 // TestIdleRoundSkipping is the synchronizer's reason to exist: a
-// 100000-round RecvUntil stretch with no traffic must cost a handful of
+// 100000-round park with no traffic must cost a handful of
 // wire exchanges, not 100000 of them — while Stats.Rounds still reports
 // the deadline round the program observed, exactly like the simulators.
 func TestIdleRoundSkipping(t *testing.T) {
 	const deadline = 100_000
 	g := graph.Path(4, graph.GenOptions{})
-	program := func(ctx congest.Context) {
-		if ctx.ID() == 0 {
-			if msgs := ctx.RecvUntil(deadline); msgs != nil {
+	program := func(c congest.Context) congest.Step {
+		if c.ID() != 0 {
+			return congest.Done()
+		}
+		return congest.Until(deadline, func(c congest.Context, msgs []congest.Inbound) congest.Step {
+			if msgs != nil {
 				t.Errorf("vertex 0 woke with %v", msgs)
 			}
-			if ctx.Round() != deadline {
-				t.Errorf("vertex 0 resumed at %d, want %d", ctx.Round(), deadline)
+			if c.Round() != deadline {
+				t.Errorf("vertex 0 resumed at %d, want %d", c.Round(), deadline)
 			}
-		}
+			return congest.Done()
+		})
 	}
-	want := lockstepStats(t, g, 1, program)
+	want := lockstepStats(t, g, 1, steps(g, program))
 	start := time.Now()
-	got, err := runWithTimeout(t, 20*time.Second, g, Config{Shards: 2}, program)
+	got, err := runWithTimeout(t, 20*time.Second, g, Config{Shards: 2}, steps(g, program))
 	elapsed := time.Since(start)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -331,7 +370,7 @@ func TestSocketBudget(t *testing.T) {
 	if got := c.sockets(); got > 4*4 {
 		t.Errorf("socket budget exceeded: %d > shards²", got)
 	}
-	stats, err := c.run(context.Background(), func(ctx congest.Context) { ctx.Step() })
+	stats, err := c.run(context.Background(), steps(g, func(c congest.Context) congest.Step { return nextRound(c, done) }))
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -342,12 +381,12 @@ func TestSocketBudget(t *testing.T) {
 
 func TestProgramPanicOverTCP(t *testing.T) {
 	g := graph.Path(3, graph.GenOptions{})
-	_, err := runWithTimeout(t, 30*time.Second, g, Config{Shards: 3}, func(ctx congest.Context) {
-		if ctx.ID() == 1 {
+	_, err := runWithTimeout(t, 30*time.Second, g, Config{Shards: 3}, steps(g, func(c congest.Context) congest.Step {
+		if c.ID() == 1 {
 			panic("boom")
 		}
-		ctx.Recv() // must unwind when the neighbor dies
-	})
+		return congest.Await(done) // must unwind when the neighbor dies
+	}))
 	if err == nil {
 		t.Fatal("panic not reported")
 	}
@@ -362,16 +401,23 @@ func TestProgramPanicOverTCP(t *testing.T) {
 // in reconnect_test.go.
 func TestFaultInjectionConnKill(t *testing.T) {
 	g := graph.Ring(12, graph.GenOptions{Seed: 3})
-	program := func(ctx congest.Context) {
+	program := func(c congest.Context) congest.Step {
 		// A few rounds of real traffic so batches keep flowing across
 		// the healed connection.
-		for i := 0; i < 8; i++ {
-			ctx.Send(0, congest.Message{Kind: 1, A: int64(i)})
-			ctx.Send(1, congest.Message{Kind: 1, A: int64(i)})
-			ctx.Step()
+		i := 0
+		var k congest.Resume
+		k = func(c congest.Context, _ []congest.Inbound) congest.Step {
+			if i == 8 {
+				return congest.Done()
+			}
+			c.Send(0, congest.Message{Kind: 1, A: int64(i)})
+			c.Send(1, congest.Message{Kind: 1, A: int64(i)})
+			i++
+			return nextRound(c, k)
 		}
+		return k(c, nil)
 	}
-	want := lockstepStats(t, g, 2, program)
+	want := lockstepStats(t, g, 2, steps(g, program))
 	var net congest.NetSample
 	obs := &netRecorder{sink: &net}
 	got, err := runWithTimeout(t, 30*time.Second, g, Config{
@@ -379,7 +425,7 @@ func TestFaultInjectionConnKill(t *testing.T) {
 		Bandwidth:       2,
 		ChaosCloseAfter: 3,
 		Observer:        obs,
-	}, program)
+	}, steps(g, program))
 	if err != nil {
 		t.Fatalf("Run with severed connection: %v", err)
 	}
@@ -399,13 +445,13 @@ func (r *netRecorder) OnRound(congest.RoundEvent) {}
 func (r *netRecorder) OnPhase(congest.PhaseEvent) {}
 func (r *netRecorder) OnNet(ns congest.NetSample) { *r.sink = ns }
 
-// TestDeadlockDetectedOverTCP: all programs blocked in Recv with no
+// TestDeadlockDetectedOverTCP: all programs awaiting a delivery with no
 // traffic possible must surface as ErrDeadlock, agreed by every shard.
 func TestDeadlockDetectedOverTCP(t *testing.T) {
 	g := graph.Path(4, graph.GenOptions{})
-	_, err := runWithTimeout(t, 30*time.Second, g, Config{Shards: 2}, func(ctx congest.Context) {
-		ctx.Recv()
-	})
+	_, err := runWithTimeout(t, 30*time.Second, g, Config{Shards: 2}, steps(g, func(c congest.Context) congest.Step {
+		return congest.Await(done)
+	}))
 	if !errors.Is(err, congest.ErrDeadlock) {
 		t.Fatalf("err = %v, want ErrDeadlock", err)
 	}
@@ -415,11 +461,7 @@ func TestDeadlockDetectedOverTCP(t *testing.T) {
 // round, like the simulators.
 func TestMaxRoundsOverTCP(t *testing.T) {
 	g := graph.Path(2, graph.GenOptions{})
-	_, err := runWithTimeout(t, 30*time.Second, g, Config{Shards: 2, MaxRounds: 64}, func(ctx congest.Context) {
-		for {
-			ctx.Step()
-		}
-	})
+	_, err := runWithTimeout(t, 30*time.Second, g, Config{Shards: 2, MaxRounds: 64}, steps(g, stepForever))
 	if !errors.Is(err, congest.ErrMaxRounds) {
 		t.Fatalf("err = %v, want ErrMaxRounds", err)
 	}

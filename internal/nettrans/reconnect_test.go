@@ -49,7 +49,7 @@ func TestCancelDuringDialBackoff(t *testing.T) {
 	type result struct{ err error }
 	ch := make(chan result, 1)
 	go func() {
-		_, err := m.Run(ctx, func(congest.Context) {})
+		_, err := m.Run(ctx, steps(g, retire))
 		ch <- result{err}
 	}()
 	time.Sleep(100 * time.Millisecond) // let the first (refused) dial land us in backoff
@@ -92,7 +92,7 @@ func TestSetupErrorNamesPhase(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer m.Close()
-		_, err = m.Run(context.Background(), func(congest.Context) {})
+		_, err = m.Run(context.Background(), steps(g, retire))
 		var pe *PeerError
 		if !errors.As(err, &pe) {
 			t.Fatalf("err = %v, want *PeerError", err)
@@ -116,7 +116,7 @@ func TestSetupErrorNamesPhase(t *testing.T) {
 		defer m.Close()
 		ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 		defer cancel()
-		_, err = m.Run(ctx, func(congest.Context) {})
+		_, err = m.Run(ctx, steps(g, retire))
 		if !errors.Is(err, context.DeadlineExceeded) {
 			t.Fatalf("err = %v, want wrapped context.DeadlineExceeded", err)
 		}
@@ -147,12 +147,19 @@ func TestReconnectExhaustedSurfacesPeerError(t *testing.T) {
 	type result struct{ err error }
 	ch := make(chan result, 1)
 	go func() {
-		_, err := c.run(context.Background(), func(ctx congest.Context) {
-			for i := 0; i < 50; i++ {
-				ctx.Send(0, congest.Message{Kind: 1})
-				ctx.Step()
+		_, err := c.run(context.Background(), steps(g, func(c congest.Context) congest.Step {
+			i := 0
+			var k congest.Resume
+			k = func(c congest.Context, _ []congest.Inbound) congest.Step {
+				if i == 50 {
+					return congest.Done()
+				}
+				c.Send(0, congest.Message{Kind: 1})
+				i++
+				return nextRound(c, k)
 			}
-		})
+			return k(c, nil)
+		}))
 		ch <- result{err}
 	}()
 	select {

@@ -48,7 +48,7 @@ import (
 )
 
 // asyncRun is the per-run state of the windowed delivery path. It is
-// created by RunAsyncContext and reached through Engine.async; the
+// created by RunAsync and reached through Engine.async; the
 // barrier engines leave the field nil.
 type asyncRun struct {
 	// rng orders each window's execution slices; seeding it makes the
@@ -92,7 +92,7 @@ type asyncRun struct {
 	obs congest.AsyncObserver
 }
 
-// RunAsyncContext executes one Fiber per vertex on the windowed
+// RunAsync executes one Fiber per vertex on the windowed
 // delivery path: no global round barrier, per-shard delivery queues
 // drained concurrently with execution, termination per window by
 // acknowledgment-counting quiescence. seed fixes the scheduler's
@@ -101,11 +101,10 @@ type asyncRun struct {
 // same algorithm on any other engine regardless of seed.
 // Cancellation is checked at window boundaries — parked fibers are
 // plain structs, so teardown drops them wholesale.
-func (e *Engine) RunAsyncContext(ctx context.Context, factory func(id int) congest.Fiber, seed uint64) (*congest.Stats, error) {
+func (e *Engine) RunAsync(ctx context.Context, factory func(id int) congest.Fiber, seed uint64) (*congest.Stats, error) {
 	if stats, err, ok := e.begin(ctx); !ok {
 		return stats, err
 	}
-	e.fiberMode = true
 	nsh := len(e.shards)
 	a := &asyncRun{
 		rng:     rand.New(rand.NewSource(int64(seed))), //lint:allow noclock seeded scheduler: reproducible by construction
@@ -243,7 +242,7 @@ func (a *asyncRun) claimDirty(e *Engine) (int, bool) {
 // execOne runs shard si's execution slice under its shard lock, then
 // publishes completion: execed[si] opens the shard for draining,
 // execDone feeds the quiescence detector. The slice itself is the
-// shared fiber exec path (execShardFiber), which in async mode flushes
+// shared exec path (execShard), which in async mode flushes
 // each vertex's sends as it yields.
 func (a *asyncRun) execOne(e *Engine, si int) {
 	var t0 time.Time
@@ -253,7 +252,7 @@ func (a *asyncRun) execOne(e *Engine, si int) {
 	a.shardMu[si].Lock()
 	s := &e.shards[si]
 	s.execs += int64(len(s.active))
-	e.execShardFiber(si)
+	e.execShard(si)
 	if e.sample {
 		s.busyNanos += time.Since(t0).Nanoseconds() //lint:allow noclock shard busy-time sampling, armed only for ShardObservers
 	}
@@ -266,7 +265,7 @@ func (a *asyncRun) execOne(e *Engine, si int) {
 // buckets into the destination queues, incrementing the in-flight
 // counter before a message becomes visible (so the detector can never
 // see zero with a message enqueued) and raising the destination's
-// dirty flag after. Called from execShardFiber after every yield, so
+// dirty flag after. Called from execShard after every yield, so
 // a port's messages land contiguously, in send order.
 func (a *asyncRun) flush(e *Engine, s *shard) {
 	for d, b := range s.buckets {

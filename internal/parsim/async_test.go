@@ -57,7 +57,7 @@ func (f *quiesceFiber) Resume(c congest.Context, msgs []congest.Inbound) congest
 // package contract: removing the round barrier changes when work
 // happens on the wall clock, not what the algorithm observes, so
 // Rounds, Messages and ByKind must come out bit-identical to the
-// blocking form on the lockstep engine — across worker counts, seeds,
+// Step form on the lockstep engine — across worker counts, seeds,
 // and on both sides of the inline/parallel threshold.
 func TestAsyncStatsMatchLockstep(t *testing.T) {
 	sizes := []struct{ n, m int }{{40, 100}, {300, 900}, {1500, 4000}}
@@ -69,14 +69,10 @@ func TestAsyncStatsMatchLockstep(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		prog := floodProgram(12)
-		ref, err := congest.NewEngine(g, congest.Config{}).Run(func(c *congest.Ctx) { prog(c) })
-		if err != nil {
-			t.Fatalf("lockstep n=%d: %v", sz.n, err)
-		}
+		ref := lockstepFlood(t, g, 12)
 		for _, workers := range []int{1, 2, 4, 7} {
 			for _, seed := range []uint64{0, 1, 99} {
-				got, err := NewEngine(g, Config{Workers: workers}).RunAsyncContext(context.Background(),
+				got, err := NewEngine(g, Config{Workers: workers}).RunAsync(context.Background(),
 					func(int) congest.Fiber { return &quiesceFiber{rounds: 12} }, seed)
 				if err != nil {
 					t.Fatalf("async n=%d workers=%d seed=%d: %v", sz.n, workers, seed, err)
@@ -133,7 +129,7 @@ func TestAsyncSeededDeterminism(t *testing.T) {
 	}
 	run := func(seed uint64) (*congest.Stats, *asyncRecorder) {
 		rec := &asyncRecorder{}
-		stats, err := NewEngine(g, Config{Workers: 1, Observer: rec}).RunAsyncContext(
+		stats, err := NewEngine(g, Config{Workers: 1, Observer: rec}).RunAsync(
 			context.Background(), func(int) congest.Fiber { return &quiesceFiber{rounds: 10} }, seed)
 		if err != nil {
 			t.Fatalf("async seed=%d: %v", seed, err)
@@ -179,7 +175,7 @@ func TestAsyncObserverAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := &asyncRecorder{}
-	stats, err := NewEngine(g, Config{Workers: 3, Observer: rec}).RunAsyncContext(
+	stats, err := NewEngine(g, Config{Workers: 3, Observer: rec}).RunAsync(
 		context.Background(), func(int) congest.Fiber { return &quiesceFiber{rounds: 9} }, 5)
 	if err != nil {
 		t.Fatal(err)
@@ -244,7 +240,7 @@ func TestAsyncQuiesceParkDelivery(t *testing.T) {
 	g := pair(t)
 	var woke int64 = -1
 	var got []congest.Inbound
-	_, err := NewEngine(g, Config{}).RunAsyncContext(context.Background(),
+	_, err := NewEngine(g, Config{}).RunAsync(context.Background(),
 		func(id int) congest.Fiber {
 			if id == 0 {
 				return &quiesceParkFiber{send: true}
@@ -268,7 +264,7 @@ func TestAsyncFastForward(t *testing.T) {
 	g := pair(t)
 	var woke0, woke1 int64
 	start := time.Now()
-	stats, err := NewEngine(g, Config{}).RunAsyncContext(context.Background(),
+	stats, err := NewEngine(g, Config{}).RunAsync(context.Background(),
 		func(id int) congest.Fiber {
 			woke := &woke0
 			if id == 1 {
@@ -301,7 +297,7 @@ func TestAsyncRunContextCancel(t *testing.T) {
 	defer cancel()
 	errCh := make(chan error, 1)
 	go func() {
-		_, err := e.RunAsyncContext(ctx, func(int) congest.Fiber { return stepperFiber{} }, 0)
+		_, err := e.RunAsync(ctx, func(int) congest.Fiber { return stepperFiber{} }, 0)
 		errCh <- err
 	}()
 	time.Sleep(30 * time.Millisecond)
@@ -328,7 +324,7 @@ func TestAsyncRunContextDeadline(t *testing.T) {
 	e := NewEngine(g, Config{Workers: 2})
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
-	_, err := e.RunAsyncContext(ctx, func(int) congest.Fiber { return stepperFiber{} }, 0)
+	_, err := e.RunAsync(ctx, func(int) congest.Fiber { return stepperFiber{} }, 0)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Errorf("error %v does not wrap context.DeadlineExceeded", err)
 	}
@@ -345,7 +341,7 @@ func TestAsyncRunContextPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	started := false
-	_, err := NewEngine(g, Config{}).RunAsyncContext(ctx, func(int) congest.Fiber {
+	_, err := NewEngine(g, Config{}).RunAsync(ctx, func(int) congest.Fiber {
 		started = true
 		return stepperFiber{}
 	}, 0)
@@ -361,7 +357,7 @@ func TestAsyncRunContextPreCancelled(t *testing.T) {
 // report, like every other mode.
 func TestAsyncPanicReported(t *testing.T) {
 	g := path3(t)
-	_, err := NewEngine(g, Config{}).RunAsyncContext(context.Background(),
+	_, err := NewEngine(g, Config{}).RunAsync(context.Background(),
 		func(id int) congest.Fiber {
 			if id == 1 {
 				return panicFiber{}
@@ -376,12 +372,11 @@ func TestAsyncPanicReported(t *testing.T) {
 // TestAsyncBlockingCallRejected: the fiber contract's no-blocking rule
 // holds on the windowed path too.
 func TestAsyncBlockingCallRejected(t *testing.T) {
-	g := pair(t)
-	_, err := NewEngine(g, Config{}).RunAsyncContext(context.Background(),
-		func(int) congest.Fiber { return blockingCallFiber{} }, 0)
-	if err == nil || !strings.Contains(err.Error(), "blocking") {
-		t.Fatalf("err = %v, want blocking-call rejection", err)
-	}
+	requireNoReceive(t, func(f congest.Fiber) error {
+		_, err := NewEngine(pair(t), Config{}).RunAsync(context.Background(),
+			func(int) congest.Fiber { return f }, 0)
+		return err
+	})
 }
 
 // TestAsyncEngineSingleUse: the async entry point shares the
@@ -390,10 +385,10 @@ func TestAsyncEngineSingleUse(t *testing.T) {
 	g := pair(t)
 	e := NewEngine(g, Config{})
 	factory := func(int) congest.Fiber { return &quiesceFiber{rounds: 1} }
-	if _, err := e.RunAsyncContext(context.Background(), factory, 0); err != nil {
+	if _, err := e.RunAsync(context.Background(), factory, 0); err != nil {
 		t.Fatalf("first run: %v", err)
 	}
-	if _, err := e.RunAsyncContext(context.Background(), factory, 0); !errors.Is(err, congest.ErrReused) {
+	if _, err := e.RunAsync(context.Background(), factory, 0); !errors.Is(err, congest.ErrReused) {
 		t.Fatalf("second run err = %v, want ErrReused", err)
 	}
 }
@@ -402,7 +397,7 @@ func TestAsyncEngineSingleUse(t *testing.T) {
 // the same deadlock every engine reports.
 func TestAsyncDeadlock(t *testing.T) {
 	g := pair(t)
-	_, err := NewEngine(g, Config{}).RunAsyncContext(context.Background(),
+	_, err := NewEngine(g, Config{}).RunAsync(context.Background(),
 		func(int) congest.Fiber { return &parkFiber{target: congest.Forever, sendTo: -1} }, 0)
 	if !errors.Is(err, congest.ErrDeadlock) {
 		t.Fatalf("err = %v, want ErrDeadlock", err)
@@ -434,7 +429,7 @@ func TestAsyncNoGoroutineGrowth(t *testing.T) {
 			time.Sleep(100 * time.Microsecond)
 		}
 	}()
-	if _, err := NewEngine(g, Config{Workers: 4}).RunAsyncContext(context.Background(),
+	if _, err := NewEngine(g, Config{Workers: 4}).RunAsync(context.Background(),
 		func(int) congest.Fiber { return &quiesceFiber{rounds: 8} }, 3); err != nil {
 		t.Fatalf("Run: %v", err)
 	}

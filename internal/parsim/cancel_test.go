@@ -11,8 +11,8 @@ import (
 )
 
 // awaitGoroutines waits for the goroutine count to settle back to (or
-// near) baseline after a cancelled run: every vertex goroutine and
-// every pool worker must have unwound.
+// near) baseline after a cancelled run: every pool worker must have
+// unwound.
 func awaitGoroutines(t *testing.T, baseline int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -24,11 +24,16 @@ func awaitGoroutines(t *testing.T, baseline int) {
 	}
 }
 
+// stepForever parks for the next round, every round, forever.
+func stepForever(c congest.Context) congest.Step {
+	return nextRound(c, func(c congest.Context, _ []congest.Inbound) congest.Step { return stepForever(c) })
+}
+
 // TestRunContextCancel cancels an endlessly stepping program mid-run.
 // The engine checks its context at every round boundary (thousands per
 // second here), so a prompt return means the cancellation was observed
-// within one boundary; the worker pool and all vertex goroutines must
-// drain and the error must wrap context.Canceled.
+// within one boundary; the worker pool must drain and the error must
+// wrap context.Canceled.
 func TestRunContextCancel(t *testing.T) {
 	g := path3(t)
 	baseline := runtime.NumGoroutine()
@@ -37,11 +42,7 @@ func TestRunContextCancel(t *testing.T) {
 	defer cancel()
 	errCh := make(chan error, 1)
 	go func() {
-		_, err := e.RunContext(ctx, func(c congest.Context) {
-			for {
-				c.Step()
-			}
-		})
+		_, err := e.RunContext(ctx, congest.StepFiberFactory(g.N(), stepForever))
 		errCh <- err
 	}()
 	time.Sleep(30 * time.Millisecond)
@@ -65,11 +66,7 @@ func TestRunContextDeadline(t *testing.T) {
 	e := NewEngine(g, Config{Workers: 2})
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
-	_, err := e.RunContext(ctx, func(c congest.Context) {
-		for {
-			c.Step()
-		}
-	})
+	_, err := e.RunContext(ctx, congest.StepFiberFactory(g.N(), stepForever))
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Errorf("error %v does not wrap context.DeadlineExceeded", err)
 	}
@@ -83,7 +80,7 @@ func TestRunContextPreCancelled(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := NewEngine(g, Config{}).RunContext(ctx, func(c congest.Context) { c.Step() })
+	_, err := NewEngine(g, Config{}).RunContext(ctx, congest.StepFiberFactory(g.N(), stepForever))
 	if !errors.Is(err, context.Canceled) {
 		t.Errorf("error %v does not wrap context.Canceled", err)
 	}

@@ -1,14 +1,14 @@
 // Package parsim is the parallel event-driven CONGEST engine: it runs
-// the same programs as internal/congest (anything written against
-// congest.Context) and reports bit-identical Rounds, Messages and
-// per-kind counters, but is built for million-vertex graphs.
+// the same congest.Fiber programs as internal/congest and reports
+// bit-identical Rounds, Messages and per-kind counters, but is built
+// for million-vertex graphs.
 //
 // Three things distinguish it from the lockstep engine:
 //
 //   - Sparse activation. A round only touches vertices that have
-//     pending deliveries or an expired RecvUntil deadline. Wake times
+//     pending deliveries or an expired park deadline. Wake times
 //     live in per-round ready lists plus a calendar heap, so a quiet
-//     stretch of the execution costs one heap pop, not n goroutine
+//     stretch of the execution costs one heap pop, not n vertex
 //     wakeups.
 //
 //   - A fixed worker pool over vertex shards. Vertices are split into
@@ -33,23 +33,10 @@
 // execution (BFS fronts, fragment chains) keeps lockstep-like latency
 // while the wide rounds (Boruvka floods, forest phases) fan out.
 //
-// The engine runs programs in either of two modes:
-//
-//   - Goroutine mode (RunContext): the program is a blocking
-//     func(congest.Context); every vertex owns a goroutine that parks
-//     in Step/Recv/RecvUntil. Compatible with every algorithm in the
-//     repository, but a million parked goroutines cost gigabytes of
-//     stacks.
-//
-//   - Fiber mode (RunFiberContext): the program is a resumable Fiber
-//     state machine executed inline on the shard workers; a parked
-//     vertex is its state struct plus a calendar entry — no goroutine,
-//     no stack, no channel. An order of magnitude less memory at
-//     10^6 vertices, with the same bit-identical statistics.
-//
-// Both modes share the round loop, the calendar, and the delivery
-// path, so their Rounds/Messages/ByKind agree with each other and
-// with the lockstep engine.
+// Vertex programs are congest.Fiber state machines executed inline on
+// the shard workers: a parked vertex is its state struct plus a
+// calendar entry — no goroutine, no stack, no channel — so a
+// million-vertex run costs the worker pool and nothing per vertex.
 package parsim
 
 import (
@@ -116,8 +103,8 @@ const (
 	parallelThreshold = 512
 )
 
-// errAborted unwinds vertex programs after a failure; it never
-// escapes the package.
+// errAborted unwinds a fiber call after a failure; it never escapes
+// the package.
 var errAborted = fmt.Errorf("parsim: run aborted")
 
 type outMsg struct {
@@ -133,12 +120,6 @@ type delivery struct {
 	msg  congest.Message
 }
 
-type yieldRec struct {
-	outbox []outMsg
-	target int64
-	done   bool
-}
-
 // node is the engine-side state of one vertex, lean enough that a
 // million parked fibers cost tens of megabytes. Every field is owned
 // by the vertex's own shard: the exec phase touches it from the
@@ -147,49 +128,23 @@ type yieldRec struct {
 // to the shard that contains the vertex — and the two phases are
 // separated by a barrier.
 type node struct {
-	fib congest.Fiber // fiber mode: the resumable program (nil once done)
+	fib congest.Fiber // the vertex program (nil once done)
 
 	inbox []congest.Inbound
 
-	started bool // fiber mode: Start has run
+	started bool // Start has run
 	queued  bool
 	parked  bool
 	done    bool
-	target  int64
 	gen     int64
-}
-
-// gnode is the goroutine-mode extension of node, allocated only when
-// a run actually parks goroutines. The exec loop hands it back and
-// forth with the vertex's goroutine: the engine writes wakeRound and
-// abort (and leaves node.inbox sorted) before releasing sem, the
-// program writes out before releasing the shard's yieldSem, and the
-// two semaphore handoffs order every access.
-type gnode struct {
-	ctx *Ctx // the vertex's processor-side view
-
-	// sem is the park semaphore: held by the engine while the program
-	// runs or is parked, released once per wake. One mutex instead of
-	// the former one-buffered channel per vertex.
-	sem       sync.Mutex
-	wakeRound int64
-	abort     bool
-	out       yieldRec
 }
 
 // shard owns a contiguous vertex range and this round's arenas.
 type shard struct {
 	lo, hi int
 
-	// yieldSem is the goroutine-mode yield rendezvous: held by the
-	// engine, released by a yielding (or returning) vertex program.
-	// Exec resumes the shard's vertices one at a time, so a single
-	// semaphore per shard replaces the former per-shard channel
-	// buffered to the shard size.
-	yieldSem sync.Mutex
-
-	// fc is the fiber-mode execution context, shared by every vertex
-	// of the shard (exec is inline and sequential within a shard).
+	// fc is the execution context, shared by every vertex of the
+	// shard (exec is inline and sequential within a shard).
 	fc fiberCtx
 
 	// active/nextActive are this and next round's wake sets (own
@@ -201,13 +156,11 @@ type shard struct {
 	// backing arrays are reused from round to round.
 	buckets [][]delivery
 
-	// Fiber-mode delivery arena. A fiber's msgs argument is
-	// engine-owned and valid only during the call, so one round's
-	// deliveries to this shard live in a single flat array (written by
-	// the deliver phase, fully consumed by the next exec phase) and
-	// every vertex's inbox is a view into it: zero allocations per
-	// round, where goroutine mode — whose programs own what Recv
-	// returned — must allocate one inbox per wake. cnt/start are
+	// Delivery arena. A fiber's msgs argument is engine-owned and
+	// valid only during the call, so one round's deliveries to this
+	// shard live in a single flat array (written by the deliver phase,
+	// fully consumed by the next exec phase) and every vertex's inbox
+	// is a view into it: zero allocations per round. cnt/start are
 	// per-local-vertex scatter state and touched lists the local
 	// indices with deliveries this round; all four are reused for the
 	// life of the run.
@@ -216,9 +169,8 @@ type shard struct {
 	start   []int32
 	touched []int32
 
-	// arena is the pooled backing-store record the fiber-mode slices
-	// above were drawn from; runLoop returns it to fiberArenas when the
-	// run ends.
+	// arena is the pooled backing-store record the slices above were
+	// drawn from; runLoop returns it to fiberArenas when the run ends.
 	arena *fiberArena
 
 	// timers stages calendar entries for the coordinator.
@@ -256,10 +208,8 @@ type Engine struct {
 	cfg Config
 
 	nodes     []node
-	gnodes    []gnode // goroutine mode only
 	shards    []shard
 	shardSize int
-	fiberMode bool
 
 	// clock is the shared logical clock + park calendar
 	// (congest.Clock): the round index under the barrier engines, the
@@ -347,58 +297,23 @@ func (e *Engine) begin(ctx context.Context) (*congest.Stats, error, bool) {
 	return nil, nil, true
 }
 
-// Run executes program on every vertex and blocks until all processors
-// return (or the run fails). It returns the stats accumulated up to
-// completion or failure. Rounds, Messages and ByKind are bit-identical
-// to what congest.Engine reports for the same program and graph.
-func (e *Engine) Run(program func(congest.Context)) (*congest.Stats, error) {
-	return e.RunContext(context.Background(), program)
+// Run executes the fiber factory(v) on every vertex v and returns once
+// every fiber parked Done (or the run fails). Start and Resume are
+// called inline on the shard workers, and a parked vertex costs its
+// state struct. Rounds, Messages and ByKind are bit-identical to what
+// congest.Engine reports for the same fibers and graph.
+func (e *Engine) Run(factory func(id int) congest.Fiber) (*congest.Stats, error) {
+	return e.RunContext(context.Background(), factory)
 }
 
 // RunContext is Run under a context: cancellation (or a deadline) is
-// checked at every round boundary, and a cancelled run tears down the
-// worker pool and all vertex goroutines before returning an error
-// wrapping ctx.Err().
-func (e *Engine) RunContext(ctx context.Context, program func(congest.Context)) (*congest.Stats, error) {
+// checked at every round boundary. There are no vertex goroutines to
+// unwind — the engine drops every fiber and returns, leaving zero
+// vertex state live, with an error wrapping ctx.Err().
+func (e *Engine) RunContext(ctx context.Context, factory func(id int) congest.Fiber) (*congest.Stats, error) {
 	if stats, err, ok := e.begin(ctx); !ok {
 		return stats, err
 	}
-	n := e.g.N()
-	// One slab each for the Ctx and gnode sides: two allocations
-	// instead of 2n, and the bandwidth-accounting slices inside each
-	// Ctx stay nil until a vertex actually sends (see Ctx.Send).
-	ctxs := make([]Ctx, n)
-	e.gnodes = make([]gnode, n)
-	for v := 0; v < n; v++ {
-		c := &ctxs[v]
-		c.e = e
-		c.id = v
-		c.base = e.csr.Off[v]
-		c.deg = e.csr.Degree(v)
-		gn := &e.gnodes[v]
-		gn.ctx = c
-		gn.sem.Lock() // semaphore starts at 0: the program parks until released
-	}
-	for i := range e.shards {
-		e.shards[i].yieldSem.Lock()
-	}
-	for v := 0; v < n; v++ {
-		go e.runNode(&ctxs[v], program)
-	}
-	return e.runLoop(ctx)
-}
-
-// RunFiberContext executes one Fiber per vertex in fiber mode: Start
-// and Resume are called inline on the shard workers, and a parked
-// vertex costs its state struct instead of a goroutine. Cancellation
-// has no goroutines to unwind — the engine drops every fiber and
-// returns, leaving zero vertex state live. Statistics are
-// bit-identical to the same algorithm's blocking form on any engine.
-func (e *Engine) RunFiberContext(ctx context.Context, factory func(id int) congest.Fiber) (*congest.Stats, error) {
-	if stats, err, ok := e.begin(ctx); !ok {
-		return stats, err
-	}
-	e.fiberMode = true
 	n := e.g.N()
 	for v := 0; v < n; v++ {
 		e.nodes[v].fib = factory(v)
@@ -529,21 +444,15 @@ func (e *Engine) runLoop(ctx context.Context) (*congest.Stats, error) {
 				WallNanos: time.Since(roundStart).Nanoseconds(), //lint:allow noclock observer round-wall-clock sampling, off the stats path
 			})
 		}
-		if e.aborted.Load() {
-			e.drain()
-			break
-		}
-		if doneCount == n {
+		if e.aborted.Load() || doneCount == n {
 			break
 		}
 		if err := ctx.Err(); err != nil {
 			e.fail(fmt.Errorf("parsim: run cancelled: %w", err))
-			e.drain()
 			break
 		}
 		if err := e.advance(); err != nil {
 			e.fail(err)
-			e.drain()
 			break
 		}
 	}
@@ -573,34 +482,31 @@ func (e *Engine) runLoop(ctx context.Context) (*congest.Stats, error) {
 			}
 		}
 	}
-	if e.fiberMode {
-		// Workers are idle behind the jobs channel here, so the shard
-		// arenas are quiescent: hand their backing stores back to the
-		// pool for the next fiber run in this process.
-		for i := range e.shards {
-			s := &e.shards[i]
-			a := s.arena
-			if a == nil {
-				continue
-			}
-			s.arena = nil
-			a.cnt, s.cnt = s.cnt, nil
-			a.start, s.start = s.start, nil
-			a.inArena, s.inArena = s.inArena[:0], nil
-			a.touched, s.touched = s.touched[:0], nil
-			spare := a.buckets[:0]
-			for d, row := range s.buckets {
-				if row != nil {
-					spare = append(spare, row[:0])
-					s.buckets[d] = nil
-				}
-			}
-			a.buckets = spare
-			fiberArenas.Put(a)
+	// Workers are idle behind the jobs channel here, so the shard
+	// arenas are quiescent: hand their backing stores back to the
+	// pool for the next fiber run in this process.
+	for i := range e.shards {
+		s := &e.shards[i]
+		a := s.arena
+		if a == nil {
+			continue
 		}
+		s.arena = nil
+		a.cnt, s.cnt = s.cnt, nil
+		a.start, s.start = s.start, nil
+		a.inArena, s.inArena = s.inArena[:0], nil
+		a.touched, s.touched = s.touched[:0], nil
+		spare := a.buckets[:0]
+		for d, row := range s.buckets {
+			if row != nil {
+				spare = append(spare, row[:0])
+				s.buckets[d] = nil
+			}
+		}
+		a.buckets = spare
+		fiberArenas.Put(a)
 	}
 	e.nodes = nil // single use; drops every fiber and inbox
-	e.gnodes = nil
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return stats, e.failErr
@@ -685,48 +591,14 @@ func (e *Engine) runShardPhase(ph phaseKind, i int) {
 	if ph == phaseExec {
 		e.shards[i].execs += int64(len(e.shards[i].active))
 	}
-	switch {
-	case ph == phaseDeliver && e.fiberMode:
-		e.deliverShardFiber(i)
-	case ph == phaseDeliver:
+	if ph == phaseDeliver {
 		e.deliverShard(i)
-	case e.fiberMode:
-		e.execShardFiber(i)
-	default:
+	} else {
 		e.execShard(i)
 	}
 	if e.sample {
 		e.shards[i].busyNanos += time.Since(t0).Nanoseconds() //lint:allow noclock shard busy-time sampling, armed only for ShardObservers
 	}
-}
-
-// execShard resumes the shard's active vertex goroutines one at a
-// time, in ascending vertex order, processing each outbox and park
-// target as its yield comes back. Serializing within the shard keeps
-// the deterministic-merge contract by construction; parallelism comes
-// from the other shards.
-func (e *Engine) execShard(i int) {
-	s := &e.shards[i]
-	if len(s.active) == 0 {
-		return
-	}
-	// The wake set accumulated in arbitrary (deliver, then timer)
-	// order; ascending id order is part of the deterministic-merge
-	// contract. Sorting here, not on the coordinator, keeps the
-	// O(active log active) work inside the parallel phase.
-	sort.Ints(s.active)
-	for _, id := range s.active {
-		nd := &e.nodes[id]
-		nd.queued = false
-		nd.parked = false
-		sortInbox(nd.inbox)
-		gn := &e.gnodes[id]
-		gn.wakeRound = e.clock.Now()
-		gn.sem.Unlock()   // resume the program
-		s.yieldSem.Lock() // wait for its yield (or return)
-		e.settle(s, id)
-	}
-	s.active = s.active[:0]
 }
 
 // sortInbox stable-sorts one wake's deliveries by port. The generic
@@ -738,15 +610,21 @@ func sortInbox(msgs []congest.Inbound) {
 	}
 }
 
-// execShardFiber is exec for fiber mode: each active fiber's
-// Start/Resume runs inline on this worker, its sends drain from the
-// shard's shared context straight into the buckets, and its Park is
-// recorded — no goroutine is woken and none parks.
-func (e *Engine) execShardFiber(i int) {
+// execShard runs the shard's active fibers one at a time, in ascending
+// vertex order: each Start/Resume runs inline on this worker, its sends
+// drain from the shard's shared context straight into the buckets, and
+// its Park is recorded. Serializing within the shard keeps the
+// deterministic-merge contract by construction; parallelism comes from
+// the other shards.
+func (e *Engine) execShard(i int) {
 	s := &e.shards[i]
 	if len(s.active) == 0 {
 		return
 	}
+	// The wake set accumulated in arbitrary (deliver, then timer)
+	// order; ascending id order is part of the deterministic-merge
+	// contract. Sorting here, not on the coordinator, keeps the
+	// O(active log active) work inside the parallel phase.
 	sort.Ints(s.active)
 	fc := &s.fc
 	now := e.clock.Now()
@@ -760,8 +638,7 @@ func (e *Engine) execShardFiber(i int) {
 		fc.point(id, now)
 		park, ok := e.callFiber(nd, fc, msgs)
 		if !ok {
-			// The fiber died mid-call: discard its partial outbox, like
-			// a panicking goroutine discards its unsent messages.
+			// The fiber died mid-call: discard its partial outbox.
 			for _, om := range fc.outbox {
 				fc.sentN[om.port] = 0
 			}
@@ -789,13 +666,7 @@ func (e *Engine) execShardFiber(i int) {
 			e.retire(s, nd)
 			continue
 		}
-		target := int64(park)
-		switch park {
-		case congest.ParkAwait:
-			target = congest.Forever
-		case congest.ParkQuiesce:
-			target = now + 1
-		}
+		target := park.Deadline(now)
 		if target <= now {
 			e.fail(fmt.Errorf("parsim: fiber %d parked for round %d at round %d", id, target, now))
 			e.retire(s, nd)
@@ -806,9 +677,9 @@ func (e *Engine) execShardFiber(i int) {
 	s.active = s.active[:0]
 }
 
-// callFiber runs one Start/Resume under the same panic protocol as a
-// vertex goroutine: errAborted unwinds silently, any other panic
-// fails the run; ok reports whether the fiber survived the call.
+// callFiber runs one Start/Resume under the engine's panic protocol:
+// errAborted unwinds silently, any other panic fails the run; ok
+// reports whether the fiber survived the call.
 func (e *Engine) callFiber(nd *node, fc *fiberCtx, msgs []congest.Inbound) (park congest.Park, ok bool) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -832,33 +703,11 @@ func (e *Engine) retire(s *shard, nd *node) {
 	s.finished++
 }
 
-// settle processes one yielded vertex's outbox and park target
-// (goroutine mode).
-func (e *Engine) settle(s *shard, id int) {
-	nd := &e.nodes[id]
-	gn := &e.gnodes[id]
-	y := gn.out
-	gn.out = yieldRec{}
-	for _, om := range y.outbox {
-		pos := e.csr.Off[id] + int64(om.port)
-		to := e.csr.To[pos]
-		s.buckets[e.shardOf(int(to))] = append(s.buckets[e.shardOf(int(to))],
-			delivery{to: to, port: e.csr.PeerPort[pos], msg: om.msg})
-	}
-	if y.done {
-		nd.done = true
-		s.finished++
-		return
-	}
-	e.park(s, id, y.target)
-}
-
 // park records a vertex's next wake: the immediate ready list for
 // round+1, the calendar for a later deadline, nothing for Forever.
 func (e *Engine) park(s *shard, id int, target int64) {
 	nd := &e.nodes[id]
 	nd.parked = true
-	nd.target = target
 	nd.gen++
 	switch {
 	case target == e.clock.Now()+1:
@@ -869,41 +718,18 @@ func (e *Engine) park(s *shard, id int, target int64) {
 	}
 }
 
-// deliverShard merges every shard's bucket destined to shard i into
-// its vertices' inboxes, in ascending source-shard order, and queues
-// freshly-delivered vertices for the next round. Bucket [src][i] is
-// read by this shard alone, so it is also truncated here for reuse.
+// deliverShard merges every shard's bucket destined to shard i, in
+// ascending source-shard order: count, then scatter this round's
+// deliveries into the shard's flat arena and hand each vertex a view of
+// its run, queueing freshly-delivered vertices for the next round.
+// Per-port FIFO order holds — a port has exactly one sender, whose
+// messages sit contiguously in one source bucket in send order — and
+// the exec phase's stable sort by port canonicalizes the rest, so
+// inboxes are byte-identical to the lockstep engine's. The arena and
+// scatter arrays are reused every round, so a million-message execution
+// allocates nothing per wake. Bucket [src][i] is read by this shard
+// alone, so it is also truncated here for reuse.
 func (e *Engine) deliverShard(i int) {
-	s := &e.shards[i]
-	for src := range e.shards {
-		bucket := e.shards[src].buckets[i]
-		if len(bucket) == 0 {
-			continue
-		}
-		for _, dv := range bucket {
-			nd := &e.nodes[dv.to]
-			nd.inbox = append(nd.inbox, congest.Inbound{Port: int(dv.port), Msg: dv.msg})
-			s.messages++
-			s.byKind[dv.msg.Kind]++
-			if nd.parked && !nd.queued && !nd.done {
-				nd.queued = true
-				s.nextActive = append(s.nextActive, int(dv.to))
-			}
-		}
-		e.shards[src].buckets[i] = bucket[:0]
-	}
-}
-
-// deliverShardFiber is deliver for fiber mode: count, then scatter
-// this round's deliveries into the shard's flat arena and hand each
-// vertex a view of its run. Per-port FIFO order still holds — a port
-// has exactly one sender, whose messages sit contiguously in one
-// source bucket in send order — and the exec phase's stable sort by
-// port canonicalizes the rest, so inboxes are byte-identical to the
-// per-vertex-buffer path. What changes is the allocation profile:
-// the arena and scatter arrays are reused every round, so a
-// million-message execution allocates nothing per wake.
-func (e *Engine) deliverShardFiber(i int) {
 	s := &e.shards[i]
 	total := 0
 	for src := range e.shards {
@@ -999,51 +825,6 @@ func (e *Engine) advance() error {
 func (e *Engine) liveTimer(t congest.TimerEntry) bool {
 	nd := &e.nodes[t.ID]
 	return !nd.done && nd.parked && !nd.queued && nd.gen == t.Gen
-}
-
-// drain aborts every still-parked vertex goroutine and waits for it to
-// exit. Fiber mode has nothing to unwind: parked fibers are plain
-// structs, dropped wholesale when runLoop clears e.nodes.
-func (e *Engine) drain() {
-	if e.fiberMode {
-		return
-	}
-	for i := range e.shards {
-		s := &e.shards[i]
-		for id := s.lo; id < s.hi; id++ {
-			nd := &e.nodes[id]
-			if nd.done || !nd.parked {
-				continue
-			}
-			gn := &e.gnodes[id]
-			gn.abort = true
-			gn.sem.Unlock()
-			s.yieldSem.Lock()
-			nd.done = true
-		}
-	}
-}
-
-func (e *Engine) runNode(c *Ctx, program func(congest.Context)) {
-	gn := &e.gnodes[c.id]
-	s := &e.shards[e.shardOf(c.id)]
-	defer func() {
-		if r := recover(); r != nil {
-			if r != errAborted { //nolint:errorlint // sentinel identity
-				e.fail(fmt.Errorf("parsim: processor %d panicked: %v", c.id, r))
-			}
-			gn.out = yieldRec{done: true}
-		} else {
-			gn.out = yieldRec{done: true, outbox: c.outbox}
-		}
-		s.yieldSem.Unlock()
-	}()
-	gn.sem.Lock() // park until the round-0 release
-	if gn.abort {
-		panic(errAborted)
-	}
-	c.round = gn.wakeRound
-	program(c)
 }
 
 func (e *Engine) fail(err error) {

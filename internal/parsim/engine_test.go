@@ -10,6 +10,10 @@ import (
 	"congestmst/internal/graph"
 )
 
+// The tests in this file write their programs in congest's Step form
+// and run them through congest.StepFiberFactory — the path every stock
+// algorithm takes — while fiber_test.go drives hand-written Fibers.
+
 func pair(t *testing.T) *graph.Graph {
 	t.Helper()
 	b := graph.NewBuilder(2)
@@ -25,21 +29,34 @@ func path3(t *testing.T) *graph.Graph {
 	return b.MustGraph()
 }
 
+// run drives boot on every vertex of g through the Step kit.
+func run(g *graph.Graph, cfg Config, boot func(c congest.Context) congest.Step) (*congest.Stats, error) {
+	return NewEngine(g, cfg).Run(congest.StepFiberFactory(g.N(), boot))
+}
+
+// done is the continuation that retires a program.
+func done(congest.Context, []congest.Inbound) congest.Step { return congest.Done() }
+
+// nextRound parks until the next round and continues with k.
+func nextRound(c congest.Context, k congest.Resume) congest.Step {
+	return congest.Until(c.Round()+1, k)
+}
+
 func TestRoundSemantics(t *testing.T) {
 	// A message sent in round r must arrive at round r+1.
-	g := pair(t)
-	e := NewEngine(g, Config{})
 	var gotRound int64 = -1
-	stats, err := e.Run(func(c congest.Context) {
+	stats, err := run(pair(t), Config{}, func(c congest.Context) congest.Step {
 		if c.ID() == 0 {
 			c.Send(0, congest.Message{Kind: 1, A: 42})
-			return
+			return congest.Done()
 		}
-		msgs := c.Recv()
-		gotRound = c.Round()
-		if len(msgs) != 1 || msgs[0].Msg.A != 42 {
-			t.Errorf("node 1 got %v, want one message with A=42", msgs)
-		}
+		return congest.Await(func(c congest.Context, msgs []congest.Inbound) congest.Step {
+			gotRound = c.Round()
+			if len(msgs) != 1 || msgs[0].Msg.A != 42 {
+				t.Errorf("node 1 got %v, want one message with A=42", msgs)
+			}
+			return congest.Done()
+		})
 	})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -53,24 +70,32 @@ func TestRoundSemantics(t *testing.T) {
 }
 
 func TestPingPong(t *testing.T) {
-	g := pair(t)
-	e := NewEngine(g, Config{})
 	const volleys = 10
-	stats, err := e.Run(func(c congest.Context) {
+	stats, err := run(pair(t), Config{}, func(c congest.Context) congest.Step {
+		i := 0
+		var k congest.Resume
 		if c.ID() == 0 {
-			for i := 0; i < volleys; i++ {
-				c.Send(0, congest.Message{A: int64(i)})
-				msgs := c.Recv()
+			k = func(c congest.Context, msgs []congest.Inbound) congest.Step {
 				if len(msgs) != 1 || msgs[0].Msg.A != int64(i) {
 					t.Errorf("volley %d: got %v", i, msgs)
 				}
+				if i++; i == volleys {
+					return congest.Done()
+				}
+				c.Send(0, congest.Message{A: int64(i)})
+				return congest.Await(k)
 			}
-			return
+			c.Send(0, congest.Message{A: 0})
+			return congest.Await(k)
 		}
-		for i := 0; i < volleys; i++ {
-			msgs := c.Recv()
+		k = func(c congest.Context, msgs []congest.Inbound) congest.Step {
 			c.Send(msgs[0].Port, msgs[0].Msg) // echo
+			if i++; i == volleys {
+				return congest.Done()
+			}
+			return congest.Await(k)
 		}
+		return congest.Await(k)
 	})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -81,13 +106,12 @@ func TestPingPong(t *testing.T) {
 }
 
 func TestBandwidthViolation(t *testing.T) {
-	g := pair(t)
-	e := NewEngine(g, Config{Bandwidth: 1})
-	_, err := e.Run(func(c congest.Context) {
+	_, err := run(pair(t), Config{Bandwidth: 1}, func(c congest.Context) congest.Step {
 		if c.ID() == 0 {
 			c.Send(0, congest.Message{})
 			c.Send(0, congest.Message{}) // second message on the same port, b=1
 		}
+		return congest.Done()
 	})
 	if !errors.Is(err, congest.ErrBandwidth) {
 		t.Fatalf("err = %v, want ErrBandwidth", err)
@@ -95,24 +119,24 @@ func TestBandwidthViolation(t *testing.T) {
 }
 
 func TestBandwidthFIFO(t *testing.T) {
-	g := pair(t)
-	e := NewEngine(g, Config{Bandwidth: 3})
-	_, err := e.Run(func(c congest.Context) {
+	_, err := run(pair(t), Config{Bandwidth: 3}, func(c congest.Context) congest.Step {
 		if c.ID() == 0 {
 			c.Send(0, congest.Message{A: 1})
 			c.Send(0, congest.Message{A: 2})
 			c.Send(0, congest.Message{A: 3})
-			return
+			return congest.Done()
 		}
-		msgs := c.Recv()
-		if len(msgs) != 3 {
-			t.Errorf("got %d messages in one round, want 3", len(msgs))
-		}
-		for i, m := range msgs {
-			if m.Msg.A != int64(i+1) {
-				t.Errorf("message %d = %+v, want A=%d (FIFO order)", i, m.Msg, i+1)
+		return congest.Await(func(c congest.Context, msgs []congest.Inbound) congest.Step {
+			if len(msgs) != 3 {
+				t.Errorf("got %d messages in one round, want 3", len(msgs))
 			}
-		}
+			for i, m := range msgs {
+				if m.Msg.A != int64(i+1) {
+					t.Errorf("message %d = %+v, want A=%d (FIFO order)", i, m.Msg, i+1)
+				}
+			}
+			return congest.Done()
+		})
 	})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -120,21 +144,9 @@ func TestBandwidthFIFO(t *testing.T) {
 }
 
 func TestDeadlockDetection(t *testing.T) {
-	g := pair(t)
-	e := NewEngine(g, Config{})
-	done := make(chan struct{})
-	var err error
-	go func() {
-		_, err = e.Run(func(c congest.Context) {
-			c.Recv() // nobody ever sends
-		})
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("Run did not return; deadlock not detected")
-	}
+	_, err := run(pair(t), Config{}, func(c congest.Context) congest.Step {
+		return congest.Await(done) // nobody ever sends
+	})
 	if !errors.Is(err, congest.ErrDeadlock) {
 		t.Fatalf("err = %v, want ErrDeadlock", err)
 	}
@@ -142,11 +154,9 @@ func TestDeadlockDetection(t *testing.T) {
 
 func TestFastForward(t *testing.T) {
 	// Parked processors must not cost wall-clock time per round.
-	g := pair(t)
-	e := NewEngine(g, Config{})
 	start := time.Now()
-	stats, err := e.Run(func(c congest.Context) {
-		c.RecvUntil(1_000_000)
+	stats, err := run(pair(t), Config{}, func(c congest.Context) congest.Step {
+		return congest.Until(1_000_000, done)
 	})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -159,39 +169,40 @@ func TestFastForward(t *testing.T) {
 	}
 }
 
-func TestRecvUntilWokenEarly(t *testing.T) {
-	g := pair(t)
-	e := NewEngine(g, Config{})
-	_, err := e.Run(func(c congest.Context) {
+func TestUntilWokenEarly(t *testing.T) {
+	_, err := run(pair(t), Config{}, func(c congest.Context) congest.Step {
 		if c.ID() == 0 {
-			c.RecvUntil(3) // idle until round 3
-			c.Send(0, congest.Message{A: 9})
-			return
+			return congest.Until(3, func(c congest.Context, _ []congest.Inbound) congest.Step {
+				c.Send(0, congest.Message{A: 9})
+				return congest.Done()
+			})
 		}
-		msgs := c.RecvUntil(100)
-		if c.Round() != 4 {
-			t.Errorf("woken at round %d, want 4", c.Round())
-		}
-		if len(msgs) != 1 || msgs[0].Msg.A != 9 {
-			t.Errorf("got %v, want the A=9 message", msgs)
-		}
+		return congest.Until(100, func(c congest.Context, msgs []congest.Inbound) congest.Step {
+			if c.Round() != 4 {
+				t.Errorf("woken at round %d, want 4", c.Round())
+			}
+			if len(msgs) != 1 || msgs[0].Msg.A != 9 {
+				t.Errorf("got %v, want the A=9 message", msgs)
+			}
+			return congest.Done()
+		})
 	})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 }
 
-func TestRecvUntilDeadlineReached(t *testing.T) {
-	g := pair(t)
-	e := NewEngine(g, Config{})
-	_, err := e.Run(func(c congest.Context) {
-		msgs := c.RecvUntil(17)
-		if msgs != nil {
-			t.Errorf("got %v, want nil at deadline", msgs)
-		}
-		if c.Round() != 17 {
-			t.Errorf("resumed at round %d, want 17", c.Round())
-		}
+func TestUntilDeadlineReached(t *testing.T) {
+	_, err := run(pair(t), Config{}, func(c congest.Context) congest.Step {
+		return congest.Until(17, func(c congest.Context, msgs []congest.Inbound) congest.Step {
+			if msgs != nil {
+				t.Errorf("got %v, want nil at deadline", msgs)
+			}
+			if c.Round() != 17 {
+				t.Errorf("resumed at round %d, want 17", c.Round())
+			}
+			return congest.Done()
+		})
 	})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -199,14 +210,12 @@ func TestRecvUntilDeadlineReached(t *testing.T) {
 }
 
 func TestInboxSortedByPort(t *testing.T) {
-	g := path3(t)
-	e := NewEngine(g, Config{})
-	_, err := e.Run(func(c congest.Context) {
-		switch c.ID() {
-		case 0, 2:
+	_, err := run(path3(t), Config{}, func(c congest.Context) congest.Step {
+		if c.ID() != 1 {
 			c.Send(0, congest.Message{A: int64(c.ID())})
-		case 1:
-			msgs := c.Recv()
+			return congest.Done()
+		}
+		return congest.Await(func(c congest.Context, msgs []congest.Inbound) congest.Step {
 			if len(msgs) != 2 {
 				t.Fatalf("got %d messages, want 2", len(msgs))
 			}
@@ -216,7 +225,8 @@ func TestInboxSortedByPort(t *testing.T) {
 			if msgs[0].Msg.A != 0 || msgs[1].Msg.A != 2 {
 				t.Errorf("payloads = %d,%d, want 0,2", msgs[0].Msg.A, msgs[1].Msg.A)
 			}
-		}
+			return congest.Done()
+		})
 	})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -224,17 +234,17 @@ func TestInboxSortedByPort(t *testing.T) {
 }
 
 func TestFinalSendsDelivered(t *testing.T) {
-	g := pair(t)
-	e := NewEngine(g, Config{})
-	_, err := e.Run(func(c congest.Context) {
+	_, err := run(pair(t), Config{}, func(c congest.Context) congest.Step {
 		if c.ID() == 0 {
 			c.Send(0, congest.Message{A: 5})
-			return // no Step after Send
+			return congest.Done() // sends made in the retiring call
 		}
-		msgs := c.Recv()
-		if len(msgs) != 1 || msgs[0].Msg.A != 5 {
-			t.Errorf("got %v, want A=5", msgs)
-		}
+		return congest.Await(func(c congest.Context, msgs []congest.Inbound) congest.Step {
+			if len(msgs) != 1 || msgs[0].Msg.A != 5 {
+				t.Errorf("got %v, want A=5", msgs)
+			}
+			return congest.Done()
+		})
 	})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -242,14 +252,13 @@ func TestFinalSendsDelivered(t *testing.T) {
 }
 
 func TestWeightVisible(t *testing.T) {
-	g := path3(t)
-	e := NewEngine(g, Config{})
-	_, err := e.Run(func(c congest.Context) {
+	_, err := run(path3(t), Config{}, func(c congest.Context) congest.Step {
 		if c.ID() == 1 {
 			if w0, w1 := c.Weight(0), c.Weight(1); w0 != 1 || w1 != 2 {
 				t.Errorf("weights = %d,%d, want 1,2", w0, w1)
 			}
 		}
+		return congest.Done()
 	})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -257,45 +266,60 @@ func TestWeightVisible(t *testing.T) {
 }
 
 func TestProgramPanicReported(t *testing.T) {
-	g := path3(t)
-	e := NewEngine(g, Config{})
-	_, err := e.Run(func(c congest.Context) {
+	_, err := run(path3(t), Config{}, func(c congest.Context) congest.Step {
 		if c.ID() == 1 {
 			panic("boom")
 		}
-		c.Recv() // the others block; they must be drained, not leaked
+		return congest.Await(done) // the others park; the failed run drops them
 	})
 	if err == nil {
 		t.Fatal("err = nil, want panic report")
 	}
 }
 
-func TestMaxRounds(t *testing.T) {
-	g := pair(t)
-	e := NewEngine(g, Config{MaxRounds: 10})
-	_, err := e.Run(func(c congest.Context) {
-		if c.ID() == 0 {
-			for {
-				c.Send(0, congest.Message{})
-				c.Step()
+// sendEachRound has vertex 0 send one message a round for n rounds
+// while vertex 1 receives all n; other vertices run other.
+func sendEachRound(n int, other func(c congest.Context) congest.Step) func(c congest.Context) congest.Step {
+	return func(c congest.Context) congest.Step {
+		i := 0
+		var k congest.Resume
+		switch c.ID() {
+		case 0:
+			k = func(c congest.Context, _ []congest.Inbound) congest.Step {
+				if i == n {
+					return congest.Done()
+				}
+				c.Send(0, congest.Message{A: int64(i)})
+				i++
+				return nextRound(c, k)
 			}
+			return k(c, nil)
+		case 1:
+			k = func(c congest.Context, msgs []congest.Inbound) congest.Step {
+				if i += len(msgs); i >= n {
+					return congest.Done()
+				}
+				return congest.Await(k)
+			}
+			return congest.Await(k)
 		}
-		for {
-			c.Recv()
-		}
-	})
+		return other(c)
+	}
+}
+
+func TestMaxRounds(t *testing.T) {
+	_, err := run(pair(t), Config{MaxRounds: 10}, sendEachRound(1<<30, nil))
 	if !errors.Is(err, congest.ErrMaxRounds) {
 		t.Fatalf("err = %v, want ErrMaxRounds", err)
 	}
 }
 
 func TestInvalidPort(t *testing.T) {
-	g := pair(t)
-	e := NewEngine(g, Config{})
-	_, err := e.Run(func(c congest.Context) {
+	_, err := run(pair(t), Config{}, func(c congest.Context) congest.Step {
 		if c.ID() == 0 {
 			c.Send(5, congest.Message{})
 		}
+		return congest.Done()
 	})
 	if err == nil {
 		t.Fatal("err = nil, want invalid-port error")
@@ -305,36 +329,25 @@ func TestInvalidPort(t *testing.T) {
 func TestEngineSingleUse(t *testing.T) {
 	g := pair(t)
 	e := NewEngine(g, Config{})
-	if _, err := e.Run(func(c congest.Context) {}); err != nil {
+	retire := func(congest.Context) congest.Step { return congest.Done() }
+	if _, err := e.Run(congest.StepFiberFactory(g.N(), retire)); err != nil {
 		t.Fatalf("first Run: %v", err)
 	}
-	if _, err := e.Run(func(c congest.Context) {}); !errors.Is(err, congest.ErrReused) {
+	if _, err := e.Run(congest.StepFiberFactory(g.N(), retire)); !errors.Is(err, congest.ErrReused) {
 		t.Fatalf("second Run err = %v, want ErrReused", err)
 	}
 }
 
 func TestTimerFiresDuringBusyRounds(t *testing.T) {
 	// While two processors keep the network busy every round, a third
-	// processor's RecvUntil deadline must still fire exactly on time.
-	g := path3(t)
-	e := NewEngine(g, Config{})
+	// processor's deadline must still fire exactly on time.
 	var wokeAt int64
-	_, err := e.Run(func(c congest.Context) {
-		switch c.ID() {
-		case 0:
-			for i := 0; i < 20; i++ {
-				c.Send(0, congest.Message{})
-				c.Step()
-			}
-		case 1:
-			for got := 0; got < 20; {
-				got += len(c.Recv())
-			}
-		case 2:
-			c.RecvUntil(7)
+	_, err := run(path3(t), Config{}, sendEachRound(20, func(c congest.Context) congest.Step {
+		return congest.Until(7, func(c congest.Context, _ []congest.Inbound) congest.Step {
 			wokeAt = c.Round()
-		}
-	})
+			return congest.Done()
+		})
+	}))
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -346,13 +359,11 @@ func TestTimerFiresDuringBusyRounds(t *testing.T) {
 func TestNoGoroutineLeak(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for i := 0; i < 5; i++ {
-		g := path3(t)
-		e := NewEngine(g, Config{Workers: 3})
-		_, err := e.Run(func(c congest.Context) {
+		_, err := run(path3(t), Config{Workers: 3}, func(c congest.Context) congest.Step {
 			if c.ID() == 0 {
 				c.Send(0, congest.Message{})
 			}
-			c.RecvUntil(3)
+			return congest.Until(3, done)
 		})
 		if err != nil {
 			t.Fatalf("Run: %v", err)
@@ -362,32 +373,53 @@ func TestNoGoroutineLeak(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	if after := runtime.NumGoroutine(); after > before {
-		t.Errorf("goroutines: before=%d after=%d; node or worker goroutines leaked", before, after)
+		t.Errorf("goroutines: before=%d after=%d; worker goroutines leaked", before, after)
 	}
 }
 
-// floodProgram is a data-dependent min-id flood used to compare the
-// two engines delivery for delivery.
-func floodProgram(rounds int) func(congest.Context) {
-	return func(c congest.Context) {
-		best := int64(c.ID())
-		for r := 0; r < rounds; r++ {
-			// Vertices with an even current minimum skip a round, so
-			// activation is sparse and data-dependent.
-			if best%2 == 0 && r%3 == 2 {
-				c.Step()
-				continue
+// floodProgram is a data-dependent min-id flood in Step form, used to
+// compare the engines delivery for delivery. Vertices with an even
+// current minimum skip a round now and then, so activation is sparse
+// and data-dependent.
+func floodProgram(rounds int) func(congest.Context) congest.Step {
+	return func(c congest.Context) congest.Step {
+		best, r := int64(c.ID()), 0
+		var iter func(c congest.Context) congest.Step
+		iter = func(c congest.Context) congest.Step {
+			if r == rounds {
+				return congest.Done()
 			}
-			for p := 0; p < c.Degree(); p++ {
-				c.Send(p, congest.Message{Kind: byte(p % 5), A: best})
-			}
-			for _, in := range c.Step() {
-				if in.Msg.A < best {
-					best = in.Msg.A
+			skip := best%2 == 0 && r%3 == 2
+			r++
+			if !skip {
+				for p := 0; p < c.Degree(); p++ {
+					c.Send(p, congest.Message{Kind: byte(p % 5), A: best})
 				}
 			}
+			return nextRound(c, func(c congest.Context, msgs []congest.Inbound) congest.Step {
+				if !skip {
+					for _, in := range msgs {
+						if in.Msg.A < best {
+							best = in.Msg.A
+						}
+					}
+				}
+				return iter(c)
+			})
 		}
+		return iter(c)
 	}
+}
+
+// lockstepFlood runs floodProgram(rounds) on the lockstep reference
+// engine.
+func lockstepFlood(t *testing.T, g *graph.Graph, rounds int) *congest.Stats {
+	t.Helper()
+	ref, err := congest.NewEngine(g, congest.Config{}).Run(congest.StepFiberFactory(g.N(), floodProgram(rounds)))
+	if err != nil {
+		t.Fatalf("lockstep n=%d: %v", g.N(), err)
+	}
+	return ref
 }
 
 // TestStatsMatchLockstep is the heart of the package contract: on the
@@ -404,13 +436,9 @@ func TestStatsMatchLockstep(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		prog := floodProgram(12)
-		ref, err := congest.NewEngine(g, congest.Config{}).Run(func(c *congest.Ctx) { prog(c) })
-		if err != nil {
-			t.Fatalf("lockstep n=%d: %v", sz.n, err)
-		}
+		ref := lockstepFlood(t, g, 12)
 		for _, workers := range []int{1, 2, 4, 7} {
-			got, err := NewEngine(g, Config{Workers: workers}).Run(prog)
+			got, err := run(g, Config{Workers: workers}, floodProgram(12))
 			if err != nil {
 				t.Fatalf("parsim n=%d workers=%d: %v", sz.n, workers, err)
 			}
@@ -423,20 +451,20 @@ func TestStatsMatchLockstep(t *testing.T) {
 }
 
 // TestDeterminismAcrossRuns repeats one parallel run and demands
-// byte-identical stats, whatever the goroutine interleaving did.
+// byte-identical stats, whatever the worker interleaving did.
 func TestDeterminismAcrossRuns(t *testing.T) {
 	g, err := graph.RandomConnected(800, 2400, graph.GenOptions{Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func() *congest.Stats {
-		stats, err := NewEngine(g, Config{Workers: 4}).Run(floodProgram(10))
+	flood := func() *congest.Stats {
+		stats, err := run(g, Config{Workers: 4}, floodProgram(10))
 		if err != nil {
 			t.Fatalf("Run: %v", err)
 		}
 		return stats
 	}
-	a, b := run(), run()
+	a, b := flood(), flood()
 	if *a != *b {
 		t.Errorf("stats differ between identical runs:\n%+v\n%+v", a, b)
 	}
@@ -444,8 +472,9 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 
 func TestEmptyGraph(t *testing.T) {
 	g := graph.NewBuilder(0).MustGraph()
-	stats, err := NewEngine(g, Config{}).Run(func(c congest.Context) {
+	stats, err := run(g, Config{}, func(c congest.Context) congest.Step {
 		t.Error("program ran on an empty graph")
+		return congest.Done()
 	})
 	if err != nil {
 		t.Fatalf("Run: %v", err)

@@ -28,7 +28,7 @@ type fiberCtx struct {
 	sentN []int32
 }
 
-var _ congest.AsyncContext = (*fiberCtx)(nil)
+var _ congest.Context = (*fiberCtx)(nil)
 
 // point aims the context at vertex id for one Start/Resume call.
 func (c *fiberCtx) point(id int, round int64) {
@@ -53,18 +53,13 @@ func (c *fiberCtx) Weight(p int) int64 { return c.e.csr.W[c.base+int64(p)] }
 // Round returns the current round number (starting at 0).
 func (c *fiberCtx) Round() int64 { return c.round }
 
-// Clock returns the synchronizer's logical time (congest.AsyncContext):
-// the round under the barrier engines, the delivery-window frontier
-// under the Async engine. The two coincide on this engine's contexts.
-func (c *fiberCtx) Clock() int64 { return c.round }
-
 // Bandwidth returns b, the per-edge per-direction message budget.
 func (c *fiberCtx) Bandwidth() int { return c.e.cfg.bandwidth() }
 
 // Send queues m on port p for delivery at the beginning of the next
-// round, under the same CONGEST bandwidth enforcement as the blocking
-// Ctx. A fiber is called at most once per round, so the per-call send
-// counts are exactly the per-round counts.
+// round, under the same CONGEST bandwidth enforcement as every other
+// engine. A fiber is called at most once per round, so the per-call
+// send counts are exactly the per-round counts.
 func (c *fiberCtx) Send(p int, m congest.Message) {
 	if p < 0 || p >= c.deg {
 		c.e.fail(fmt.Errorf("parsim: processor %d sent on invalid port %d", c.id, p))
@@ -77,21 +72,4 @@ func (c *fiberCtx) Send(p int, m congest.Message) {
 	}
 	c.sentN[p]++
 	c.outbox = append(c.outbox, outMsg{port: int32(p), msg: m})
-}
-
-// Step is not available to fibers: return ParkUntil(Round()+1).
-func (c *fiberCtx) Step() []congest.Inbound { c.blockingCall("Step"); return nil }
-
-// Recv is not available to fibers: return ParkAwait.
-func (c *fiberCtx) Recv() []congest.Inbound { c.blockingCall("Recv"); return nil }
-
-// RecvUntil is not available to fibers: return ParkUntil(target).
-func (c *fiberCtx) RecvUntil(target int64) []congest.Inbound {
-	c.blockingCall("RecvUntil")
-	return nil
-}
-
-func (c *fiberCtx) blockingCall(name string) {
-	c.e.fail(fmt.Errorf("parsim: fiber %d called blocking %s; fibers park by returning", c.id, name))
-	panic(errAborted)
 }

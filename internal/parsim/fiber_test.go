@@ -3,6 +3,7 @@ package parsim
 import (
 	"context"
 	"errors"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -12,10 +13,9 @@ import (
 	"congestmst/internal/graph"
 )
 
-// floodFiber is floodProgram converted to the resumable form: the
-// blocking loop has one wait site (its Step), so the fiber splits each
-// iteration into a pre-Step half (maybe send) and a post-Step half
-// (maybe fold the deliveries into best).
+// floodFiber is floodProgram written as a hand-rolled state machine:
+// each iteration splits into a pre-park half (maybe send) and a
+// post-park half (maybe fold the deliveries into best).
 type floodFiber struct {
 	rounds int
 	best   int64
@@ -28,7 +28,7 @@ func (f *floodFiber) Start(c congest.Context) congest.Park {
 	return f.begin(c)
 }
 
-// begin plays the pre-Step half of iteration f.r.
+// begin plays the pre-park half of iteration f.r.
 func (f *floodFiber) begin(c congest.Context) congest.Park {
 	f.skip = f.best%2 == 0 && f.r%3 == 2
 	if !f.skip {
@@ -36,7 +36,7 @@ func (f *floodFiber) begin(c congest.Context) congest.Park {
 			c.Send(p, congest.Message{Kind: byte(p % 5), A: f.best})
 		}
 	}
-	return congest.ParkUntil(c.Round() + 1) // Step
+	return congest.ParkUntil(c.Round() + 1)
 }
 
 func (f *floodFiber) Resume(c congest.Context, msgs []congest.Inbound) congest.Park {
@@ -53,11 +53,10 @@ func (f *floodFiber) Resume(c congest.Context, msgs []congest.Inbound) congest.P
 	return f.begin(c)
 }
 
-// TestFiberStatsMatchLockstep is the fiber-mode half of the package
-// contract: the resumable form of a program must report bit-identical
-// Rounds, Messages and ByKind to the blocking form on the lockstep
-// engine — including when the round width crosses the inline/parallel
-// threshold and for every worker count.
+// TestFiberStatsMatchLockstep: a hand-written Fiber must report
+// bit-identical Rounds, Messages and ByKind to the same program in Step
+// form on the lockstep engine — including when the round width crosses
+// the inline/parallel threshold and for every worker count.
 func TestFiberStatsMatchLockstep(t *testing.T) {
 	sizes := []struct{ n, m int }{{40, 100}, {300, 900}, {1500, 4000}}
 	if testing.Short() {
@@ -68,13 +67,9 @@ func TestFiberStatsMatchLockstep(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		prog := floodProgram(12)
-		ref, err := congest.NewEngine(g, congest.Config{}).Run(func(c *congest.Ctx) { prog(c) })
-		if err != nil {
-			t.Fatalf("lockstep n=%d: %v", sz.n, err)
-		}
+		ref := lockstepFlood(t, g, 12)
 		for _, workers := range []int{1, 2, 4, 7} {
-			got, err := NewEngine(g, Config{Workers: workers}).RunFiberContext(context.Background(),
+			got, err := NewEngine(g, Config{Workers: workers}).RunContext(context.Background(),
 				func(int) congest.Fiber { return &floodFiber{rounds: 12} })
 			if err != nil {
 				t.Fatalf("fiber n=%d workers=%d: %v", sz.n, workers, err)
@@ -119,12 +114,12 @@ func (f *parkFiber) Resume(c congest.Context, msgs []congest.Inbound) congest.Pa
 }
 
 // TestFiberFastForward: a million-round park costs heap pops, not
-// rounds, exactly like RecvUntil in goroutine mode.
+// rounds.
 func TestFiberFastForward(t *testing.T) {
 	g := pair(t)
 	var woke0, woke1 int64
 	start := time.Now()
-	stats, err := NewEngine(g, Config{}).RunFiberContext(context.Background(),
+	stats, err := NewEngine(g, Config{}).RunContext(context.Background(),
 		func(id int) congest.Fiber {
 			woke := &woke0
 			if id == 1 {
@@ -147,12 +142,12 @@ func TestFiberFastForward(t *testing.T) {
 }
 
 // TestFiberWokenEarly: a delivery wakes a deadline-parked fiber before
-// its target, like RecvUntil in goroutine mode.
+// its target.
 func TestFiberWokenEarly(t *testing.T) {
 	g := pair(t)
 	var woke int64
 	var got []congest.Inbound
-	_, err := NewEngine(g, Config{}).RunFiberContext(context.Background(),
+	_, err := NewEngine(g, Config{}).RunContext(context.Background(),
 		func(id int) congest.Fiber {
 			if id == 0 {
 				return &parkFiber{target: 3, sendTo: 0}
@@ -183,9 +178,8 @@ func (stepperFiber) Resume(c congest.Context, msgs []congest.Inbound) congest.Pa
 
 // TestFiberRunContextCancel cancels an endlessly stepping fiber run:
 // the engine must return promptly with an error wrapping
-// context.Canceled, spawn no per-vertex goroutines at any point, and
-// leave zero vertex state live (nodes, fibers and calendar all
-// released for collection).
+// context.Canceled and leave zero vertex state live (nodes, fibers and
+// calendar all released for collection).
 func TestFiberRunContextCancel(t *testing.T) {
 	g := path3(t)
 	baseline := runtime.NumGoroutine()
@@ -194,7 +188,7 @@ func TestFiberRunContextCancel(t *testing.T) {
 	defer cancel()
 	errCh := make(chan error, 1)
 	go func() {
-		_, err := e.RunFiberContext(ctx, func(int) congest.Fiber { return stepperFiber{} })
+		_, err := e.RunContext(ctx, func(int) congest.Fiber { return stepperFiber{} })
 		errCh <- err
 	}()
 	time.Sleep(30 * time.Millisecond)
@@ -221,7 +215,7 @@ func TestFiberRunContextDeadline(t *testing.T) {
 	e := NewEngine(g, Config{Workers: 2})
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
-	_, err := e.RunFiberContext(ctx, func(int) congest.Fiber { return stepperFiber{} })
+	_, err := e.RunContext(ctx, func(int) congest.Fiber { return stepperFiber{} })
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Errorf("error %v does not wrap context.DeadlineExceeded", err)
 	}
@@ -238,7 +232,7 @@ func TestFiberRunContextPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	started := false
-	_, err := NewEngine(g, Config{}).RunFiberContext(ctx, func(int) congest.Fiber {
+	_, err := NewEngine(g, Config{}).RunContext(ctx, func(int) congest.Fiber {
 		started = true
 		return stepperFiber{}
 	})
@@ -250,25 +244,47 @@ func TestFiberRunContextPreCancelled(t *testing.T) {
 	}
 }
 
-// blockingCallFiber calls a blocking Context method from fiber code.
-type blockingCallFiber struct{}
-
-func (blockingCallFiber) Start(c congest.Context) congest.Park {
-	c.Recv() // not allowed: fibers park by returning
-	return congest.ParkAwait
+// TestFiberBlockingCallRejected: a fiber cannot block. The Context it
+// is handed offers no method that waits for messages (none returns
+// deliveries), so the only way to wait is to return a Park.
+func TestFiberBlockingCallRejected(t *testing.T) {
+	requireNoReceive(t, func(f congest.Fiber) error {
+		_, err := NewEngine(pair(t), Config{}).RunContext(context.Background(),
+			func(int) congest.Fiber { return f })
+		return err
+	})
 }
 
-func (blockingCallFiber) Resume(c congest.Context, msgs []congest.Inbound) congest.Park {
+// requireNoReceive runs a fiber under run and fails if the Context it
+// was handed has any method returning []congest.Inbound.
+func requireNoReceive(t *testing.T, run func(congest.Fiber) error) {
+	t.Helper()
+	var ctxType reflect.Type
+	f := &probeFiber{seen: func(c congest.Context) { ctxType = reflect.TypeOf(c) }}
+	if err := run(f); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	inbound := reflect.TypeOf([]congest.Inbound(nil))
+	for i := 0; i < ctxType.NumMethod(); i++ {
+		m := ctxType.Method(i)
+		for o := 0; o < m.Type.NumOut(); o++ {
+			if m.Type.Out(o) == inbound {
+				t.Errorf("%v.%s returns deliveries: fibers must park by returning", ctxType, m.Name)
+			}
+		}
+	}
+}
+
+// probeFiber hands the Context of its Start call to seen and retires.
+type probeFiber struct{ seen func(congest.Context) }
+
+func (f *probeFiber) Start(c congest.Context) congest.Park {
+	f.seen(c)
 	return congest.ParkDone
 }
 
-func TestFiberBlockingCallRejected(t *testing.T) {
-	g := pair(t)
-	_, err := NewEngine(g, Config{}).RunFiberContext(context.Background(),
-		func(int) congest.Fiber { return blockingCallFiber{} })
-	if err == nil || !strings.Contains(err.Error(), "blocking") {
-		t.Fatalf("err = %v, want blocking-call rejection", err)
-	}
+func (f *probeFiber) Resume(c congest.Context, msgs []congest.Inbound) congest.Park {
+	return congest.ParkDone
 }
 
 // overSendFiber violates CONGEST bandwidth from fiber code.
@@ -286,7 +302,7 @@ func (overSendFiber) Resume(c congest.Context, msgs []congest.Inbound) congest.P
 
 func TestFiberBandwidthViolation(t *testing.T) {
 	g := pair(t)
-	_, err := NewEngine(g, Config{Bandwidth: 1}).RunFiberContext(context.Background(),
+	_, err := NewEngine(g, Config{Bandwidth: 1}).RunContext(context.Background(),
 		func(id int) congest.Fiber {
 			if id == 0 {
 				return overSendFiber{}
@@ -311,7 +327,7 @@ func (panicFiber) Resume(c congest.Context, msgs []congest.Inbound) congest.Park
 
 func TestFiberPanicReported(t *testing.T) {
 	g := path3(t)
-	_, err := NewEngine(g, Config{}).RunFiberContext(context.Background(),
+	_, err := NewEngine(g, Config{}).RunContext(context.Background(),
 		func(id int) congest.Fiber {
 			if id == 1 {
 				return panicFiber{}
@@ -336,7 +352,7 @@ func (badParkFiber) Resume(c congest.Context, msgs []congest.Inbound) congest.Pa
 
 func TestFiberInvalidParkRejected(t *testing.T) {
 	g := pair(t)
-	_, err := NewEngine(g, Config{}).RunFiberContext(context.Background(),
+	_, err := NewEngine(g, Config{}).RunContext(context.Background(),
 		func(int) congest.Fiber { return badParkFiber{} })
 	if err == nil || !strings.Contains(err.Error(), "parked") {
 		t.Fatalf("err = %v, want invalid-park rejection", err)
@@ -349,27 +365,27 @@ func TestFiberEngineSingleUse(t *testing.T) {
 	g := pair(t)
 	e := NewEngine(g, Config{})
 	factory := func(int) congest.Fiber { return &floodFiber{rounds: 1} }
-	if _, err := e.RunFiberContext(context.Background(), factory); err != nil {
+	if _, err := e.RunContext(context.Background(), factory); err != nil {
 		t.Fatalf("first run: %v", err)
 	}
-	if _, err := e.RunFiberContext(context.Background(), factory); !errors.Is(err, congest.ErrReused) {
+	if _, err := e.RunContext(context.Background(), factory); !errors.Is(err, congest.ErrReused) {
 		t.Fatalf("second run err = %v, want ErrReused", err)
 	}
 }
 
 // TestFiberDeadlock: every fiber awaiting with no messages in flight
-// is the same deadlock the goroutine mode reports.
+// is the same deadlock every engine reports.
 func TestFiberDeadlock(t *testing.T) {
 	g := pair(t)
-	_, err := NewEngine(g, Config{}).RunFiberContext(context.Background(),
+	_, err := NewEngine(g, Config{}).RunContext(context.Background(),
 		func(int) congest.Fiber { return &parkFiber{target: congest.Forever, sendTo: -1} })
 	if !errors.Is(err, congest.ErrDeadlock) {
 		t.Fatalf("err = %v, want ErrDeadlock", err)
 	}
 }
 
-// TestFiberNoGoroutineGrowth: a fiber run spawns only the worker pool,
-// never per-vertex goroutines, whatever the graph size.
+// TestFiberNoGoroutineGrowth: a run spawns only the worker pool, never
+// per-vertex goroutines, whatever the graph size.
 func TestFiberNoGoroutineGrowth(t *testing.T) {
 	g, err := graph.RandomConnected(3000, 9000, graph.GenOptions{Seed: 5})
 	if err != nil {
@@ -393,7 +409,7 @@ func TestFiberNoGoroutineGrowth(t *testing.T) {
 			time.Sleep(100 * time.Microsecond)
 		}
 	}()
-	if _, err := NewEngine(g, Config{Workers: 4}).RunFiberContext(context.Background(),
+	if _, err := NewEngine(g, Config{Workers: 4}).RunContext(context.Background(),
 		func(int) congest.Fiber { return &floodFiber{rounds: 8} }); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -402,6 +418,6 @@ func TestFiberNoGoroutineGrowth(t *testing.T) {
 	// Workers (4) plus the sampler plus slack; 3000 vertex goroutines
 	// would blow straight through this.
 	if peak > before+10 {
-		t.Errorf("goroutine peak %d over baseline %d; fiber mode must not spawn per-vertex goroutines", peak, before)
+		t.Errorf("goroutine peak %d over baseline %d; the engine must not spawn per-vertex goroutines", peak, before)
 	}
 }

@@ -14,10 +14,9 @@
 // message term comes from. The root finishes the MST locally and floods
 // the chosen edges back down the tree.
 //
-// The algorithm is written once, in resumable Step form (Program); the
-// blocking Run and the fiber-engine FiberFactory are thin drivers over
-// it, so every engine executes identical handlers and reports
-// bit-identical statistics.
+// The algorithm is one Step program (Program); FiberFactory drives it
+// on every vertex, so every engine executes identical handlers and
+// reports bit-identical statistics.
 package pipeline
 
 import (
@@ -58,22 +57,10 @@ func edgeLess(a, b edge) bool {
 	return a.ab < b.ab
 }
 
-// Run executes Pipeline-MST on this vertex. Every vertex must call Run
-// in round 0 with the same root.
-func Run(ctx congest.Context, root int) *Result {
-	var res *Result
-	congest.RunSteps(ctx, Program(ctx, root,
-		func(c congest.Context, r *Result) congest.Step {
-			res = r
-			return congest.Done()
-		}))
-	return res
-}
-
 // FiberFactory returns a fiber factory running Pipeline-MST on every
 // vertex of an n-vertex graph; report is invoked with each vertex's
-// Result as its fiber retires. It is the facade's Engine: Fiber path
-// for AlgPipeline.
+// Result as its fiber retires. Every vertex runs it from round 0 with
+// the same root.
 func FiberFactory(n, root int, report func(id int, res *Result)) func(id int) congest.Fiber {
 	return congest.StepFiberFactory(n, func(c congest.Context) congest.Step {
 		return Program(c, root, func(c congest.Context, res *Result) congest.Step {
@@ -83,9 +70,8 @@ func FiberFactory(n, root int, report func(id int, res *Result)) func(id int) co
 	})
 }
 
-// Program is the resumable form of Run: the same algorithm as a Step
-// program (see internal/congest/task.go), handing the completed Result
-// to then.
+// Program is Pipeline-MST at one vertex as a Step program (see
+// internal/congest/task.go), handing the completed Result to then.
 func Program(c congest.Context, root int,
 	then func(c congest.Context, res *Result) congest.Step) congest.Step {
 	return bfstree.BuildStep(c, root, func(c congest.Context, tau *bfstree.Tree) congest.Step {
@@ -275,8 +261,8 @@ func upcastStep(c congest.Context, tau *bfstree.Tree, own []edge,
 			if sent >= b {
 				// The bandwidth budget is spent: wait a round before the
 				// CandDone marker. Any concurrently delivered messages
-				// are discarded, matching the blocking form (there are
-				// none: every child already sent its CandDone).
+				// are discarded (there are none: every child already
+				// sent its CandDone).
 				return congest.Quiesce(func(c congest.Context, _ []congest.Inbound) congest.Step {
 					c.Send(tau.ParentPort, congest.Message{Kind: KindCandDone})
 					return then(c, nil)

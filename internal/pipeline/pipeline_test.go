@@ -9,13 +9,19 @@ import (
 	"congestmst/internal/mathx"
 )
 
+// lockstep runs Pipeline-MST rooted at vertex 0 on the lockstep
+// engine and returns the per-vertex results.
+func lockstep(g *graph.Graph, cfg congest.Config) ([]*Result, *congest.Stats, error) {
+	results := make([]*Result, g.N())
+	stats, err := congest.NewEngine(g, cfg).Run(FiberFactory(g.N(), 0, func(id int, res *Result) {
+		results[id] = res
+	}))
+	return results, stats, err
+}
+
 func runPipeline(t *testing.T, g *graph.Graph, cfg congest.Config) ([]*Result, *congest.Stats) {
 	t.Helper()
-	results := make([]*Result, g.N())
-	e := congest.NewEngine(g, cfg)
-	stats, err := e.Run(func(ctx *congest.Ctx) {
-		results[ctx.ID()] = Run(ctx, 0)
-	})
+	results, stats, err := lockstep(g, cfg)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -85,11 +91,8 @@ func TestPipelineProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		results := make([]*Result, g.N())
-		e := congest.NewEngine(g, congest.Config{})
-		if _, err := e.Run(func(ctx *congest.Ctx) {
-			results[ctx.ID()] = Run(ctx, 0)
-		}); err != nil {
+		results, _, err := lockstep(g, congest.Config{})
+		if err != nil {
 			return false
 		}
 		mst, err := g.Kruskal()
