@@ -181,8 +181,8 @@ func run(ctx context.Context, graphType string, n, m, rows, cols, clique, tail i
 	fmt.Printf("wall clock: %v\n", elapsed.Round(time.Millisecond))
 	if netCap != nil && netCap.got {
 		ns := netCap.sample
-		fmt.Printf("transport : sockets=%d dials=%d retries=%d reconnects=%d replayed_frames=%d bytes_out=%d bytes_in=%d\n",
-			ns.Sockets, ns.Dials, ns.DialRetries, ns.Reconnects, ns.ReplayedFrames, ns.BytesOut, ns.BytesIn)
+		fmt.Printf("transport : sockets=%d dials=%d retries=%d reconnects=%d replayed_frames=%d batches=%d bytes_out=%d bytes_in=%d\n",
+			ns.Sockets, ns.Dials, ns.DialRetries, ns.Reconnects, ns.ReplayedFrames, ns.Batches, ns.BytesOut, ns.BytesIn)
 		for _, r := range ns.RTTs {
 			fmt.Printf("rtt       : shard %d -> %d %v\n", r.Shard, r.Peer, time.Duration(r.Nanos).Round(time.Microsecond))
 		}

@@ -11,8 +11,9 @@
 // The same listener serves both control connections (from drivers)
 // and mesh connections (from peer workers); they are told apart by
 // their protocol magic. -chaos-close-after is a fault-injection hook
-// for exercising the mesh reconnect path: the worker severs its own
-// N-th written batch's connection, once, per run.
+// for exercising the mesh reconnect path: in every run, each mesh link
+// of the worker severs its connection once, under the N-th batch it
+// writes. Only this flag turns it on; a driver's job frame cannot.
 package main
 
 import (
@@ -29,7 +30,7 @@ import (
 func main() {
 	var (
 		addr  = flag.String("addr", "", "address to listen on, e.g. 127.0.0.1:7100 (required)")
-		chaos = flag.Int64("chaos-close-after", 0, "fault injection: close a mesh connection under the N-th written batch of each run (0 = off)")
+		chaos = flag.Int64("chaos-close-after", 0, "fault injection: every mesh link closes its connection under the N-th batch it writes in each run (0 = off)")
 		quiet = flag.Bool("quiet", false, "suppress per-connection logging")
 	)
 	flag.Parse()

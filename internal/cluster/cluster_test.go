@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"io"
+	"net"
 	"runtime"
 	"strings"
 	"testing"
@@ -170,19 +172,19 @@ func TestDispatchParity(t *testing.T) {
 	})
 }
 
-// TestDispatchChaos injects a mid-run socket close on every worker and
-// asserts the reconnect path keeps the distributed stats bit-identical.
+// TestDispatchChaos runs workers whose own options inject mid-run
+// socket closes and asserts the reconnect path keeps the distributed
+// stats bit-identical.
 func TestDispatchChaos(t *testing.T) {
 	g, err := graph.RandomConnected(24, 60, graph.GenOptions{Seed: 43})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := startWorkers(t, 3, 4, WorkerOptions{})
+	cfg := startWorkers(t, 3, 4, WorkerOptions{ChaosCloseAfter: 3})
 	want := lockstep(t, g, 1, core.FiberFactory(g.N(), core.Config{}, func(int, *core.Result) {}))
 	res, err := Dispatch(context.Background(), g, cfg, DispatchOptions{
-		Algorithm:       "elkin",
-		Timeout:         60 * time.Second,
-		ChaosCloseAfter: 3,
+		Algorithm: "elkin",
+		Timeout:   60 * time.Second,
 	})
 	if err != nil {
 		t.Fatalf("Dispatch with chaos: %v", err)
@@ -193,6 +195,70 @@ func TestDispatchChaos(t *testing.T) {
 	}
 	if res.Net.Reconnects < 1 {
 		t.Errorf("Net.Reconnects = %d, want >= 1", res.Net.Reconnects)
+	}
+}
+
+// TestJobCannotEnableChaos sends a plain worker a job header that
+// still carries the retired "chaos_close_after" field: the worker must
+// ignore it, so a driver cannot switch on fault injection.
+func TestJobCannotEnableChaos(t *testing.T) {
+	g := graph.Ring(8, graph.GenOptions{Seed: 9})
+	w, err := NewWorker("127.0.0.1:0", WorkerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	go w.Serve()
+	defer w.Close()
+	job := jobHeader{
+		RunID: 7, N: g.N(), M: g.M(), NShards: 2,
+		Addrs:     []string{w.Addr(), w.Addr()},
+		Local:     []bool{true, true},
+		Algorithm: "ghs", TimeoutMS: 30_000,
+	}
+	plain, err := encodeJob(job, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hdrLen := binary.LittleEndian.Uint32(plain)
+	var fields map[string]any
+	if err := json.Unmarshal(plain[4:4+hdrLen], &fields); err != nil {
+		t.Fatal(err)
+	}
+	fields["chaos_close_after"] = 1
+	hdr, err := json.Marshal(fields)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := binary.LittleEndian.AppendUint32(nil, uint32(len(hdr)))
+	payload = append(append(payload, hdr...), plain[4+hdrLen:]...)
+
+	conn, err := net.Dial("tcp", w.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := conn.SetDeadline(time.Now().Add(30 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conn.Write(ControlMagic[:]); err != nil {
+		t.Fatal(err)
+	}
+	if err := writeFrame(conn, frameJob, payload); err != nil {
+		t.Fatal(err)
+	}
+	typ, out, err := readFrame(conn)
+	if err != nil || typ != frameResult {
+		t.Fatalf("result frame: type %d, err %v", typ, err)
+	}
+	res, err := decodeResult(out, make([][]int, g.N()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Err != "" {
+		t.Fatalf("job failed: %s", res.Err)
+	}
+	if res.Net.Reconnects != 0 {
+		t.Errorf("Reconnects = %d, want 0: the job header switched on fault injection", res.Net.Reconnects)
 	}
 }
 

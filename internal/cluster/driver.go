@@ -35,9 +35,6 @@ type DispatchOptions struct {
 	// merged transport account (congest.NetObserver). Distributed runs
 	// emit no per-round events — the rounds play on the workers.
 	Observer congest.Observer
-	// ChaosCloseAfter forwards the fault-injection hook to every
-	// worker's transport (each severs its own countdown's connection).
-	ChaosCloseAfter int64
 }
 
 // DispatchResult is the merged outcome of a distributed run.
@@ -147,7 +144,6 @@ func Dispatch(ctx context.Context, g *graph.Graph, cfg *Config, opts DispatchOpt
 				MaxDialAttempts: cfg.MaxDialAttempts,
 				RetryBackoffMS:  cfg.RetryBackoff.Milliseconds(),
 				TimeoutMS:       opts.Timeout.Milliseconds(),
-				ChaosCloseAfter: opts.ChaosCloseAfter,
 			}
 			hdr, err := runWorkerJob(ctx, a.addr, dialTimeout, opts.Timeout, job, g, res.Ports)
 			if err != nil {
@@ -195,6 +191,7 @@ func Dispatch(ctx context.Context, g *graph.Graph, cfg *Config, opts DispatchOpt
 		res.Net.DialRetries += hdr.Net.DialRetries
 		res.Net.Reconnects += hdr.Net.Reconnects
 		res.Net.ReplayedFrames += hdr.Net.ReplayedFrames
+		res.Net.Batches += hdr.Net.Batches
 		for _, r := range hdr.Net.RTTs {
 			res.Net.RTTs = append(res.Net.RTTs, congest.PeerRTT{Shard: r.Shard, Peer: r.Peer, Nanos: r.Nanos})
 		}

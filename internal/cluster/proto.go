@@ -40,6 +40,8 @@ const (
 // jobHeader is the JSON half of a job frame: everything a worker needs
 // to run its shards of one graph, including the full topology (so
 // mstshard needs no config file of its own) and the transport tuning.
+// Fault injection is not part of it: only the worker's own
+// WorkerOptions can turn that on.
 type jobHeader struct {
 	RunID   uint64   `json:"run_id"`
 	N       int      `json:"n"`
@@ -59,7 +61,6 @@ type jobHeader struct {
 	MaxDialAttempts int   `json:"max_dial_attempts"`
 	RetryBackoffMS  int64 `json:"retry_backoff_ms"`
 	TimeoutMS       int64 `json:"timeout_ms"`
-	ChaosCloseAfter int64 `json:"chaos_close_after"`
 }
 
 // shardRange names one local shard's vertex range in a result.
@@ -89,6 +90,7 @@ type wireNet struct {
 	DialRetries    int64         `json:"dial_retries"`
 	Reconnects     int64         `json:"reconnects"`
 	ReplayedFrames int64         `json:"replayed_frames"`
+	Batches        int64         `json:"batches"`
 	RTTs           []wirePeerRTT `json:"rtts,omitempty"`
 }
 

@@ -24,9 +24,10 @@ const helloWait = 15 * time.Second
 
 // WorkerOptions tunes one mstshard process.
 type WorkerOptions struct {
-	// ChaosCloseAfter forwards nettrans.Config.ChaosCloseAfter into
-	// every job this worker runs — the smoke script's fault-injection
-	// switch. Zero disables it.
+	// ChaosCloseAfter sets nettrans.Config.ChaosCloseAfter in every
+	// job this worker runs — the smoke script's fault-injection switch.
+	// It is the only way to turn fault injection on: a job frame cannot.
+	// Zero disables it.
 	ChaosCloseAfter int64
 	// Logf, when non-nil, receives one line per job and per rejected
 	// connection (cmd/mstshard wires log.Printf here).
@@ -219,11 +220,8 @@ func (w *Worker) runJob(payload []byte) jobResult {
 		ReadTimeout:     time.Duration(h.ReadTimeoutMS) * time.Millisecond,
 		MaxDialAttempts: h.MaxDialAttempts,
 		RetryBackoff:    time.Duration(h.RetryBackoffMS) * time.Millisecond,
-		ChaosCloseAfter: h.ChaosCloseAfter,
+		ChaosCloseAfter: w.opts.ChaosCloseAfter,
 		Observer:        samples,
-	}
-	if w.opts.ChaosCloseAfter > 0 {
-		cfg.ChaosCloseAfter = w.opts.ChaosCloseAfter
 	}
 	m, err := nettrans.NewMesh(g, cfg, nettrans.Topology{
 		NShards: h.NShards,
@@ -371,6 +369,7 @@ func toWireNet(ns congest.NetSample) wireNet {
 		DialRetries:    ns.DialRetries,
 		Reconnects:     ns.Reconnects,
 		ReplayedFrames: ns.ReplayedFrames,
+		Batches:        ns.Batches,
 	}
 	for _, r := range ns.RTTs {
 		w.RTTs = append(w.RTTs, wirePeerRTT{Shard: r.Shard, Peer: r.Peer, Nanos: r.Nanos})

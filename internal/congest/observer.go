@@ -157,6 +157,10 @@ type NetSample struct {
 	// at its reading endpoint).
 	BytesOut, BytesIn   int64
 	FramesOut, FramesIn int64
+	// Batches counts the synchronizer batches written, one per peer in
+	// each agreed round where the writing shard was busy or owed a
+	// heartbeat. Replays after a reconnect are not counted again.
+	Batches int64
 	// Dials counts connection attempts while the mesh was established;
 	// DialRetries counts the attempts that failed transiently and were
 	// retried.

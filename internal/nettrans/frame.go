@@ -3,38 +3,51 @@ package nettrans
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
+	"slices"
 
 	"congestmst/internal/congest"
 )
 
-// Wire format: each shard pair's connection carries one length-prefixed
-// batch per direction per agreed (busy) round.
+// Wire format: a shard writes one length-prefixed batch to every peer in
+// each agreed round where it is busy (or owes a heartbeat); see the
+// package doc for which rounds those are.
 //
 //	u32  payload length
 //	u64  round   — the agreed round the sender just executed
-//	i64  next    — the sender's calendar announcement (Forever = idle)
+//	i64  next    — the sender's own calendar: the earliest round it can
+//	               be busy on its own account (Forever = idle)
 //	u32  live    — the sender's local programs still running
-//	u32  count   — message frames that follow
+//	u32  ndest   — destination shards the sender sent frames to this
+//	               round (to any peer, not only this batch's reader)
+//	u32  count   — message frames that follow the destination set
+//	ndest × u32  destination shard ids, strictly ascending
 //	count × frame
 //
-// A frame is tagged with (src, port) — the sending vertex and its local
-// port — and the receiver resolves the destination vertex and port
-// through the shared graph.CSR, so frames stay 41 bytes at any graph
-// size.
+// An announcement-only heartbeat is a batch with no destinations and
+// no frames. A frame is tagged with (src, port) — the sending vertex
+// and its local port — and the receiver resolves the destination vertex
+// and port through the shared graph.CSR, so frames stay 41 bytes at any
+// graph size.
 //
 //	u32  src
 //	u32  port
 //	u8   kind
 //	4×i64 payload words A..D
 const (
-	batchHeaderSize = 8 + 8 + 4 + 4
+	batchHeaderSize = 8 + 8 + 4 + 4 + 4
+	destSize        = 4
 	frameSize       = 4 + 4 + 1 + 4*8
 
 	// maxBatchPayload is a decoding sanity bound: a batch larger than
 	// this is a protocol error, not a read to attempt.
 	maxBatchPayload = 1 << 30
+
+	// readChunk is how far the payload buffer grows ahead of the bytes
+	// actually received.
+	readChunk = 1 << 16
 )
 
 // wireMsg is one frame: source vertex, source port, payload.
@@ -49,19 +62,24 @@ type batch struct {
 	round int64
 	next  int64
 	live  uint32
+	dests []int32
 	msgs  []wireMsg
 	err   error
 }
 
 // appendBatch encodes one batch onto buf (reusing its capacity) and
 // returns the extended slice, length prefix included.
-func appendBatch(buf []byte, round, next int64, live uint32, msgs []wireMsg) []byte {
-	payload := batchHeaderSize + len(msgs)*frameSize
+func appendBatch(buf []byte, round, next int64, live uint32, dests []int32, msgs []wireMsg) []byte {
+	payload := batchHeaderSize + len(dests)*destSize + len(msgs)*frameSize
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(payload))
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(round))
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(next))
 	buf = binary.LittleEndian.AppendUint32(buf, live)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(dests)))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(msgs)))
+	for _, d := range dests {
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(d))
+	}
 	for _, wm := range msgs {
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(wm.src))
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(wm.port))
@@ -74,55 +92,80 @@ func appendBatch(buf []byte, round, next int64, live uint32, msgs []wireMsg) []b
 	return buf
 }
 
-// batchReader decodes batches off one connection, reusing its payload
-// buffer between reads.
+// batchReader decodes the batches shard from writes to one connection,
+// in a mesh of nshards shards, reusing its payload buffer between reads.
 type batchReader struct {
-	r   *bufio.Reader
-	buf []byte
+	r             *bufio.Reader
+	buf           []byte
+	nshards, from int
 }
 
-func newBatchReader(r io.Reader) *batchReader {
-	return &batchReader{r: bufio.NewReaderSize(r, 1<<16)}
+func newBatchReader(r io.Reader, nshards, from int) *batchReader {
+	return &batchReader{r: bufio.NewReaderSize(r, 1<<16), nshards: nshards, from: from}
 }
 
+// read decodes the next batch. The payload buffer grows with the bytes
+// actually received, not with the declared length, so a prefix
+// promising a huge batch costs nothing until the bytes arrive.
 func (br *batchReader) read() (*batch, error) {
 	var lenBuf [4]byte
 	if _, err := io.ReadFull(br.r, lenBuf[:]); err != nil {
 		return nil, err
 	}
 	payload := int(binary.LittleEndian.Uint32(lenBuf[:]))
-	if payload < batchHeaderSize || payload > maxBatchPayload ||
-		(payload-batchHeaderSize)%frameSize != 0 {
+	if payload < batchHeaderSize || payload > maxBatchPayload {
 		return nil, fmt.Errorf("nettrans: malformed batch length %d", payload)
 	}
-	if cap(br.buf) < payload {
-		br.buf = make([]byte, payload)
+	br.buf = br.buf[:0]
+	for len(br.buf) < payload {
+		start := len(br.buf)
+		end := start + min(payload-start, readChunk)
+		br.buf = slices.Grow(br.buf, end-start)[:end]
+		if _, err := io.ReadFull(br.r, br.buf[start:]); err != nil {
+			if errors.Is(err, io.EOF) {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, err
+		}
 	}
-	buf := br.buf[:payload]
-	if _, err := io.ReadFull(br.r, buf); err != nil {
-		return nil, err
-	}
-	return decodeBatch(buf)
+	return decodeBatch(br.buf, br.nshards, br.from)
 }
 
-// decodeBatch parses one payload (everything after the length prefix).
-// The returned batch owns its frames; buf may be reused by the caller.
-func decodeBatch(buf []byte) (*batch, error) {
+// decodeBatch parses one payload (everything after the length prefix)
+// written by shard from of an nshards-shard mesh. The returned batch
+// owns its destinations and frames; buf may be reused by the caller.
+func decodeBatch(buf []byte, nshards, from int) (*batch, error) {
+	if len(buf) < batchHeaderSize {
+		return nil, fmt.Errorf("nettrans: batch of %d bytes is shorter than its header", len(buf))
+	}
 	b := &batch{
 		round: int64(binary.LittleEndian.Uint64(buf[0:])),
 		next:  int64(binary.LittleEndian.Uint64(buf[8:])),
 		live:  binary.LittleEndian.Uint32(buf[16:]),
 	}
-	count := int(binary.LittleEndian.Uint32(buf[20:]))
-	if count*frameSize != len(buf)-batchHeaderSize {
-		return nil, fmt.Errorf("nettrans: batch count %d does not match payload size %d", count, len(buf))
+	ndest := int(binary.LittleEndian.Uint32(buf[20:]))
+	count := int(binary.LittleEndian.Uint32(buf[24:]))
+	if batchHeaderSize+ndest*destSize+count*frameSize != len(buf) {
+		return nil, fmt.Errorf("nettrans: batch with %d destinations and %d frames does not match payload size %d",
+			ndest, count, len(buf))
+	}
+	if ndest > 0 {
+		b.dests = make([]int32, ndest)
+		for i := range b.dests {
+			d := int32(binary.LittleEndian.Uint32(buf[batchHeaderSize+i*destSize:]))
+			if d < 0 || int(d) >= nshards || int(d) == from || (i > 0 && d <= b.dests[i-1]) {
+				return nil, fmt.Errorf("nettrans: batch from shard %d names invalid destination %d", from, d)
+			}
+			b.dests[i] = d
+		}
 	}
 	if count == 0 {
 		return b, nil
 	}
+	frames := buf[batchHeaderSize+ndest*destSize:]
 	b.msgs = make([]wireMsg, count)
-	for i := 0; i < count; i++ {
-		f := buf[batchHeaderSize+i*frameSize:]
+	for i := range b.msgs {
+		f := frames[i*frameSize:]
 		b.msgs[i] = wireMsg{
 			src:  int32(binary.LittleEndian.Uint32(f[0:])),
 			port: int32(binary.LittleEndian.Uint32(f[4:])),

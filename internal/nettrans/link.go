@@ -38,14 +38,17 @@ var errMeshClosed = errors.New("mesh closed")
 
 // Mesh hello wire format, exchanged once per established connection:
 //
-//	4 bytes  magic "MSH1"
+//	4 bytes  magic "MSH2"
 //	u32      from  — the dialing shard
 //	u32      to    — the shard being connected to
 //	u64      run   — the run identifier both endpoints must agree on
 //
 // The accepting endpoint answers with a single ack byte after routing
-// the connection, which is what the dialer's RTT gauge times.
-var MeshMagic = [4]byte{'M', 'S', 'H', '1'}
+// the connection, which is what the dialer's RTT gauge times. The magic
+// names the batch format too (MSH2 batches carry a destination set), so
+// a fleet mixing binaries of different formats fails at the hello
+// instead of mis-framing.
+var MeshMagic = [4]byte{'M', 'S', 'H', '2'}
 
 const (
 	meshHelloBodySize = 4 + 4 + 8
@@ -85,9 +88,10 @@ func appendMeshHello(buf []byte, h MeshHello) []byte {
 // shard. The higher-id shard owns the dialing side of the pair; the
 // lower-id side receives its connection from the accept loop (local
 // listener or a worker's). Either endpoint transparently re-establishes
-// the connection when it breaks mid-run: the current round's batch is
-// replayed on the fresh socket and the receiver deduplicates by round,
-// so a healed fault is invisible to the synchronizer.
+// the connection when it breaks mid-run: every batch the peer may not
+// have consumed is replayed on the fresh socket and the receiver
+// deduplicates by round, so a healed fault is invisible to the
+// synchronizer.
 type link struct {
 	c          *cluster
 	self, peer int
@@ -111,14 +115,28 @@ type link struct {
 	recovering bool
 	dead       error // terminal *PeerError; the link is unusable
 
-	// Replay window: the last two batches written, oldest first. Two
-	// because the synchronizer lets this endpoint run one agreed round
-	// ahead of the peer's ingestion, so a dying connection can destroy
-	// both the previous round's batch (unread in the peer's receive
-	// buffer when the RST flushed it) and the current one. The receiver
-	// deduplicates by round, so replaying both is safe.
-	lastSent   [2][]byte
-	lastFrames [2]int64
+	// log is the replay window: every batch written since the last
+	// batch read from the peer, oldest first. Reading the peer's batch
+	// for round G proves the peer consumed all of ours for rounds
+	// before G (it had to, to reach G), so ack drops exactly those; the
+	// rest may still die in a broken connection's buffers. A busy shard
+	// can run ahead of a quiet peer until it needs the peer's next
+	// heartbeat, so the log holds at most heartbeatEvery+2 batches. The
+	// receiver deduplicates by round, so replaying all of it is safe.
+	// Entries past len(log) keep their buffers for reuse.
+	log []sentBatch
+
+	// chaosLeft counts down Config.ChaosCloseAfter over the batches this
+	// endpoint writes; only the shard loop touches it.
+	chaosLeft int64
+}
+
+// sentBatch is one replay-log entry: a written batch and its frame
+// count.
+type sentBatch struct {
+	round  int64
+	frames int64
+	buf    []byte
 }
 
 func newLink(c *cluster, self, peer int) *link {
@@ -126,13 +144,16 @@ func newLink(c *cluster, self, peer int) *link {
 		c:    c,
 		self: self,
 		peer: peer,
-		// Capacity 2 suffices (a peer can run at most one agreed round
-		// ahead before it needs our announcement); 4 leaves slack so
-		// readers never stall the mesh even when a reconnect replays a
-		// duplicate batch.
-		batches: make(chan *batch, 4),
-		pending: make(chan net.Conn, 1),
-		rng:     rand.New(rand.NewSource(int64(c.runID) ^ int64(self)<<32 ^ int64(peer))),
+		// A busy peer runs at most heartbeatEvery agreed rounds ahead
+		// of our ingestion (then it needs our next batch), so at most
+		// heartbeatEvery+1 of its batches wait here, and a reconnect
+		// replays at most that many again as duplicates. With room for
+		// both, the reader never stops draining the socket, so the
+		// peer's writes never block.
+		batches:   make(chan *batch, 2*(heartbeatEvery+2)),
+		chaosLeft: c.cfg.ChaosCloseAfter,
+		pending:   make(chan net.Conn, 1),
+		rng:       rand.New(rand.NewSource(int64(c.runID) ^ int64(self)<<32 ^ int64(peer))),
 	}
 	l.cond = sync.NewCond(&l.mu)
 	return l
@@ -284,11 +305,10 @@ func (l *link) hello(conn net.Conn) error {
 // recover (re-)establishes the connection after a failure observed on
 // generation seen. Exactly one caller performs the work — writer and
 // reader race here after a fault, and late observers of an already
-// replaced generation return immediately — and the current round's
-// batch is replayed on the fresh socket before any waiter may write
-// again, so the peer never misses an announcement. phase names the
-// caller for the terminal error ("dial"/"accept" during setup,
-// "reconnect" mid-run).
+// replaced generation return immediately — and the replay log is
+// written to the fresh socket before any waiter may write again, so the
+// peer never misses a batch. phase names the caller for the terminal
+// error ("dial"/"accept" during setup, "reconnect" mid-run).
 func (l *link) recover(seen uint64, phase string) error {
 	c := l.c
 	l.mu.Lock()
@@ -336,8 +356,8 @@ func (l *link) recover(seen uint64, phase string) error {
 }
 
 // connectAndReplay establishes a fresh connection and retransmits the
-// current round's batch on it. A connection that dies during the replay
-// itself is retried once more before giving up.
+// replay log on it. A connection that dies during the replay itself is
+// retried once more before giving up.
 func (l *link) connectAndReplay(replay bool) (net.Conn, error) {
 	for try := 0; ; try++ {
 		conn, err := l.establish()
@@ -348,25 +368,24 @@ func (l *link) connectAndReplay(replay bool) (net.Conn, error) {
 			return conn, nil
 		}
 		l.mu.Lock()
-		var bufs [2][]byte
-		for i := range l.lastSent {
-			bufs[i] = append([]byte(nil), l.lastSent[i]...)
+		var wire []byte
+		var frames int64
+		for _, e := range l.log {
+			wire = append(wire, e.buf...)
+			frames += e.frames
 		}
-		frames := l.lastFrames
+		replayed := int64(len(l.log))
 		l.mu.Unlock()
-		werr := error(nil)
-		for i, buf := range bufs {
-			if len(buf) == 0 {
-				continue
+		if _, werr := conn.Write(wire); werr == nil {
+			l.c.replayedFrames.Add(frames)
+			l.c.netBytesOut.Add(int64(len(wire)))
+			l.c.netFramesOut.Add(frames)
+			for {
+				prev := l.c.maxReplay.Load()
+				if replayed <= prev || l.c.maxReplay.CompareAndSwap(prev, replayed) {
+					break
+				}
 			}
-			if _, werr = conn.Write(buf); werr != nil {
-				break
-			}
-			l.c.replayedFrames.Add(frames[i])
-			l.c.netBytesOut.Add(int64(len(buf)))
-			l.c.netFramesOut.Add(frames[i])
-		}
-		if werr == nil {
 			return conn, nil
 		}
 		conn.Close()
@@ -376,15 +395,21 @@ func (l *link) connectAndReplay(replay bool) (net.Conn, error) {
 	}
 }
 
-// send transmits one encoded batch, transparently reconnecting and
-// replaying on failure. The batch is copied into the link's replay slot
-// before the first write, so a recovery triggered by either endpoint of
-// the connection re-delivers the current round; the receiver drops the
-// duplicate by its round number.
-func (l *link) send(buf []byte, frames int64) error {
+// send transmits one encoded batch for the given agreed round,
+// transparently reconnecting and replaying on failure. The batch joins
+// the replay log before the first write, so a recovery triggered by
+// either endpoint of the connection re-delivers it; the receiver drops
+// any duplicate by its round number.
+func (l *link) send(round int64, buf []byte, frames int64) error {
 	l.mu.Lock()
-	l.lastSent[0], l.lastSent[1] = l.lastSent[1], append(l.lastSent[0][:0], buf...)
-	l.lastFrames[0], l.lastFrames[1] = l.lastFrames[1], frames
+	n := len(l.log)
+	if n < cap(l.log) {
+		l.log = l.log[:n+1]
+	} else {
+		l.log = append(l.log, sentBatch{})
+	}
+	e := &l.log[n]
+	e.round, e.frames, e.buf = round, frames, append(e.buf[:0], buf...)
 	l.mu.Unlock()
 	for {
 		conn, gen, err := l.current()
@@ -395,7 +420,12 @@ func (l *link) send(buf []byte, frames int64) error {
 		if werr == nil {
 			l.c.netBytesOut.Add(int64(n))
 			l.c.netFramesOut.Add(frames)
-			l.c.chaosMaybe(conn)
+			l.c.netBatches.Add(1)
+			if l.chaosLeft > 0 {
+				if l.chaosLeft--; l.chaosLeft == 0 {
+					conn.Close()
+				}
+			}
 			return nil
 		}
 		if err := l.recover(gen, "reconnect"); err != nil {
@@ -405,6 +435,25 @@ func (l *link) send(buf []byte, frames int64) error {
 		// concurrent recovery did with an older snapshot; loop so the
 		// current bytes are guaranteed out (a duplicate is harmless).
 	}
+}
+
+// ack drops the logged batches for rounds before round: the peer wrote
+// its batch for round, so it consumed every one of ours before it. The
+// dropped entries move behind the live ones, keeping their buffers.
+func (l *link) ack(round int64) {
+	l.mu.Lock()
+	k := 0
+	for k < len(l.log) && l.log[k].round < round {
+		k++
+	}
+	if k > 0 {
+		live := len(l.log) - k
+		for i := 0; i < live; i++ {
+			l.log[i], l.log[k+i] = l.log[k+i], l.log[i]
+		}
+		l.log = l.log[:live]
+	}
+	l.mu.Unlock()
 }
 
 // readLoop decodes inbound batches off the link until the mesh closes,
@@ -418,7 +467,7 @@ func (l *link) readLoop() {
 			l.pushErr(err)
 			return
 		}
-		r := newBatchReader(conn)
+		r := newBatchReader(conn, c.nshards, l.peer)
 		for {
 			b, rerr := r.read()
 			if rerr != nil {
@@ -433,7 +482,7 @@ func (l *link) readLoop() {
 				}
 				break // pick up the recovered connection
 			}
-			c.netBytesIn.Add(int64(4 + batchHeaderSize + len(b.msgs)*frameSize))
+			c.netBytesIn.Add(int64(4 + batchHeaderSize + len(b.dests)*destSize + len(b.msgs)*frameSize))
 			c.netFramesIn.Add(int64(len(b.msgs)))
 			select {
 			case l.batches <- b:

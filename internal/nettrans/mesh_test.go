@@ -14,7 +14,7 @@ import (
 	"congestmst/internal/verify"
 )
 
-// serveMesh is a minimal worker listener: it reads the MSH1 magic and
+// serveMesh is a minimal worker listener: it reads the mesh magic and
 // hello off every inbound connection and routes it to the mesh —
 // exactly what cmd/mstshard's listener does for mesh traffic.
 func serveMesh(t *testing.T, ln net.Listener, m *Mesh) {
@@ -42,47 +42,27 @@ func serveMesh(t *testing.T, ln net.Listener, m *Mesh) {
 	}
 }
 
-// TestMeshTwoWorkers runs one cluster split across two Mesh instances,
-// each behind its own TCP listener — the worker-mode topology — and
-// asserts the merged stats are bit-identical to the lockstep engine,
-// which is the acceptance bar for the distributed driver.
-func TestMeshTwoWorkers(t *testing.T) {
-	g, err := graph.RandomConnected(16, 40, graph.GenOptions{Seed: 21})
-	if err != nil {
-		t.Fatal(err)
-	}
+// runTwoWorkers runs one cluster split across two Mesh instances, each
+// behind its own TCP listener — the worker-mode topology: worker A
+// hosts shards 0-1 and worker B shards 2-3. It returns the stats merged
+// as a driver merges them, and both meshes.
+func runTwoWorkers(t *testing.T, g *graph.Graph, cfg Config, program func() func(id int) congest.Fiber) (*congest.Stats, *Mesh, *Mesh) {
+	t.Helper()
 	const nshards = 4
 	if eff := EffectiveShards(g.N(), nshards); eff != nshards {
 		t.Fatalf("EffectiveShards(%d, %d) = %d", g.N(), nshards, eff)
 	}
-
-	ports := make([][]int, g.N())
-	var mu sync.Mutex
-	program := func() func(id int) congest.Fiber {
-		return ghs.FiberFactory(g.N(), func(id int, mstPorts []int) {
-			mu.Lock()
-			ports[id] = mstPorts
-			mu.Unlock()
-		})
-	}
-	want := lockstepStats(t, g, 1, program())
-	for i := range ports {
-		ports[i] = nil
-	}
-
-	// Two "processes": worker A hosts shards 0-1, worker B shards 2-3.
 	lnA, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer lnA.Close()
+	t.Cleanup(func() { lnA.Close() })
 	lnB, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer lnB.Close()
+	t.Cleanup(func() { lnB.Close() })
 	addrs := []string{lnA.Addr().String(), lnA.Addr().String(), lnB.Addr().String(), lnB.Addr().String()}
-	cfg := Config{DialTimeout: 5 * time.Second}
 	const runID = 0xfeed
 
 	mA, err := NewMesh(g, cfg, Topology{
@@ -91,14 +71,14 @@ func TestMeshTwoWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer mA.Close()
+	t.Cleanup(mA.Close)
 	mB, err := NewMesh(g, cfg, Topology{
 		NShards: nshards, Addrs: addrs, Local: []bool{false, false, true, true}, RunID: runID,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer mB.Close()
+	t.Cleanup(mB.Close)
 	go serveMesh(t, lnA, mA)
 	go serveMesh(t, lnB, mB)
 
@@ -131,7 +111,31 @@ func TestMeshTwoWorkers(t *testing.T) {
 			t.Fatal("two-worker mesh hung")
 		}
 	}
+	return merged, mA, mB
+}
 
+// TestMeshTwoWorkers asserts that a cluster split across two worker
+// meshes merges to stats bit-identical to the lockstep engine, which is
+// the acceptance bar for the distributed driver.
+func TestMeshTwoWorkers(t *testing.T) {
+	g, err := graph.RandomConnected(16, 40, graph.GenOptions{Seed: 21})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ports := make([][]int, g.N())
+	var mu sync.Mutex
+	program := func() func(id int) congest.Fiber {
+		return ghs.FiberFactory(g.N(), func(id int, mstPorts []int) {
+			mu.Lock()
+			ports[id] = mstPorts
+			mu.Unlock()
+		})
+	}
+	want := lockstepStats(t, g, 1, program())
+	for i := range ports {
+		ports[i] = nil
+	}
+	merged, mA, mB := runTwoWorkers(t, g, Config{DialTimeout: 5 * time.Second}, program)
 	if *merged != *want {
 		t.Errorf("merged stats differ from lockstep: rounds %d vs %d, messages %d vs %d",
 			merged.Rounds, want.Rounds, merged.Messages, want.Messages)
@@ -152,5 +156,20 @@ func TestMeshTwoWorkers(t *testing.T) {
 	}
 	if nsB := mB.NetSample(); len(nsB.RTTs) != 5 {
 		t.Errorf("worker B measured %d dial RTTs, want 5", len(nsB.RTTs))
+	}
+}
+
+// TestMeshTwoWorkersTokenWalk runs the token walk across two worker
+// meshes: each worker sees its own shards quiet for long stretches
+// while a shard of the other runs ahead, and the merged stats must
+// still equal lockstep's.
+func TestMeshTwoWorkersTokenWalk(t *testing.T) {
+	g := graph.Path(400, graph.GenOptions{})
+	program := func() func(id int) congest.Fiber { return steps(g, tokenWalk) }
+	want := lockstepStats(t, g, 1, program())
+	merged, _, _ := runTwoWorkers(t, g, Config{DialTimeout: 5 * time.Second}, program)
+	if *merged != *want {
+		t.Errorf("merged stats differ from lockstep: rounds %d vs %d, messages %d vs %d",
+			merged.Rounds, want.Rounds, merged.Messages, want.Messages)
 	}
 }

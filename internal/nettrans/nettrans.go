@@ -16,28 +16,56 @@
 //     (vertex, port) through the shared graph.CSR, so a frame is 41
 //     bytes regardless of graph size.
 //
-//   - Idle-round skipping. Instead of an end-of-round marker on every
+//   - Busy-set synchronizer. Instead of an end-of-round marker on every
 //     edge every round (the alpha-synchronizer cost that scales with
-//     idle rounds), each batch ends with a calendar announcement: the
-//     earliest future round at which the sending shard can be busy —
-//     the minimum over its fresh deliveries, its next-round parks, its
-//     live park deadlines (a timer heap, mirroring internal/parsim's
-//     calendar), and round+1 if it just sent messages. Every shard
-//     takes the minimum of all announcements, so all shards agree on
-//     the next busy round and fast-forward to it together. Wire
-//     exchanges and wall clock scale with busy rounds only, and the
-//     agreed round sequence is exactly the round sequence the lockstep
-//     engine plays — which is why Stats.Rounds (and Messages/ByKind,
-//     counted on delivery) match the simulators bit for bit.
+//     idle rounds), a shard writes one batch to every peer only in the
+//     agreed rounds where it has work. A batch carries the sender's own
+//     calendar next — round+1 if a local vertex is due, else its
+//     earliest live park deadline (a timer heap, mirroring
+//     internal/parsim's calendar) — its count of still-running
+//     programs, and the set of shards it sent frames to. Every shard
+//     keeps the last (next, live) of every shard. The agreed next round
+//     G′ is the minimum of all those next values, or G+1 when any batch
+//     at G named a destination. The busy set B(G′) holds each shard
+//     whose next is G′ plus, when G′ = G+1, each shard named as a
+//     destination at G; round 0 has every shard busy. Every shard
+//     computes the same set from the same batches. At round G only the
+//     members of B(G) run fibers and write, and each shard reads only
+//     from the other members. A shard outside B(G) runs no fiber and is
+//     sent no frame, so its calendar and live count cannot change: its
+//     last announcement stands in for the batch it no longer sends.
+//     Wire traffic follows the shards that have work, idle rounds cost
+//     nothing, and the agreed round sequence is exactly the one the
+//     lockstep engine plays — which is why Stats.Rounds (and
+//     Messages/ByKind, counted on delivery) match the simulators bit
+//     for bit.
 //
-// The same announcement carries each shard's count of still-running
-// programs, so termination (total reaches zero) and deadlock (all
-// announcements are Forever while programs still run) are agreed on by
-// every shard in the same exchange; no separate control plane or FIN
-// handshake is needed. Any transport failure — a broken connection, a
+// Termination (the live total reaches zero) and deadlock (every next is
+// Forever while programs still run) are agreed on by every shard from
+// the same view; no separate control plane or FIN handshake is needed.
+// Any transport failure — a broken connection that cannot be healed, a
 // program panic, a bandwidth violation — closes every connection, which
 // unwinds all shards and surfaces as an error from Run instead of a
 // hang.
+//
+// A quiet shard that has not written for heartbeatEvery agreed rounds
+// writes an announcement-only heartbeat. Every shard knows when each
+// shard last wrote, so readers expect heartbeats exactly when they
+// arrive. Heartbeats bound the replay log of each link: reading a
+// peer's batch for round G proves the peer consumed all of ours for
+// rounds before G, so a link keeps only what it wrote since it last
+// heard from the peer, and replays all of it on a fresh connection
+// after a fault (the receiver drops duplicates by round).
+//
+// No deadlock. A busy shard reads only from shards that write, so it
+// can run ahead of quiet peers until it needs one's heartbeat. Take the
+// shard at the lowest agreed round G. Every batch it waits for comes
+// from a writer of round G, which is at G or beyond and writes before
+// it reads, so the batch is written. Its own writes drain, because
+// every link has a reader goroutine of its own that moves batches off
+// the socket whatever its shard loop is doing, into a channel with room
+// for the largest run-ahead plus a replay. So the lowest shard always
+// makes progress, however far a lone busy shard runs ahead.
 //
 // Vertex programs are congest.Fiber state machines. Each shard loop
 // calls its wake set's fibers inline, one at a time in ascending vertex
@@ -51,6 +79,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -91,10 +120,10 @@ type Config struct {
 	// RetryBackoff is the base of the jittered exponential backoff
 	// between attempts. Zero means 25 milliseconds.
 	RetryBackoff time.Duration
-	// ChaosCloseAfter, when positive, closes the connection under the
-	// N-th successfully written batch — a deterministic fault-injection
-	// hook for exercising the reconnect path in tests and smoke runs.
-	// Zero (the default) disables it.
+	// ChaosCloseAfter, when positive, makes every link endpoint close
+	// its connection under the N-th batch it writes — a deterministic
+	// fault-injection hook for exercising the reconnect path in tests
+	// and smoke runs. Zero (the default) disables it.
 	ChaosCloseAfter int64
 	// Observer, when non-nil, receives round events (emitted by shard 0
 	// with best-effort global active counts, exact cumulative message
@@ -266,12 +295,14 @@ type cluster struct {
 	// Socket-level transport counters (always on: one atomic add per
 	// wire batch, not per message) plus the shared round-event
 	// accumulators the shards feed when an Observer is configured.
+	// maxReplay is the longest replay one reconnect made, in batches.
 	netBytesOut, netBytesIn    atomic.Int64
 	netFramesOut, netFramesIn  atomic.Int64
+	netBatches                 atomic.Int64
 	dials, dialRetries         atomic.Int64
 	reconnects, replayedFrames atomic.Int64
+	maxReplay                  atomic.Int64
 	obsActive, obsMessages     atomic.Int64
-	chaosLeft                  atomic.Int64
 
 	mu      sync.Mutex
 	failErr error
@@ -301,10 +332,18 @@ type shard struct {
 	round int64
 	live  int // local programs still running
 
-	// out[d] stages this round's frames destined to shard d; wbuf is
-	// the reused wire-encoding buffer.
-	out  [][]wireMsg
-	wbuf []byte
+	// out[d] stages this round's frames destined to shard d; dests
+	// lists the d with frames staged, and wbuf is the reused
+	// wire-encoding buffer.
+	out   [][]wireMsg
+	dests []int32
+	wbuf  []byte
+
+	// view is the synchronizer state, indexed by shard id and identical
+	// on every shard; played is the index of the current agreed round
+	// among all agreed rounds.
+	view   []shardView
+	played int64
 
 	// Per-shard statistics, merged once at the end of the run.
 	busyRound int64
@@ -319,6 +358,30 @@ type shard struct {
 	busyNanos    int64
 }
 
+// heartbeatEvery is how many agreed rounds a quiet shard may go
+// without writing before it owes its peers a heartbeat, which bounds
+// every link's replay log (see the package doc).
+const heartbeatEvery = 64
+
+// shardView is what every shard knows of one shard: its last announced
+// calendar and live count, the index of the agreed round it last wrote
+// in, whether it writes in the current round (busy), and whether a
+// batch of the current round named it as a destination.
+type shardView struct {
+	next  int64
+	live  uint32
+	wrote int64
+	busy  bool
+	named bool
+}
+
+// writes reports whether shard j writes a batch in the current round:
+// it is busy, or it owes a heartbeat.
+func (s *shard) writes(j int) bool {
+	v := &s.view[j]
+	return v.busy || s.played-v.wrote >= heartbeatEvery
+}
+
 // newCluster builds the shard and link structures for one run without
 // touching the network; connect establishes the mesh. topo is nil for
 // the in-process engine (every shard local, loopback listener) and set
@@ -330,7 +393,6 @@ func newCluster(g *graph.Graph, cfg Config, topo *Topology) *cluster {
 		cfg:    cfg,
 		closed: make(chan struct{}),
 	}
-	c.chaosLeft.Store(cfg.ChaosCloseAfter)
 	if n == 0 {
 		return c
 	}
@@ -378,6 +440,10 @@ func newCluster(g *graph.Graph, cfg Config, topo *Topology) *cluster {
 			}
 		}
 		s.out = make([][]wireMsg, nShards)
+		s.view = make([]shardView, nShards)
+		for j := range s.view {
+			s.view[j].busy = true // round 0 has every shard busy
+		}
 		s.live = s.hi - s.lo
 		c.shards[i] = s
 	}
@@ -417,6 +483,7 @@ func (c *cluster) netSample() congest.NetSample {
 		BytesIn:        c.netBytesIn.Load(),
 		FramesOut:      c.netFramesOut.Load(),
 		FramesIn:       c.netFramesIn.Load(),
+		Batches:        c.netBatches.Load(),
 		Dials:          c.dials.Load(),
 		DialRetries:    c.dialRetries.Load(),
 		Reconnects:     c.reconnects.Load(),
@@ -436,19 +503,6 @@ func (c *cluster) netSample() congest.NetSample {
 		}
 	}
 	return ns
-}
-
-// chaosMaybe implements Config.ChaosCloseAfter: it closes conn under
-// the writer when the configured countdown of successfully written
-// batches reaches zero, deterministically exercising the reconnect
-// path. No-op (one atomic load) when the hook is disabled.
-func (c *cluster) chaosMaybe(conn net.Conn) {
-	if c.cfg.ChaosCloseAfter <= 0 {
-		return
-	}
-	if c.chaosLeft.Add(-1) == 0 {
-		conn.Close()
-	}
 }
 
 // closeAll tears down the mesh exactly once — every link, the pending
@@ -612,12 +666,15 @@ func (s *shard) loop() {
 		if obs != nil {
 			roundStart = time.Now() //lint:allow noclock observer round-wall-clock sampling, off the stats path
 		}
-		wakes := s.wakeSet()
-		if len(wakes) > 0 && s.round > s.busyRound {
-			s.busyRound = s.round
+		var wakes []int
+		if s.view[s.id].busy {
+			wakes = s.wakeSet()
+			if len(wakes) > 0 && s.round > s.busyRound {
+				s.busyRound = s.round
+			}
+			s.execs += int64(len(wakes))
+			s.exec(wakes)
 		}
-		s.execs += int64(len(wakes))
-		s.exec(wakes)
 		if sample {
 			s.busyNanos += time.Since(roundStart).Nanoseconds() //lint:allow noclock shard busy-time sampling, off the stats path
 		}
@@ -625,36 +682,18 @@ func (s *shard) loop() {
 			s.abort()
 			return
 		}
-		next := s.proposal()
-		if err := s.flush(next); err != nil {
+		if err := s.exchange(); err != nil {
 			c.fail(err)
 			s.abort()
 			return
 		}
-		globalNext := next
-		totalLive := s.live
-		for j := 0; j < c.nshards; j++ {
-			if j == s.id {
-				continue
-			}
-			b, err := s.recvBatch(j)
-			if err != nil {
-				c.fail(err)
-				s.abort()
-				return
-			}
-			if b.next < globalNext {
-				globalNext = b.next
-			}
-			totalLive += int(b.live)
-		}
 		if obs != nil {
 			// Every shard folds its per-round deltas into the shared
 			// accumulators; the lowest local shard emits the round event.
-			// Peers can run one agreed round ahead of the emitter's read,
-			// so Active is a best-effort sample (process-local in worker
-			// mode) — the final event in run() pins the cumulative message
-			// total exactly.
+			// A busy shard can run up to heartbeatEvery agreed rounds
+			// ahead of the emitter, so Active is a best-effort sample
+			// (process-local in worker mode) — the final event in run()
+			// pins the cumulative message total exactly.
 			c.obsActive.Add(int64(len(wakes)))
 			c.obsMessages.Add(s.messages - s.prevMessages)
 			s.prevMessages = s.messages
@@ -669,22 +708,66 @@ func (s *shard) loop() {
 				prevActive = active
 			}
 		}
+		next, totalLive := s.agree()
 		switch {
 		case totalLive == 0:
-			// Agreed by every shard in this same exchange: nothing will
-			// ever be sent again, so the mesh can simply be dropped.
+			// Agreed by every shard from the same view: nothing will ever
+			// be sent again, so the mesh can simply be dropped.
 			return
-		case globalNext == congest.Forever:
+		case next == congest.Forever:
 			c.fail(fmt.Errorf("nettrans: %w", congest.ErrDeadlock))
 			s.abort()
 			return
-		case globalNext > maxRounds:
+		case next > maxRounds:
 			c.fail(fmt.Errorf("nettrans: %w (%d)", congest.ErrMaxRounds, maxRounds))
 			s.abort()
 			return
 		}
-		s.round = globalNext
+		s.round = next
 	}
+}
+
+// exchange is the wire half of one agreed round: this shard writes its
+// batch if it writes this round, then reads the batch of every other
+// shard that does, folding each announcement into the view.
+func (s *shard) exchange() error {
+	if s.writes(s.id) {
+		if err := s.flush(); err != nil {
+			return err
+		}
+	}
+	for j := range s.view {
+		if j != s.id && s.writes(j) {
+			if err := s.recvBatch(j); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// agree computes the next agreed round, and the busy set that plays it,
+// from the view — exactly as every other shard does — and returns the
+// round with the total count of programs still running.
+func (s *shard) agree() (next int64, totalLive int) {
+	next = congest.Forever
+	named := false
+	for _, v := range s.view {
+		next = min(next, v.next)
+		named = named || v.named
+		totalLive += int(v.live)
+	}
+	if named {
+		// Frames sent at this round wake their recipients at the next.
+		next = s.round + 1
+	}
+	for j := range s.view {
+		v := &s.view[j]
+		v.busy = v.next == next || v.named
+		v.named = false
+	}
+	s.played++
+	return next, totalLive
 }
 
 // wakeSet collects the local vertices due at the current agreed round:
@@ -812,21 +895,14 @@ func (s *shard) deliver(to, port int, m congest.Message) {
 	}
 }
 
-// proposal computes this shard's announcement: the earliest future
+// calendar computes this shard's own announcement: the earliest future
 // round at which it can be busy on its own account — round+1 if any
-// local vertex is already due or any remote message was just staged
-// (its recipient wakes then), else the earliest live calendar entry.
-func (s *shard) proposal() int64 {
-	next := congest.Forever
+// local vertex is already due, else the earliest live calendar entry.
+// Remote messages it just staged wake their recipients' shards instead,
+// through the destination set of its batch.
+func (s *shard) calendar() int64 {
 	if len(s.ready) > 0 {
-		next = s.round + 1
-	} else {
-		for _, msgs := range s.out {
-			if len(msgs) > 0 {
-				next = s.round + 1
-				break
-			}
-		}
+		return s.round + 1
 	}
 	for s.timers.Len() > 0 {
 		top := s.timers.items[0]
@@ -835,51 +911,67 @@ func (s *shard) proposal() int64 {
 			heap.Pop(&s.timers) // stale
 			continue
 		}
-		if top.round < next {
-			next = top.round
-		}
-		break
+		return top.round
 	}
-	return next
+	return congest.Forever
 }
 
-// flush writes one batch to every peer shard: the staged frames, then
-// the calendar announcement and live count for this agreed round. A
-// broken connection is transparently re-established and the batch
-// replayed by the link; only an exhausted retry budget fails the run.
-func (s *shard) flush(next int64) error {
-	for j := 0; j < s.c.nshards; j++ {
+// flush writes this round's batch to every peer shard: the frames
+// staged for it, then this shard's calendar, live count and
+// destination set. A quiet shard's heartbeat is the same batch with no
+// frames and no destinations. A broken connection is transparently
+// re-established and the batch replayed by the link; only an exhausted
+// retry budget fails the run.
+func (s *shard) flush() error {
+	next := s.calendar()
+	s.dests = s.dests[:0]
+	for d, msgs := range s.out {
+		if len(msgs) > 0 {
+			s.dests = append(s.dests, int32(d))
+		}
+	}
+	for j := range s.links {
 		if j == s.id {
 			continue
 		}
-		s.wbuf = appendBatch(s.wbuf[:0], s.round, next, uint32(s.live), s.out[j])
-		if err := s.links[j].send(s.wbuf, int64(len(s.out[j]))); err != nil {
+		s.wbuf = appendBatch(s.wbuf[:0], s.round, next, uint32(s.live), s.dests, s.out[j])
+		if err := s.links[j].send(s.round, s.wbuf, int64(len(s.out[j]))); err != nil {
 			return fmt.Errorf("nettrans: shard %d write to shard %d: %w", s.id, j, err)
 		}
 		s.out[j] = s.out[j][:0]
 	}
+	s.announced(s.id, next, uint32(s.live), s.dests)
 	return nil
 }
 
+// announced folds shard j's batch for the current round into the view.
+func (s *shard) announced(j int, next int64, live uint32, dests []int32) {
+	v := &s.view[j]
+	v.next, v.live, v.wrote = next, live, s.played
+	for _, d := range dests {
+		s.view[d].named = true
+	}
+}
+
 // recvBatch blocks for peer shard j's batch for the current agreed
-// round, ingests its frames, and returns its announcement. Batches for
-// past rounds are duplicates replayed by the peer's reconnect path and
-// are skipped, which is what makes the at-least-once replay exactly-
-// once at ingestion. The mesh closing mid-wait means another shard
-// aborted the run.
-func (s *shard) recvBatch(j int) (*batch, error) {
+// round, ingests its frames, and folds its announcement into the view.
+// Batches for past rounds are duplicates replayed by the peer's
+// reconnect path and are skipped, which is what makes the at-least-once
+// replay exactly-once at ingestion. The mesh closing mid-wait means
+// another shard aborted the run.
+func (s *shard) recvBatch(j int) error {
 	var b *batch
 	for {
 		select {
 		case b = <-s.links[j].batches:
 		case <-s.c.closed:
 			if err := s.c.err(); err != nil {
-				return nil, err
+				return err
 			}
-			return nil, fmt.Errorf("nettrans: shard %d: mesh closed while waiting for shard %d", s.id, j)
+			return fmt.Errorf("nettrans: shard %d: mesh closed while waiting for shard %d", s.id, j)
 		}
 		if b.err != nil {
-			return nil, fmt.Errorf("nettrans: shard %d read from shard %d: %w", s.id, j, b.err)
+			return fmt.Errorf("nettrans: shard %d read from shard %d: %w", s.id, j, b.err)
 		}
 		if b.round < s.round {
 			continue // replayed duplicate of an already-ingested round
@@ -887,25 +979,33 @@ func (s *shard) recvBatch(j int) (*batch, error) {
 		break
 	}
 	if b.round != s.round {
-		return nil, fmt.Errorf("nettrans: shard %d: round skew from shard %d: got %d at %d",
+		return fmt.Errorf("nettrans: shard %d: round skew from shard %d: got %d at %d",
 			s.id, j, b.round, s.round)
+	}
+	if b.next <= s.round {
+		return fmt.Errorf("nettrans: shard %d: shard %d announced past round %d at %d", s.id, j, b.next, s.round)
+	}
+	if (len(b.msgs) > 0) != slices.Contains(b.dests, int32(s.id)) {
+		return fmt.Errorf("nettrans: shard %d: batch from shard %d disagrees with its destination set", s.id, j)
 	}
 	for _, wm := range b.msgs {
 		src := int(wm.src)
 		if src < 0 || src >= s.c.g.N() || s.c.shardOf(src) == s.id {
-			return nil, fmt.Errorf("nettrans: shard %d: frame from invalid vertex %d", s.id, src)
+			return fmt.Errorf("nettrans: shard %d: frame from invalid vertex %d", s.id, src)
 		}
 		pos := s.c.csr.Off[src] + int64(wm.port)
 		if wm.port < 0 || pos >= s.c.csr.Off[src+1] {
-			return nil, fmt.Errorf("nettrans: shard %d: frame on invalid port %d of vertex %d", s.id, wm.port, src)
+			return fmt.Errorf("nettrans: shard %d: frame on invalid port %d of vertex %d", s.id, wm.port, src)
 		}
 		to := int(s.c.csr.To[pos])
 		if s.c.shardOf(to) != s.id {
-			return nil, fmt.Errorf("nettrans: shard %d: misrouted frame for vertex %d", s.id, to)
+			return fmt.Errorf("nettrans: shard %d: misrouted frame for vertex %d", s.id, to)
 		}
 		s.deliver(to, int(s.c.csr.PeerPort[pos]), wm.msg)
 	}
-	return b, nil
+	s.links[j].ack(b.round)
+	s.announced(j, b.next, b.live, b.dests)
+	return nil
 }
 
 // abort tears down the mesh, unblocking every other shard. Parked

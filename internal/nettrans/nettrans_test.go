@@ -438,10 +438,14 @@ func TestFaultInjectionConnKill(t *testing.T) {
 	}
 }
 
-// netRecorder captures the final NetSample of a run.
-type netRecorder struct{ sink *congest.NetSample }
+// netRecorder captures the final NetSample of a run and counts its
+// round events (one per agreed round, plus the final summary).
+type netRecorder struct {
+	sink   *congest.NetSample
+	events int64
+}
 
-func (r *netRecorder) OnRound(congest.RoundEvent) {}
+func (r *netRecorder) OnRound(congest.RoundEvent) { r.events++ }
 func (r *netRecorder) OnPhase(congest.PhaseEvent) {}
 func (r *netRecorder) OnNet(ns congest.NetSample) { *r.sink = ns }
 
@@ -465,4 +469,84 @@ func TestMaxRoundsOverTCP(t *testing.T) {
 	if !errors.Is(err, congest.ErrMaxRounds) {
 		t.Fatalf("err = %v, want ErrMaxRounds", err)
 	}
+}
+
+// tokenWalk passes one token down a path graph: vertex 0 sends it at
+// round 0 and every later vertex forwards it away from where it came,
+// so from round 1 on the shard holding the token is the only busy one.
+func tokenWalk(c congest.Context) congest.Step {
+	if c.ID() == 0 {
+		c.Send(0, congest.Message{Kind: 1})
+		return congest.Done()
+	}
+	return congest.Await(func(c congest.Context, msgs []congest.Inbound) congest.Step {
+		if c.Degree() == 2 {
+			c.Send(1-msgs[0].Port, congest.Message{Kind: 1, A: int64(c.ID())})
+		}
+		return congest.Done()
+	})
+}
+
+// TestBatchesFollowBusyShards pins the synchronizer's wire cost: a
+// shard writes only in rounds where it is busy or owes a heartbeat. On
+// the token walk every round is played with exactly one busy shard, so
+// the batch count is known in closed form; on the round-bound lollipop
+// Elkin run, most rounds leave some shard quiet.
+func TestBatchesFollowBusyShards(t *testing.T) {
+	t.Run("token-walk", func(t *testing.T) {
+		const n, nshards = 400, 4
+		g := graph.Path(n, graph.GenOptions{})
+		want := lockstepStats(t, g, 1, steps(g, tokenWalk))
+		var ns congest.NetSample
+		got, err := runWithTimeout(t, 30*time.Second, g,
+			Config{Shards: nshards, Observer: &netRecorder{sink: &ns}}, steps(g, tokenWalk))
+		if err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+		if *got != *want {
+			t.Errorf("stats differ: tcp rounds=%d msgs=%d, lockstep rounds=%d msgs=%d",
+				got.Rounds, got.Messages, want.Rounds, want.Messages)
+		}
+		// Round 0 has every shard busy. Round r >= 1 plays with the token
+		// at vertex r, whose shard is B(r); every other shard writes a
+		// heartbeat once it has not written for heartbeatEvery rounds.
+		batches := int64(nshards * (nshards - 1))
+		wrote := make([]int, nshards)
+		for r := 1; r < n; r++ {
+			for j := range wrote {
+				if j == r/(n/nshards) || r-wrote[j] >= heartbeatEvery {
+					wrote[j] = r
+					batches += nshards - 1
+				}
+			}
+		}
+		if ns.Batches != batches {
+			t.Errorf("Batches = %d, want %d (busy shards plus heartbeats)", ns.Batches, batches)
+		}
+	})
+
+	t.Run("lollipop-elkin", func(t *testing.T) {
+		g := graph.Lollipop(32, 512, graph.GenOptions{Seed: 1})
+		program := func() func(id int) congest.Fiber {
+			return core.FiberFactory(g.N(), core.Config{}, func(int, *core.Result) {})
+		}
+		want := lockstepStats(t, g, 1, program())
+		var ns congest.NetSample
+		rec := &netRecorder{sink: &ns}
+		got, err := runWithTimeout(t, 120*time.Second, g, Config{Shards: 4, Observer: rec}, program())
+		if err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+		if *got != *want {
+			t.Errorf("stats differ: tcp rounds=%d msgs=%d, lockstep rounds=%d msgs=%d",
+				got.Rounds, got.Messages, want.Rounds, want.Messages)
+		}
+		played := rec.events - 1 // the last event is the end-of-run summary
+		allToAll := 4 * 3 * played
+		t.Logf("Batches = %d over %d played rounds: %.1f%% of the all-to-all %d",
+			ns.Batches, played, 100*float64(ns.Batches)/float64(allToAll), allToAll)
+		if ns.Batches*100 > 55*allToAll {
+			t.Error("want at most 55% of the all-to-all exchange")
+		}
+	})
 }

@@ -3,6 +3,7 @@ package nettrans
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net"
 	"testing"
 	"time"
@@ -176,5 +177,58 @@ func TestReconnectExhaustedSurfacesPeerError(t *testing.T) {
 		}
 	case <-time.After(30 * time.Second):
 		t.Fatal("unhealable fault hung the cluster")
+	}
+}
+
+// TestReconnectWhileRunningAhead severs sockets while a lone busy shard
+// runs ahead of its quiet peers. On the token walk shard 0 writes every
+// round from round 0 to 99 while its peers stay quiet until their first
+// heartbeat at round heartbeatEvery, so shard 0's links close under
+// their N-th write with N batches the peer has not acknowledged — more
+// than the two a fixed two-batch replay window would resend. The run
+// must heal to lockstep's stats.
+func TestReconnectWhileRunningAhead(t *testing.T) {
+	g := graph.Path(400, graph.GenOptions{})
+	want := lockstepStats(t, g, 1, steps(g, tokenWalk))
+	for _, after := range []int64{5, 17, 40} {
+		t.Run(fmt.Sprintf("chaos-after-%d", after), func(t *testing.T) {
+			var ns congest.NetSample
+			c := newCluster(g, Config{
+				Shards:          4,
+				ChaosCloseAfter: after,
+				Observer:        &netRecorder{sink: &ns},
+			}, nil)
+			if err := c.connect(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			type result struct {
+				stats *congest.Stats
+				err   error
+			}
+			ch := make(chan result, 1)
+			go func() {
+				stats, err := c.run(context.Background(), steps(g, tokenWalk))
+				ch <- result{stats, err}
+			}()
+			var r result
+			select {
+			case r = <-ch:
+			case <-time.After(60 * time.Second):
+				t.Fatal("run ahead with severed sockets hung")
+			}
+			if r.err != nil {
+				t.Fatalf("run: %v", r.err)
+			}
+			if *r.stats != *want {
+				t.Errorf("stats diverged after reconnect: got rounds=%d messages=%d, want rounds=%d messages=%d",
+					r.stats.Rounds, r.stats.Messages, want.Rounds, want.Messages)
+			}
+			if ns.Reconnects < 1 {
+				t.Errorf("Reconnects = %d, want >= 1", ns.Reconnects)
+			}
+			if got := c.maxReplay.Load(); got < after {
+				t.Errorf("longest replay = %d batches, want >= %d (the writer's unacknowledged run-ahead)", got, after)
+			}
+		})
 	}
 }

@@ -66,8 +66,9 @@ printf '%s\n' "$REMOTE_OUT" | grep -q '^transport : .*reconnects=0' ||
     { echo "FAIL: transport line missing or reported reconnects on a healthy mesh"; exit 1; }
 echo "ok: 3-worker mesh matches in-process engine (rounds=$R_ROUNDS messages=$R_MSGS weight=$R_WEIGHT)"
 
-# Chaos fleet: every worker severs a mesh socket under its 3rd written
-# batch; the reconnect path must heal the mesh without changing a bit.
+# Chaos fleet: every mesh link of every worker severs its socket under
+# its 3rd written batch; the reconnect path must heal the mesh without
+# changing a bit.
 C0="127.0.0.1:$((PORT_BASE + 3))"
 C1="127.0.0.1:$((PORT_BASE + 4))"
 CCFG="$TMP/mstshard-smoke-chaos.json"
