@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"slices"
 
 	"congestmst/internal/congest"
 )
@@ -120,7 +119,13 @@ func (br *batchReader) read() (*batch, error) {
 	for len(br.buf) < payload {
 		start := len(br.buf)
 		end := start + min(payload-start, readChunk)
-		br.buf = slices.Grow(br.buf, end-start)[:end]
+		if cap(br.buf) < end {
+			// Double per chunk received, never past the declared size.
+			grown := make([]byte, start, min(payload, max(end, 2*cap(br.buf))))
+			copy(grown, br.buf)
+			br.buf = grown
+		}
+		br.buf = br.buf[:end]
 		if _, err := io.ReadFull(br.r, br.buf[start:]); err != nil {
 			if errors.Is(err, io.EOF) {
 				err = io.ErrUnexpectedEOF

@@ -1,6 +1,7 @@
 package nettrans
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -115,28 +116,28 @@ type link struct {
 	recovering bool
 	dead       error // terminal *PeerError; the link is unusable
 
-	// log is the replay window: every batch written since the last
-	// batch read from the peer, oldest first. Reading the peer's batch
-	// for round G proves the peer consumed all of ours for rounds
-	// before G (it had to, to reach G), so ack drops exactly those; the
-	// rest may still die in a broken connection's buffers. A busy shard
-	// can run ahead of a quiet peer until it needs the peer's next
-	// heartbeat, so the log holds at most heartbeatEvery+2 batches. The
-	// receiver deduplicates by round, so replaying all of it is safe.
-	// Entries past len(log) keep their buffers for reuse.
-	log []sentBatch
+	// The replay log: every batch written since the last batch read
+	// from the peer, back to back in logBuf, oldest first, with one
+	// logEntry per batch. Reading the peer's batch for round G proves
+	// the peer consumed all of ours for rounds before G (it had to, to
+	// reach G), so ack drops exactly those; the rest may still die in a
+	// broken connection's buffers. A busy shard can run ahead of a quiet
+	// peer until it needs the peer's next heartbeat, so the log holds
+	// at most heartbeatEvery+2 batches. The receiver deduplicates by
+	// round, so replaying all of it is safe.
+	logBuf []byte
+	log    []logEntry
 
 	// chaosLeft counts down Config.ChaosCloseAfter over the batches this
 	// endpoint writes; only the shard loop touches it.
 	chaosLeft int64
 }
 
-// sentBatch is one replay-log entry: a written batch and its frame
-// count.
-type sentBatch struct {
-	round  int64
-	frames int64
-	buf    []byte
+// logEntry describes one batch of the replay log: its round, its frame
+// count, and where its bytes end in logBuf.
+type logEntry struct {
+	round, frames int64
+	end           int
 }
 
 func newLink(c *cluster, self, peer int) *link {
@@ -368,10 +369,9 @@ func (l *link) connectAndReplay(replay bool) (net.Conn, error) {
 			return conn, nil
 		}
 		l.mu.Lock()
-		var wire []byte
+		wire := bytes.Clone(l.logBuf)
 		var frames int64
 		for _, e := range l.log {
-			wire = append(wire, e.buf...)
 			frames += e.frames
 		}
 		replayed := int64(len(l.log))
@@ -402,14 +402,8 @@ func (l *link) connectAndReplay(replay bool) (net.Conn, error) {
 // any duplicate by its round number.
 func (l *link) send(round int64, buf []byte, frames int64) error {
 	l.mu.Lock()
-	n := len(l.log)
-	if n < cap(l.log) {
-		l.log = l.log[:n+1]
-	} else {
-		l.log = append(l.log, sentBatch{})
-	}
-	e := &l.log[n]
-	e.round, e.frames, e.buf = round, frames, append(e.buf[:0], buf...)
+	l.logBuf = append(l.logBuf, buf...)
+	l.log = append(l.log, logEntry{round: round, frames: frames, end: len(l.logBuf)})
 	l.mu.Unlock()
 	for {
 		conn, gen, err := l.current()
@@ -438,8 +432,7 @@ func (l *link) send(round int64, buf []byte, frames int64) error {
 }
 
 // ack drops the logged batches for rounds before round: the peer wrote
-// its batch for round, so it consumed every one of ours before it. The
-// dropped entries move behind the live ones, keeping their buffers.
+// its batch for round, so it consumed every one of ours before it.
 func (l *link) ack(round int64) {
 	l.mu.Lock()
 	k := 0
@@ -447,11 +440,12 @@ func (l *link) ack(round int64) {
 		k++
 	}
 	if k > 0 {
-		live := len(l.log) - k
-		for i := 0; i < live; i++ {
-			l.log[i], l.log[k+i] = l.log[k+i], l.log[i]
+		cut := l.log[k-1].end
+		l.logBuf = l.logBuf[:copy(l.logBuf, l.logBuf[cut:])]
+		l.log = l.log[:copy(l.log, l.log[k:])]
+		for i := range l.log {
+			l.log[i].end -= cut
 		}
-		l.log = l.log[:live]
 	}
 	l.mu.Unlock()
 }
