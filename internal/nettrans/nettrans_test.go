@@ -550,3 +550,31 @@ func TestBatchesFollowBusyShards(t *testing.T) {
 		}
 	})
 }
+
+// TestRecvBatchRejectsBadAnnouncements feeds a shard batches whose
+// announcement contradicts the synchronizer: a calendar in the past, or
+// frames and destination set that disagree. Each must fail the round
+// rather than stall a shard or wake the wrong one.
+func TestRecvBatchRejectsBadAnnouncements(t *testing.T) {
+	g := graph.Path(8, graph.GenOptions{})
+	c := newCluster(g, Config{Shards: 2}, nil)
+	s := c.shards[0]
+	s.round = 5
+	for _, tc := range []struct {
+		name string
+		b    *batch
+	}{
+		{"past-next", &batch{round: 5, next: 5}},
+		{"frames-without-destination", &batch{round: 5, next: 6, msgs: []wireMsg{{src: 4, port: 0}}}},
+		{"destination-without-frames", &batch{round: 5, next: 6, dests: []int32{0}}},
+	} {
+		s.links[1].batches <- tc.b
+		if err := s.recvBatch(1); err == nil {
+			t.Errorf("%s: batch accepted", tc.name)
+		}
+	}
+	s.links[1].batches <- &batch{round: 5, next: 6, dests: []int32{0}, msgs: []wireMsg{{src: 4, port: 0}}}
+	if err := s.recvBatch(1); err != nil {
+		t.Errorf("consistent batch rejected: %v", err)
+	}
+}
