@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build fmt vet lint test test-short race fuzz bench-tables bench-cluster bench-fiber bench-async serve smoke-serve smoke-trace smoke-cluster smoke-async perfbench-check check
+.PHONY: all build fmt vet lint test test-short race fuzz bench-layers bench-tables bench-cluster bench-fiber bench-async serve smoke-serve smoke-trace smoke-cluster smoke-async perfbench-check check
 
 all: check
 
@@ -42,11 +42,20 @@ race:
 # Coverage-guided fuzzing of NDJSON edge lists through graph.Builder →
 # Run against a Kruskal oracle (FUZZTIME, which matches the CI budget;
 # crank it locally, `make fuzz FUZZTIME=10m`, for a deeper hunt), then
-# 15 s of the cluster mesh's batch decoder (internal/nettrans).
+# 15 s each of the cluster mesh's batch decoder (internal/nettrans) and
+# the worker's job decoder (internal/cluster).
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzBuildAndRun -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz FuzzDecodeBatch -fuzztime 15s ./internal/nettrans/
+	$(GO) test -run '^$$' -fuzz FuzzDecodeJob -fuzztime 15s ./internal/cluster/
+
+# Time and allocations per op of whole runs (Elkin on a message-bound
+# and a round-bound graph, GHS, Pipeline) and of the two park paths
+# every engine shares: the calendar and a Step-kit window.
+bench-layers:
+	$(GO) test -run '^$$' -bench '^Benchmark(ElkinMST|ElkinMSTLollipop|GHSMST|PipelineMST)$$' -benchmem .
+	$(GO) test -run '^$$' -bench '^Benchmark(Calendar|StepWindow)$$' -benchmem ./internal/congest/
 
 bench-tables:
 	$(GO) run ./cmd/mstbench

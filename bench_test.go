@@ -58,13 +58,11 @@ func BenchmarkE8Convergence(b *testing.B) { benchExperiment(b, "e8") }
 // BenchmarkE9GHSAdversary regenerates the GHS time-separation table.
 func BenchmarkE9GHSAdversary(b *testing.B) { benchExperiment(b, "e9") }
 
-// BenchmarkElkinMST measures one full run of the paper's algorithm on
-// a mid-size low-diameter graph, reporting CONGEST metrics per run.
-func BenchmarkElkinMST(b *testing.B) {
-	g, err := congestmst.RandomConnected(512, 2048, congestmst.GenOptions{Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
+// benchElkin measures full lockstep Elkin runs on g, reporting CONGEST
+// metrics and allocations per run.
+func benchElkin(b *testing.B, g *congestmst.Graph) {
+	b.Helper()
+	b.ReportAllocs()
 	var rounds, msgs int64
 	for i := 0; i < b.N; i++ {
 		res, err := congestmst.Run(g, congestmst.Options{Verify: congestmst.VerifyOff})
@@ -77,12 +75,31 @@ func BenchmarkElkinMST(b *testing.B) {
 	b.ReportMetric(float64(msgs), "messages")
 }
 
+// BenchmarkElkinMST measures one full run of the paper's algorithm on
+// a mid-size low-diameter graph: the message-bound case.
+func BenchmarkElkinMST(b *testing.B) {
+	g, err := congestmst.RandomConnected(512, 2048, congestmst.GenOptions{Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchElkin(b, g)
+}
+
+// BenchmarkElkinMSTLollipop is the round-bound twin of
+// BenchmarkElkinMST: Lollipop(32, 512) takes about 160k rounds at
+// under one message each, so parks, the calendar and fixed-length
+// windows dominate its time and allocations.
+func BenchmarkElkinMSTLollipop(b *testing.B) {
+	benchElkin(b, congestmst.Lollipop(32, 512, congestmst.GenOptions{Seed: 1}))
+}
+
 // BenchmarkGHSMST measures one full GHS'83 run on the same graph.
 func BenchmarkGHSMST(b *testing.B) {
 	g, err := congestmst.RandomConnected(512, 2048, congestmst.GenOptions{Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	var rounds, msgs int64
 	for i := 0; i < b.N; i++ {
 		res, err := congestmst.Run(g, congestmst.Options{Algorithm: congestmst.GHS, Verify: congestmst.VerifyOff})
@@ -101,6 +118,7 @@ func BenchmarkPipelineMST(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	var rounds, msgs int64
 	for i := 0; i < b.N; i++ {
 		res, err := congestmst.Run(g, congestmst.Options{Algorithm: congestmst.Pipeline, Verify: congestmst.VerifyOff})

@@ -185,11 +185,24 @@ func decodeJob(payload []byte) (jobHeader, *graph.Graph, error) {
 	if err := json.Unmarshal(rest[:jsonLen], &h); err != nil {
 		return h, nil, fmt.Errorf("cluster: job header: %w", err)
 	}
+	// The edge count comes from the bytes actually received, never from
+	// a multiplication of the header's m, which a hostile header could
+	// wrap around to any value.
 	blob := rest[jsonLen:]
-	if len(blob) != h.M*edgeWireSize {
-		return h, nil, fmt.Errorf("cluster: job carries %d edge bytes, want %d", len(blob), h.M*edgeWireSize)
+	if len(blob)%edgeWireSize != 0 {
+		return h, nil, fmt.Errorf("cluster: job carries %d edge bytes, not a whole number of %d-byte edges",
+			len(blob), edgeWireSize)
 	}
-	edges := make([]graph.Edge, h.M)
+	m := len(blob) / edgeWireSize
+	if h.M != m {
+		return h, nil, fmt.Errorf("cluster: job carries %d edges, header says %d", m, h.M)
+	}
+	// Only connected graphs are shipped, so n <= m+1; this also bounds
+	// the graph's per-vertex arrays by the frame size.
+	if h.N < 0 || h.N > m+1 {
+		return h, nil, fmt.Errorf("cluster: job has %d vertices for %d edges, want 0..%d", h.N, m, m+1)
+	}
+	edges := make([]graph.Edge, m)
 	for i := range edges {
 		off := i * edgeWireSize
 		edges[i] = graph.Edge{

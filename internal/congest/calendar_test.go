@@ -1,0 +1,156 @@
+package congest
+
+import (
+	"slices"
+	"testing"
+)
+
+func TestCalendarOrdersAndDropsStale(t *testing.T) {
+	var cal Calendar
+	for i, r := range []int64{9, 3, 7, 3, 5, 1, 8} {
+		cal.Schedule(TimerEntry{Round: r, ID: i})
+	}
+	stale := map[int]bool{5: true, 3: true} // rounds 1 and 3
+	live := func(t TimerEntry) bool { return !stale[t.ID] }
+	if got := cal.Next(live); got != 3 || len(cal.items) > 6 {
+		t.Fatalf("Next = %d with %d entries left, want 3 with the stale round-1 entry dropped", got, len(cal.items))
+	}
+	var rounds []int64
+	var ids []int
+	cal.Release(7, live, func(t TimerEntry) {
+		rounds = append(rounds, t.Round)
+		ids = append(ids, t.ID)
+	})
+	if !slices.Equal(rounds, []int64{3, 5, 7}) || !slices.Equal(ids, []int{1, 4, 2}) {
+		t.Fatalf("Release(7) = rounds %v ids %v, want [3 5 7] [1 4 2]", rounds, ids)
+	}
+	if got := cal.Next(live); got != 8 {
+		t.Fatalf("Next = %d, want 8", got)
+	}
+	cal.Release(Forever, func(TimerEntry) bool { return false }, func(TimerEntry) {
+		t.Fatal("released a dead entry")
+	})
+	if got := cal.Next(live); got != Forever || len(cal.items) != 0 {
+		t.Fatalf("drained calendar: Next = %d with %d entries left", got, len(cal.items))
+	}
+}
+
+func TestWindowDispatchesThenContinues(t *testing.T) {
+	// Vertex 0 sends in rounds 0, 1 and 3; vertex 1 drains a window
+	// ending at round 3 and then reads round 3's message as an Await.
+	var handled, late []int64
+	var thenRound int64 = -1
+	stats, err := run(pair(t), Config{}, func(c Context) Step {
+		if c.ID() == 0 {
+			c.Send(0, Message{Kind: 1, A: 0})
+			return nextRound(c, func(c Context, _ []Inbound) Step {
+				c.Send(0, Message{Kind: 1, A: 1})
+				return Until(3, func(c Context, _ []Inbound) Step {
+					c.Send(0, Message{Kind: 1, A: 3})
+					return Done()
+				})
+			})
+		}
+		return Window(c, 3, func(c Context, in Inbound) {
+			handled = append(handled, in.Msg.A)
+		}, func(c Context) Step {
+			thenRound = c.Round()
+			// A window already over continues at once.
+			return Window(c, c.Round(), func(Context, Inbound) {
+				t.Error("handler of an empty window ran")
+			}, func(c Context) Step {
+				return Await(func(c Context, msgs []Inbound) Step {
+					for _, in := range msgs {
+						late = append(late, in.Msg.A)
+					}
+					return Done()
+				})
+			})
+		})
+	})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if !slices.Equal(handled, []int64{0, 1}) || thenRound != 3 || !slices.Equal(late, []int64{3}) {
+		t.Fatalf("handled %v, then at round %d, late %v; want [0 1], 3, [3]", handled, thenRound, late)
+	}
+	if stats.Rounds != 4 || stats.Messages != 3 {
+		t.Fatalf("stats = %d rounds, %d messages; want 4, 3", stats.Rounds, stats.Messages)
+	}
+}
+
+// stubCtx is a Context with nothing behind it: the round is set by the
+// caller, and sends are dropped.
+type stubCtx struct{ round int64 }
+
+func (c *stubCtx) ID() int           { return 0 }
+func (c *stubCtx) Degree() int       { return 1 }
+func (c *stubCtx) Weight(int) int64  { return 0 }
+func (c *stubCtx) Round() int64      { return c.round }
+func (c *stubCtx) Bandwidth() int    { return 1 }
+func (c *stubCtx) Send(int, Message) {}
+
+// windowLoop returns a StepFiber running back-to-back windows of
+// length h whose handler and continuation are built once, and the
+// count of messages the handler has seen.
+func windowLoop(h int64) (Fiber, *int) {
+	seen := new(int)
+	handle := func(c Context, in Inbound) { *seen++ }
+	var next func(c Context) Step
+	next = func(c Context) Step { return Window(c, c.Round()+h, handle, next) }
+	return StepFiberFactory(1, next)(0), seen
+}
+
+// calendarCycle files one live and one stale entry, fast-forwards the
+// clock to the live one and releases it: one idle stretch of a round
+// loop.
+func calendarCycle(c *Clock, live func(TimerEntry) bool, release func(TimerEntry)) error {
+	now := c.Now()
+	c.Schedule(TimerEntry{Round: now + 2, ID: 1, Gen: -1})
+	c.Schedule(TimerEntry{Round: now + 5, ID: 2, Gen: now})
+	if err := c.Advance(false, live); err != nil {
+		return err
+	}
+	c.PopDue(live, release)
+	return nil
+}
+
+// BenchmarkCalendar times one calendarCycle per op over a standing
+// backlog of 64 far deadlines.
+func BenchmarkCalendar(b *testing.B) {
+	b.ReportAllocs()
+	c := NewClock(Forever - 1)
+	for i := 0; i < 64; i++ { // a standing backlog of far deadlines
+		c.Schedule(TimerEntry{Round: Forever - 1, ID: 3})
+	}
+	live := func(t TimerEntry) bool { return t.Gen >= 0 }
+	released := 0
+	release := func(TimerEntry) { released++ }
+	for i := 0; i < b.N; i++ {
+		if err := calendarCycle(c, live, release); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if released != b.N {
+		b.Fatalf("released %d entries in %d cycles", released, b.N)
+	}
+}
+
+// BenchmarkStepWindow times one two-round window per op: a wake that
+// re-parks inside it and the wake at its end that enters the next.
+func BenchmarkStepWindow(b *testing.B) {
+	b.ReportAllocs()
+	f, seen := windowLoop(2)
+	c := &stubCtx{}
+	msgs := []Inbound{{Port: 0}}
+	f.Start(c)
+	for i := 0; i < b.N; i++ {
+		c.round++
+		f.Resume(c, msgs)
+		c.round++
+		f.Resume(c, msgs)
+	}
+	if *seen == 0 {
+		b.Fatal("handler never ran")
+	}
+}

@@ -28,6 +28,15 @@
 // vertices) and internal/nettrans (shards over TCP) run the same
 // fibers with bit-identical statistics; this engine remains the ground
 // truth they are validated against.
+//
+// The package also holds what every engine shares. Clock (clock.go)
+// is the round counter with its park calendar; Calendar, the typed
+// binary heap of park deadlines inside it, is the one calendar all
+// three round loops keep, and SortInbox the one inbox order, so a park
+// allocates nothing on any engine. The Step kit (task.go) writes a
+// Fiber as continuations: Await, Until, Quiesce, Done, and Window, a
+// fixed-length window that drains deliveries into a handler until an
+// absolute end round while StepFiber re-parks to that end itself.
 package congest
 
 import (
@@ -35,7 +44,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"time"
 
 	"congestmst/internal/graph"
@@ -114,9 +123,11 @@ type Engine struct {
 
 	// ready lists processors due at round+1 (fresh deliveries or an
 	// explicit next-round park); the clock's calendar orders the more
-	// distant deadlines. wake holds the detached inboxes of the round
-	// being played, parallel to its wake set.
+	// distant deadlines. due is the wake set of the round being played
+	// and wake its detached inboxes, parallel to it. ready and due
+	// trade backing arrays every round, so neither is reallocated.
 	ready []int
+	due   []int
 	wake  [][]Inbound
 
 	failErr error
@@ -171,6 +182,7 @@ func (e *Engine) RunContext(ctx context.Context, factory func(id int) Fiber) (*S
 		e.nodes[v].fib = factory(v)
 		current[v] = v
 	}
+	e.due = current
 	doneCount := 0
 	obs := e.cfg.Observer
 	for n > 0 {
@@ -232,9 +244,7 @@ func (e *Engine) playRound(ids []int) int {
 		ns.parked = false
 		msgs := ns.inbox
 		ns.inbox = nil
-		if len(msgs) > 1 {
-			sort.SliceStable(msgs, func(i, j int) bool { return msgs[i].Port < msgs[j].Port })
-		}
+		SortInbox(msgs)
 		e.wake = append(e.wake, msgs)
 	}
 	finished := 0
@@ -316,14 +326,16 @@ func (e *Engine) nextWakeSet() ([]int, error) {
 	if err := e.clock.Advance(len(e.ready) > 0, e.liveTimer); err != nil {
 		return nil, err
 	}
-	due := e.ready
-	e.ready = nil
-	e.clock.PopDue(e.liveTimer, func(t TimerEntry) {
-		e.nodes[t.ID].queued = true // guards against double release
-		due = append(due, t.ID)
-	})
-	sort.Ints(due)
-	return due, nil
+	e.due, e.ready = e.ready, e.due[:0]
+	e.clock.PopDue(e.liveTimer, e.release)
+	slices.Sort(e.due)
+	return e.due, nil
+}
+
+// release adds a due calendar entry's processor to the wake set.
+func (e *Engine) release(t TimerEntry) {
+	e.nodes[t.ID].queued = true // guards against double release
+	e.due = append(e.due, t.ID)
 }
 
 // liveTimer reports whether a calendar entry still represents a parked

@@ -23,7 +23,7 @@ package congest
 //     particular, a delivery wakes a ParkUntil(r) fiber before round r
 //     and the old deadline is gone — a fiber still inside a
 //     fixed-length window must re-issue ParkUntil(r) from Resume until
-//     Round() reaches r.
+//     Round() reaches r (a Step program's Window does this for it).
 //   - ParkUntil targets are absolute round numbers and must exceed the
 //     round current at the moment Resume returns — not the round the
 //     deadline was first computed in. Phase programs therefore compute

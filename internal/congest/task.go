@@ -14,10 +14,16 @@ package congest
 //	msgs := wait for any delivery      →  return Await(k)       // k receives msgs
 //	msgs := wait until round t         →  return Until(t, k)
 //	msgs := wait for the next round    →  return Until(c.Round()+1, k)
+//	until round end: handle each msg;  →  return Window(c, end, h, then)
+//	  then the rest
 //	return                             →  return Done()
 //
-// where k is the rest of the program as a Resume. Loops become
-// recursive continuations that re-park to the same absolute deadline.
+// where k is the rest of the program as a Resume (then as a function
+// of the Context alone, h as a per-message handler). Loops become
+// recursive continuations that re-park to the same absolute deadline;
+// the commonest loop, a fixed-length window that drains deliveries
+// until an absolute end round, is Window, whose re-parks StepFiber
+// performs itself.
 //
 // Continuations receive the live Context as a parameter and must use
 // that value, never one captured before a park: engines hand out a
@@ -33,10 +39,14 @@ type Resume func(c Context, msgs []Inbound) Step
 
 // Step is a park decision paired with the continuation to run when the
 // program next wakes. The zero Step is invalid; construct one with
-// Done, Await or Until.
+// Done, Await, Until, Quiesce or Window.
 type Step struct {
 	park Park
 	next Resume
+	// handle and then are set on a Window step instead of next; its
+	// park, ParkUntil(end), carries the window's end.
+	handle func(c Context, in Inbound)
+	then   func(c Context) Step
 }
 
 // Done retires the program: the algorithm finished.
@@ -57,42 +67,77 @@ func Until(r int64, next Resume) Step { return Step{park: ParkUntil(r), next: ne
 // an absolute deadline.
 func Quiesce(next Resume) Step { return Step{park: ParkQuiesce, next: next} }
 
-// StepFiber adapts a Step program to the Fiber interface: Boot runs the
-// round-0 prologue and each engine wake feeds the stored continuation.
-// The struct is two words plus the boot closure, so a slab of them is
+// Window drains deliveries until the absolute round end, handing each
+// inbound message to handle, and then continues with then in round
+// end. If the vertex is already at or past end, then runs at once.
+// handle must not be nil. The Step carries both functions and
+// StepFiber re-parks to end itself, so a window costs no allocation
+// beyond whatever handle and then close over.
+func Window(c Context, end int64, handle func(c Context, in Inbound), then func(c Context) Step) Step {
+	if c.Round() >= end {
+		return then(c)
+	}
+	return Step{park: ParkUntil(end), handle: handle, then: then}
+}
+
+// StepFiber adapts a Step program to the Fiber interface: the boot
+// closure runs the round-0 prologue and each engine wake feeds the
+// stored continuation. The struct is four words, so a slab of them is
 // the "no goroutine, no stack" representation the engines want.
 type StepFiber struct {
-	// Boot builds the program's first Step (the round-0 prologue up
-	// to the first park). It may read the vertex's identity and degree
-	// from the Context it is handed, so one shared closure serves every
-	// vertex in a slab.
-	Boot func(c Context) Step
+	// then is the boot closure (the program's round-0 prologue up to
+	// its first park) until Start runs it; afterwards, the
+	// continuation of the Window the program is in.
+	then func(c Context) Step
+	// next is the continuation of an Await, Until or Quiesce park.
 	next Resume
+	// handle and end are the current Window's message handler and end
+	// round; handle is nil outside a window.
+	handle func(c Context, in Inbound)
+	end    int64
 }
 
 func (f *StepFiber) Start(c Context) Park {
-	s := f.Boot(c)
-	f.Boot = nil
-	f.next = s.next
-	return s.park
+	boot := f.then
+	f.then = nil
+	return f.enter(boot(c))
 }
 
 func (f *StepFiber) Resume(c Context, msgs []Inbound) Park {
-	s := f.next(c, msgs)
-	f.next = s.next
+	if f.handle == nil {
+		return f.enter(f.next(c, msgs))
+	}
+	for _, in := range msgs {
+		f.handle(c, in)
+	}
+	if c.Round() < f.end {
+		return ParkUntil(f.end)
+	}
+	return f.enter(f.then(c))
+}
+
+// enter stores s's continuation and returns its park.
+func (f *StepFiber) enter(s Step) Park {
+	f.next, f.handle, f.then = s.next, s.handle, s.then
+	if s.handle != nil {
+		f.end = int64(s.park)
+	}
 	return s.park
 }
 
 // StepFiberFactory returns a fiber factory (the shape engines and the
 // facade consume) over a slab of n StepFibers sharing one boot
-// closure. The per-vertex cost at rest is one StepFiber struct in the
-// slab; all algorithm state lives in the continuations' closed-over
-// variables, allocated as the program runs.
+// closure. boot builds a program's first Step; it may read the
+// vertex's identity and degree from the Context it is handed, so one
+// shared closure serves every vertex in the slab. The per-vertex cost
+// at rest is one StepFiber struct in the slab; all algorithm state
+// lives in the continuations' closed-over variables, allocated as the
+// program runs.
 func StepFiberFactory(n int, boot func(c Context) Step) func(id int) Fiber {
 	slab := make([]StepFiber, n)
 	return func(id int) Fiber {
 		f := &slab[id]
-		f.Boot = boot
+		f.then = boot
 		return f
 	}
 }

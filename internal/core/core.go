@@ -294,7 +294,7 @@ func (r *boruvka) phase(c congest.Context,
 		c.Send(p, congest.Message{Kind: KindNbrCoarse, A: r.coarse})
 	}
 	got := 0
-	return fragops.WindowStep(c, c.Round()+2, func(c congest.Context, in congest.Inbound) {
+	return congest.Window(c, c.Round()+2, func(c congest.Context, in congest.Inbound) {
 		if in.Msg.Kind != KindNbrCoarse {
 			panic(fmt.Sprintf("core: vertex %d: kind %d during neighbor update", c.ID(), in.Msg.Kind))
 		}
@@ -374,7 +374,7 @@ func (r *boruvka) phase(c congest.Context,
 												}
 											}
 										}
-										return fragops.WindowStep(c, c.Round()+2, func(c congest.Context, in congest.Inbound) {
+										return congest.Window(c, c.Round()+2, func(c congest.Context, in congest.Inbound) {
 											if in.Msg.Kind != KindMSTMark {
 												panic(fmt.Sprintf("core: vertex %d: kind %d during MST marking", c.ID(), in.Msg.Kind))
 											}

@@ -108,7 +108,7 @@ func (r *runner) neighborUpdate(c congest.Context, then cont) congest.Step {
 		c.Send(p, congest.Message{Kind: KindNbr, A: r.fragID, B: int64(c.ID()), C: boolWord(r.participate)})
 	}
 	got := 0
-	return fragops.WindowStep(c, c.Round()+2, func(c congest.Context, in congest.Inbound) {
+	return congest.Window(c, c.Round()+2, func(c congest.Context, in congest.Inbound) {
 		if in.Msg.Kind != KindNbr {
 			failf("vertex %d: kind %d during neighbor update", c.ID(), in.Msg.Kind)
 		}
@@ -178,7 +178,7 @@ func (r *runner) announce(c congest.Context, h int64, then cont) congest.Step {
 		c.Send(r.ownerPort, congest.Message{Kind: KindAnnounce})
 	}
 	mutual := false
-	return fragops.WindowStep(c, c.Round()+2, func(c congest.Context, in congest.Inbound) {
+	return congest.Window(c, c.Round()+2, func(c congest.Context, in congest.Inbound) {
 		if in.Msg.Kind != KindAnnounce {
 			failf("vertex %d: kind %d during announce", c.ID(), in.Msg.Kind)
 		}
@@ -291,7 +291,7 @@ func (r *runner) colourExchange(c congest.Context, h int64,
 			}
 			r.parentCol = cvNoParent
 			clear(r.childCol)
-			return fragops.WindowStep(c, c.Round()+2, func(c congest.Context, in congest.Inbound) {
+			return congest.Window(c, c.Round()+2, func(c congest.Context, in congest.Inbound) {
 				if in.Msg.Kind != KindColor {
 					failf("vertex %d: kind %d during colour exchange", c.ID(), in.Msg.Kind)
 				}
@@ -413,7 +413,7 @@ func (r *runner) matchStep(c congest.Context, h int64, cc int64, then cont) cong
 								c.Send(q, congest.Message{Kind: KindMatch})
 							}
 							selectedHere := false
-							return fragops.WindowStep(c, c.Round()+2, func(c congest.Context, in congest.Inbound) {
+							return congest.Window(c, c.Round()+2, func(c congest.Context, in congest.Inbound) {
 								if in.Msg.Kind != KindMatch {
 									failf("vertex %d: kind %d during match cross", c.ID(), in.Msg.Kind)
 								}
@@ -456,7 +456,7 @@ func (r *runner) matchStep(c congest.Context, h int64, cc int64, then cont) cong
 													r.sendUpd = false
 													c.Send(r.ownerPort, congest.Message{Kind: KindMatchedUp})
 												}
-												return fragops.WindowStep(c, c.Round()+2, func(c congest.Context, in congest.Inbound) {
+												return congest.Window(c, c.Round()+2, func(c congest.Context, in congest.Inbound) {
 													if in.Msg.Kind != KindMatchedUp {
 														failf("vertex %d: kind %d during matched update", c.ID(), in.Msg.Kind)
 													}
@@ -499,7 +499,7 @@ func (r *runner) merge(c congest.Context, i int, h int64, then cont) congest.Ste
 				r.treeCross[r.ownerPort] = true
 				c.Send(r.ownerPort, congest.Message{Kind: KindMergeIn})
 			}
-			return fragops.WindowStep(c, c.Round()+2, func(c congest.Context, in congest.Inbound) {
+			return congest.Window(c, c.Round()+2, func(c congest.Context, in congest.Inbound) {
 				if in.Msg.Kind != KindMergeIn {
 					failf("vertex %d: kind %d during merge-in", c.ID(), in.Msg.Kind)
 				}
@@ -523,7 +523,7 @@ func (r *runner) merge(c congest.Context, i int, h int64, then cont) congest.Ste
 						c.Send(p, congest.Message{Kind: KindNewFrag, A: r.fragID})
 					}
 				}
-				return fragops.WindowStep(c, end, func(c congest.Context, in congest.Inbound) {
+				return congest.Window(c, end, func(c congest.Context, in congest.Inbound) {
 					if in.Msg.Kind != KindNewFrag {
 						failf("vertex %d: kind %d during re-rooting", c.ID(), in.Msg.Kind)
 					}

@@ -14,7 +14,9 @@
 // (the *Step functions): it takes the live congest.Context and hands its
 // results to a continuation. Handlers and continuations take the live
 // Context as a parameter and must not capture one across parks (engines
-// re-point a shared Context between wakes).
+// re-point a shared Context between wakes). The window every primitive
+// drains is congest.Window, which lives in congest with the rest of the
+// Step kit; DrainStep is the window that expects no traffic.
 package fragops
 
 import (
@@ -47,28 +49,9 @@ func KeyLess(a, b [3]int64) bool {
 	return a[2] < b[2]
 }
 
-// WindowStep drains deliveries until the absolute round end,
-// dispatching each inbound message to handle, then continues with
-// then. If the vertex is already at or past end the continuation runs
-// immediately.
-func WindowStep(c congest.Context, end int64, handle func(c congest.Context, in congest.Inbound),
-	then func(c congest.Context) congest.Step) congest.Step {
-	var loop congest.Resume
-	loop = func(c congest.Context, msgs []congest.Inbound) congest.Step {
-		for _, in := range msgs {
-			handle(c, in)
-		}
-		if c.Round() < end {
-			return congest.Until(end, loop)
-		}
-		return then(c)
-	}
-	return loop(c, nil)
-}
-
 // DrainStep asserts that nothing arrives until end, then continues.
 func DrainStep(c congest.Context, end int64, then func(c congest.Context) congest.Step) congest.Step {
-	return WindowStep(c, end, func(c congest.Context, in congest.Inbound) {
+	return congest.Window(c, end, func(c congest.Context, in congest.Inbound) {
 		failf("vertex %d: unexpected kind %d on port %d at round %d",
 			c.ID(), in.Msg.Kind, in.Port, c.Round())
 	}, then)
@@ -106,7 +89,7 @@ func ConvergeStep(c congest.Context, parent int, children []int, end int64, acti
 		}
 	}
 	maybeSend(c)
-	return WindowStep(c, end, func(c congest.Context, in congest.Inbound) {
+	return congest.Window(c, end, func(c congest.Context, in congest.Inbound) {
 		if in.Msg.Kind != KindConv || !isChild(children, in.Port) {
 			failf("vertex %d: kind %d from port %d during convergecast", c.ID(), in.Msg.Kind, in.Port)
 		}
@@ -148,7 +131,7 @@ func ArgminStep(c congest.Context, parent int, children []int, end int64, active
 		}
 	}
 	maybeSend(c)
-	return WindowStep(c, end, func(c congest.Context, in congest.Inbound) {
+	return congest.Window(c, end, func(c congest.Context, in congest.Inbound) {
 		if in.Msg.Kind != KindConv || !isChild(children, in.Port) {
 			failf("vertex %d: kind %d from port %d during argmin", c.ID(), in.Msg.Kind, in.Port)
 		}
@@ -182,7 +165,7 @@ func BroadcastStep(c congest.Context, parent int, children []int, end int64, act
 	}
 	var got [3]int64
 	received := false
-	return WindowStep(c, end, func(c congest.Context, in congest.Inbound) {
+	return congest.Window(c, end, func(c congest.Context, in congest.Inbound) {
 		if in.Msg.Kind != KindBcast || in.Port != parent || received {
 			failf("vertex %d: kind %d from port %d during broadcast", c.ID(), in.Msg.Kind, in.Port)
 		}
@@ -219,7 +202,7 @@ func WinnerDowncastStep(c congest.Context, parent int, end int64, initiate bool,
 			failf("vertex %d: downcast initiated with no winner", c.ID())
 		}
 	}
-	return WindowStep(c, end, func(c congest.Context, in congest.Inbound) {
+	return congest.Window(c, end, func(c congest.Context, in congest.Inbound) {
 		if in.Msg.Kind != KindWinner || in.Port != parent {
 			failf("vertex %d: kind %d from port %d during winner downcast", c.ID(), in.Msg.Kind, in.Port)
 		}
@@ -257,7 +240,7 @@ func UpPathStep(c congest.Context, parent int, children []int, end int64, origin
 	if origin {
 		deliver(c, payload)
 	}
-	return WindowStep(c, end, func(c congest.Context, in congest.Inbound) {
+	return congest.Window(c, end, func(c congest.Context, in congest.Inbound) {
 		if in.Msg.Kind != KindUpPath || !isChild(children, in.Port) {
 			failf("vertex %d: kind %d from port %d during UpPath", c.ID(), in.Msg.Kind, in.Port)
 		}

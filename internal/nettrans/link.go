@@ -376,7 +376,8 @@ func (l *link) connectAndReplay(replay bool) (net.Conn, error) {
 		}
 		replayed := int64(len(l.log))
 		l.mu.Unlock()
-		if _, werr := conn.Write(wire); werr == nil {
+		_, werr := conn.Write(wire)
+		if werr == nil {
 			l.c.replayedFrames.Add(frames)
 			l.c.netBytesOut.Add(int64(len(wire)))
 			l.c.netFramesOut.Add(frames)
@@ -390,7 +391,7 @@ func (l *link) connectAndReplay(replay bool) (net.Conn, error) {
 		}
 		conn.Close()
 		if try >= 1 || l.c.ctx.Err() != nil {
-			return nil, fmt.Errorf("replay after reconnect failed")
+			return nil, fmt.Errorf("replay after reconnect failed: %w", werr)
 		}
 	}
 }

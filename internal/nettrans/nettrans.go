@@ -21,8 +21,8 @@
 //     idle rounds), a shard writes one batch to every peer only in the
 //     agreed rounds where it has work. A batch carries the sender's own
 //     calendar next — round+1 if a local vertex is due, else its
-//     earliest live park deadline (a timer heap, mirroring
-//     internal/parsim's calendar) — its count of still-running
+//     earliest live park deadline (a congest.Calendar, the calendar
+//     the simulators' clock embeds) — its count of still-running
 //     programs, and the set of shards it sent frames to. Every shard
 //     keeps the last (next, live) of every shard. The agreed next round
 //     G′ is the minimum of all those next values, or G+1 when any batch
@@ -74,13 +74,11 @@
 package nettrans
 
 import (
-	"container/heap"
 	"context"
 	"errors"
 	"fmt"
 	"net"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -325,9 +323,11 @@ type shard struct {
 
 	// ready lists local vertices due at round+1 (fresh deliveries or an
 	// explicit next-round park); timers orders the more distant park
-	// deadlines.
+	// deadlines. wakes is the wake set of the round being played; it
+	// trades backing arrays with ready every round.
 	ready  []int
-	timers timerHeap
+	wakes  []int
+	timers congest.Calendar
 
 	round int64
 	live  int // local programs still running
@@ -774,19 +774,24 @@ func (s *shard) agree() (next int64, totalLive int) {
 // the ready list plus every live calendar entry with deadline <= round,
 // in ascending vertex order.
 func (s *shard) wakeSet() []int {
-	due := s.ready
-	s.ready = nil
-	for s.timers.Len() > 0 && s.timers.items[0].round <= s.round {
-		entry := heap.Pop(&s.timers).(timerEntry)
-		nd := &s.nodes[entry.id-s.lo]
-		if nd.done || !nd.parked || nd.queued || nd.gen != entry.gen {
-			continue
-		}
-		nd.queued = true // guards against double release
-		due = append(due, entry.id)
-	}
-	sort.Ints(due)
-	return due
+	s.wakes, s.ready = s.ready, s.wakes[:0]
+	s.timers.Release(s.round, s.liveTimer, s.release)
+	slices.Sort(s.wakes)
+	return s.wakes
+}
+
+// release adds a due calendar entry's vertex to the wake set.
+func (s *shard) release(t congest.TimerEntry) {
+	s.nodes[t.ID-s.lo].queued = true // guards against double release
+	s.wakes = append(s.wakes, t.ID)
+}
+
+// liveTimer reports whether a calendar entry still represents a parked
+// local vertex (stale entries survive early wakes; the gen check kills
+// them).
+func (s *shard) liveTimer(t congest.TimerEntry) bool {
+	nd := &s.nodes[t.ID-s.lo]
+	return !nd.done && nd.parked && !nd.queued && nd.gen == t.Gen
 }
 
 // exec calls the wake set's fibers inline, one at a time in ascending
@@ -801,9 +806,7 @@ func (s *shard) exec(wakes []int) {
 		nd.parked = false
 		msgs := nd.inbox
 		nd.inbox = nil
-		if len(msgs) > 1 {
-			sort.SliceStable(msgs, func(i, j int) bool { return msgs[i].Port < msgs[j].Port })
-		}
+		congest.SortInbox(msgs)
 		mark := len(nc.outbox)
 		park, ok := s.call(nd, v, msgs)
 		for _, sm := range nc.outbox[mark:] {
@@ -831,7 +834,7 @@ func (s *shard) exec(wakes []int) {
 			nd.queued = true
 			s.ready = append(s.ready, v)
 		case target < congest.Forever:
-			heap.Push(&s.timers, timerEntry{round: target, id: v, gen: nd.gen})
+			s.timers.Schedule(congest.TimerEntry{Round: target, ID: v, Gen: nd.gen})
 		}
 	}
 	for _, sm := range nc.outbox {
@@ -904,16 +907,7 @@ func (s *shard) calendar() int64 {
 	if len(s.ready) > 0 {
 		return s.round + 1
 	}
-	for s.timers.Len() > 0 {
-		top := s.timers.items[0]
-		nd := &s.nodes[top.id-s.lo]
-		if nd.done || !nd.parked || nd.queued || nd.gen != top.gen {
-			heap.Pop(&s.timers) // stale
-			continue
-		}
-		return top.round
-	}
-	return congest.Forever
+	return s.timers.Next(s.liveTimer)
 }
 
 // flush writes this round's batch to every peer shard: the frames
@@ -1075,26 +1069,4 @@ func (nd *Node) Send(p int, m congest.Message) {
 	}
 	nd.sentN[p]++
 	nd.outbox = append(nd.outbox, sentMsg{src: int32(nd.id), port: int32(p), msg: m})
-}
-
-type timerEntry struct {
-	round int64
-	id    int
-	gen   int64
-}
-
-type timerHeap struct {
-	items []timerEntry
-}
-
-func (h *timerHeap) Len() int           { return len(h.items) }
-func (h *timerHeap) Less(i, j int) bool { return h.items[i].round < h.items[j].round }
-func (h *timerHeap) Swap(i, j int)      { h.items[i], h.items[j] = h.items[j], h.items[i] }
-func (h *timerHeap) Push(x any)         { h.items = append(h.items, x.(timerEntry)) }
-func (h *timerHeap) Pop() any {
-	old := h.items
-	n := len(old)
-	it := old[n-1]
-	h.items = old[:n-1]
-	return it
 }

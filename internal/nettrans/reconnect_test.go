@@ -180,6 +180,32 @@ func TestReconnectExhaustedSurfacesPeerError(t *testing.T) {
 	}
 }
 
+// failingConn is a connection whose every write fails with
+// errBrokenWrite.
+type failingConn struct{ net.Conn }
+
+var errBrokenWrite = errors.New("broken write")
+
+func (failingConn) Write([]byte) (int, error) { return 0, errBrokenWrite }
+func (failingConn) Close() error              { return nil }
+
+// TestReplayFailureKeepsCause: when the replay write fails on both
+// fresh connections, the link's error wraps the write's own error
+// instead of reading only "replay after reconnect failed".
+func TestReplayFailureKeepsCause(t *testing.T) {
+	c := &cluster{ctx: context.Background(), closed: make(chan struct{})}
+	l := newLink(c, 0, 1) // the lower shard id accepts rather than dials
+	go func() {
+		for i := 0; i < 2; i++ {
+			l.pending <- failingConn{}
+		}
+	}()
+	_, err := l.connectAndReplay(true)
+	if !errors.Is(err, errBrokenWrite) {
+		t.Fatalf("err = %v, want it to wrap the failed replay write", err)
+	}
+}
+
 // TestReconnectWhileRunningAhead severs sockets while a lone busy shard
 // runs ahead of its quiet peers. On the token walk shard 0 writes every
 // round from round 0 to 99 while its peers stay quiet until their first

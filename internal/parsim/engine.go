@@ -40,11 +40,9 @@
 package parsim
 
 import (
-	"cmp"
 	"context"
 	"fmt"
 	"runtime"
-	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -601,15 +599,6 @@ func (e *Engine) runShardPhase(ph phaseKind, i int) {
 	}
 }
 
-// sortInbox stable-sorts one wake's deliveries by port. The generic
-// sort allocates nothing, unlike the reflective sort.SliceStable,
-// which matters at millions of wakes per run.
-func sortInbox(msgs []congest.Inbound) {
-	if len(msgs) > 1 {
-		slices.SortStableFunc(msgs, func(a, b congest.Inbound) int { return cmp.Compare(a.Port, b.Port) })
-	}
-}
-
 // execShard runs the shard's active fibers one at a time, in ascending
 // vertex order: each Start/Resume runs inline on this worker, its sends
 // drain from the shard's shared context straight into the buckets, and
@@ -634,7 +623,7 @@ func (e *Engine) execShard(i int) {
 		nd.parked = false
 		msgs := nd.inbox
 		nd.inbox = nil
-		sortInbox(msgs)
+		congest.SortInbox(msgs)
 		fc.point(id, now)
 		park, ok := e.callFiber(nd, fc, msgs)
 		if !ok {

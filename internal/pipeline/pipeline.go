@@ -26,7 +26,6 @@ import (
 	"congestmst/internal/bfstree"
 	"congestmst/internal/congest"
 	"congestmst/internal/forest"
-	"congestmst/internal/fragops"
 	"congestmst/internal/mathx"
 )
 
@@ -93,7 +92,7 @@ func Program(c congest.Context, root int,
 				c.Send(p, congest.Message{Kind: KindNbrUpdate, A: st.FragID})
 			}
 			got := 0
-			return fragops.WindowStep(c, c.Round()+2, func(c congest.Context, in congest.Inbound) {
+			return congest.Window(c, c.Round()+2, func(c congest.Context, in congest.Inbound) {
 				if in.Msg.Kind != KindNbrUpdate {
 					panic(fmt.Sprintf("pipeline: vertex %d: kind %d during neighbor update", c.ID(), in.Msg.Kind))
 				}
