@@ -42,20 +42,25 @@ race:
 # Coverage-guided fuzzing of NDJSON edge lists through graph.Builder →
 # Run against a Kruskal oracle (FUZZTIME, which matches the CI budget;
 # crank it locally, `make fuzz FUZZTIME=10m`, for a deeper hunt), then
-# 15 s each of the cluster mesh's batch decoder (internal/nettrans) and
-# the worker's job decoder (internal/cluster).
+# 15 s each of the cluster mesh's batch decoder (internal/nettrans), the
+# worker's job decoder, the driver's result decoder and the cluster
+# config parser (internal/cluster).
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzBuildAndRun -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz FuzzDecodeBatch -fuzztime 15s ./internal/nettrans/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeJob -fuzztime 15s ./internal/cluster/
+	$(GO) test -run '^$$' -fuzz FuzzDecodeResult -fuzztime 15s ./internal/cluster/
+	$(GO) test -run '^$$' -fuzz FuzzParseConfig -fuzztime 15s ./internal/cluster/
 
 # Time and allocations per op of whole runs (Elkin on a message-bound
-# and a round-bound graph, GHS, Pipeline) and of the two park paths
-# every engine shares: the calendar and a Step-kit window.
+# and a round-bound graph, GHS, Pipeline), of the two park paths every
+# engine shares (the calendar and a Step-kit window) and of the two
+# fragment-tree operations a Controlled-GHS phase runs most.
 bench-layers:
 	$(GO) test -run '^$$' -bench '^Benchmark(ElkinMST|ElkinMSTLollipop|GHSMST|PipelineMST)$$' -benchmem .
 	$(GO) test -run '^$$' -bench '^Benchmark(Calendar|StepWindow)$$' -benchmem ./internal/congest/
+	$(GO) test -run '^$$' -bench '^Benchmark(Convergecast|Broadcast)$$' -benchmem ./internal/fragops/
 
 bench-tables:
 	$(GO) run ./cmd/mstbench

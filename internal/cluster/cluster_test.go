@@ -53,6 +53,8 @@ func TestConfigParse(t *testing.T) {
 		{"duplicate", "{\"cluster\":\"v1\",\"shards\":2}\n{\"shard\":0,\"bind\":\"x:1\"}\n{\"shard\":0,\"bind\":\"x:2\"}", "already placed"},
 		{"missing-placement", "{\"cluster\":\"v1\",\"shards\":2}\n{\"shard\":0,\"bind\":\"x:1\"}", "no placement"},
 		{"empty-addrs", "{\"cluster\":\"v1\",\"shards\":1}\n{\"shard\":0}", "neither bind nor advertise"},
+		{"huge-shard-count", `{"cluster":"v1","shards":35184372088832}`, "shard 0 has no placement line"},
+		{"huge-shard-count-placed", "{\"cluster\":\"v1\",\"shards\":1000000000}\n{\"shard\":0,\"bind\":\"x:1\"}", "shard 1 has no placement line"},
 		{"advertise-conflict", "{\"cluster\":\"v1\",\"shards\":2}\n{\"shard\":0,\"bind\":\"a:1\",\"advertise\":\"x:9\"}\n{\"shard\":1,\"bind\":\"b:2\",\"advertise\":\"x:9\"}", "bound as both"},
 	}
 	for _, tc := range bad {
@@ -66,6 +68,29 @@ func TestConfigParse(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzParseConfig feeds arbitrary bytes to the cluster config parser
+// that mstrun -cluster, mstserved -cluster and LoadClusterConfig all
+// use. It must never panic, and any config it accepts must place
+// exactly one entry per shard. The seed corpus
+// (testdata/fuzz/FuzzParseConfig) holds a valid file, a header asking
+// for 2^45 shards, a duplicate placement and an advertise conflict.
+func FuzzParseConfig(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		cfg, err := Parse(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		if cfg.Shards < 1 || len(cfg.Entries) != cfg.Shards {
+			t.Fatalf("accepted %d shards with %d entries", cfg.Shards, len(cfg.Entries))
+		}
+		for i, e := range cfg.Entries {
+			if e.Shard != i || cfg.Advertise(i) == "" {
+				t.Fatalf("entry %d = %+v: not placed", i, e)
+			}
+		}
+	})
 }
 
 // startWorkers brings up count workers on ephemeral ports and returns
@@ -250,7 +275,7 @@ func TestJobCannotEnableChaos(t *testing.T) {
 	if err != nil || typ != frameResult {
 		t.Fatalf("result frame: type %d, err %v", typ, err)
 	}
-	res, err := decodeResult(out, make([][]int, g.N()))
+	res, err := decodeResult(out, make([][]int, g.N()), shardRanges(g.N(), job.NShards, job.Local))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,5 +356,91 @@ func TestReadFrameBoundsAllocation(t *testing.T) {
 	typ, payload, err := readFrame(&buf)
 	if err != nil || typ != frameResult || string(payload) != "abc" {
 		t.Errorf("round trip = %d %q %v, want %d \"abc\" <nil>", typ, payload, err, frameResult)
+	}
+}
+
+// fakeWorker listens for one control job and answers it with the
+// result frame reply builds from the job; it returns the address.
+func fakeWorker(t *testing.T, reply func(job jobHeader) []byte) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		var magic [4]byte
+		if _, err := io.ReadFull(conn, magic[:]); err != nil {
+			return
+		}
+		typ, payload, err := readFrame(conn)
+		if err != nil || typ != frameJob {
+			return
+		}
+		job, _, err := decodeJob(payload)
+		if err != nil {
+			return
+		}
+		writeFrame(conn, frameResult, reply(job))
+	}()
+	return ln.Addr().String()
+}
+
+// resultFor encodes a successful result claiming ranges, with one port
+// per vertex and the given K, from a worker that says it hosts the root.
+func resultFor(t *testing.T, job jobHeader, k int, ranges []shardRange) []byte {
+	ports := make([][]int, job.N)
+	for v := range ports {
+		ports[v] = []int{0}
+	}
+	out, err := encodeResult(resultHeader{HasRoot: true, K: k, BoruvkaPhases: k, Ranges: ranges}, ports)
+	if err != nil {
+		t.Error(err)
+	}
+	return out
+}
+
+// TestDispatchTrustsOnlyOwnRanges runs Dispatch against two scripted
+// workers of an 8-vertex, 2-shard run. K and the Boruvka phase count
+// come from the worker assigned the root's shard even though both
+// claim has_root, and a worker that reports the other's range fails
+// the run instead of overwriting its ports.
+func TestDispatchTrustsOnlyOwnRanges(t *testing.T) {
+	g := graph.Ring(8, graph.GenOptions{Seed: 3})
+	own := func(k int) func(job jobHeader) []byte {
+		return func(job jobHeader) []byte {
+			return resultFor(t, job, k, shardRanges(job.N, job.NShards, job.Local))
+		}
+	}
+	config := func(a, b string) *Config {
+		return &Config{Shards: 2, DialTimeout: 5 * time.Second,
+			Entries: []Entry{{Shard: 0, Bind: a}, {Shard: 1, Bind: b}}}
+	}
+
+	// Vertex 2 is the root, in shard 0: its worker's K counts, not the
+	// K of the worker merged after it.
+	res, err := Dispatch(context.Background(), g, config(fakeWorker(t, own(3)), fakeWorker(t, own(7))),
+		DispatchOptions{Algorithm: "elkin", Root: 2, Timeout: 10 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.K != 3 || res.BoruvkaPhases != 3 {
+		t.Errorf("K, BoruvkaPhases = %d, %d; want 3, 3 from the root's worker", res.K, res.BoruvkaPhases)
+	}
+
+	stale := func(job jobHeader) []byte {
+		return resultFor(t, job, 1, shardRanges(job.N, job.NShards, []bool{true, false}))
+	}
+	_, err = Dispatch(context.Background(), g, config(fakeWorker(t, own(3)), fakeWorker(t, stale)),
+		DispatchOptions{Algorithm: "elkin", Timeout: 10 * time.Second})
+	var we *WorkerError
+	if !errors.As(err, &we) || len(we.Shards) != 1 || we.Shards[0] != 1 ||
+		!strings.Contains(err.Error(), "want the worker's own") {
+		t.Errorf("err = %v, want shard 1's worker rejected for a foreign range", err)
 	}
 }

@@ -107,6 +107,10 @@ func Parse(r io.Reader) (*Config, error) {
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
 	line := 0
 	var cfg *Config
+	// Placements are collected as read and laid out only once every
+	// line is in, so memory and work follow the input, never the
+	// header's shard count.
+	var placed []Entry
 	seen := map[int]int{} // shard -> line it was defined on
 	for sc.Scan() {
 		line++
@@ -134,7 +138,6 @@ func Parse(r io.Reader) (*Config, error) {
 				ReadTimeout:     time.Duration(h.ReadTimeoutMS) * time.Millisecond,
 				MaxDialAttempts: h.MaxDialAttempts,
 				RetryBackoff:    time.Duration(h.RetryBackoffMS) * time.Millisecond,
-				Entries:         make([]Entry, *h.Shards),
 			}
 			continue
 		}
@@ -156,7 +159,7 @@ func Parse(r io.Reader) (*Config, error) {
 			return nil, fmt.Errorf("line %d: shard %d has neither bind nor advertise", line, id)
 		}
 		seen[id] = line
-		cfg.Entries[id] = Entry{Shard: id, Bind: e.Bind, Advertise: e.Advertise}
+		placed = append(placed, Entry{Shard: id, Bind: e.Bind, Advertise: e.Advertise})
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
@@ -164,10 +167,18 @@ func Parse(r io.Reader) (*Config, error) {
 	if cfg == nil {
 		return nil, fmt.Errorf("empty config (no header line)")
 	}
-	for i := range cfg.Entries {
-		if _, ok := seen[i]; !ok {
-			return nil, fmt.Errorf("shard %d has no placement line", i)
+	// Every placed shard is distinct and in range, so if some shard is
+	// unplaced, one of 0..len(placed) is.
+	if len(placed) < cfg.Shards {
+		for i := 0; ; i++ {
+			if _, ok := seen[i]; !ok {
+				return nil, fmt.Errorf("shard %d has no placement line", i)
+			}
 		}
+	}
+	cfg.Entries = make([]Entry, cfg.Shards)
+	for _, e := range placed {
+		cfg.Entries[e.Shard] = e
 	}
 	// Two shards on the same worker must agree on both names: the same
 	// advertise address reaching two different binds (or vice versa)

@@ -95,11 +95,16 @@ func Dispatch(ctx context.Context, g *graph.Graph, cfg *Config, opts DispatchOpt
 	}
 	runID = binary.LittleEndian.Uint64(seed[:])
 
-	// Group shards by worker, preserving first-appearance order.
+	// Group shards by worker, preserving first-appearance order. The
+	// worker hosting the root's shard is the one whose K and Boruvka
+	// phase count the result reports.
 	type assignment struct {
-		addr   string
-		shards []int
+		addr     string
+		shards   []int
+		local    []bool
+		ownsRoot bool
 	}
+	rootShard := opts.Root / shardSize(n, eff)
 	byAddr := map[string]int{}
 	var workers []*assignment
 	for i, a := range addrs {
@@ -107,9 +112,13 @@ func Dispatch(ctx context.Context, g *graph.Graph, cfg *Config, opts DispatchOpt
 		if !ok {
 			w = len(workers)
 			byAddr[a] = w
-			workers = append(workers, &assignment{addr: a})
+			workers = append(workers, &assignment{addr: a, local: make([]bool, eff)})
 		}
 		workers[w].shards = append(workers[w].shards, i)
+		workers[w].local[i] = true
+		if i == rootShard {
+			workers[w].ownsRoot = true
+		}
 	}
 
 	dialTimeout := cfg.DialTimeout
@@ -123,17 +132,13 @@ func Dispatch(ctx context.Context, g *graph.Graph, cfg *Config, opts DispatchOpt
 		wg.Add(1)
 		go func(w int, a *assignment) {
 			defer wg.Done()
-			local := make([]bool, eff)
-			for _, s := range a.shards {
-				local[s] = true
-			}
 			job := jobHeader{
 				RunID:           runID,
 				N:               n,
 				M:               g.M(),
 				NShards:         eff,
 				Addrs:           addrs,
-				Local:           local,
+				Local:           a.local,
 				Algorithm:       opts.Algorithm,
 				Root:            opts.Root,
 				FixedK:          opts.FixedK,
@@ -145,7 +150,10 @@ func Dispatch(ctx context.Context, g *graph.Graph, cfg *Config, opts DispatchOpt
 				RetryBackoffMS:  cfg.RetryBackoff.Milliseconds(),
 				TimeoutMS:       opts.Timeout.Milliseconds(),
 			}
-			hdr, err := runWorkerJob(ctx, a.addr, dialTimeout, opts.Timeout, job, g, res.Ports)
+			// Each goroutine writes only its worker's own ranges of
+			// res.Ports: decodeResult rejects a result naming any other.
+			hdr, err := runWorkerJob(ctx, a.addr, dialTimeout, opts.Timeout, job, g, res.Ports,
+				shardRanges(n, eff, a.local))
 			if err != nil {
 				errs[w] = &WorkerError{Addr: a.addr, Shards: a.shards, Err: err}
 				return
@@ -161,7 +169,8 @@ func Dispatch(ctx context.Context, g *graph.Graph, cfg *Config, opts DispatchOpt
 	}
 
 	// Merge: rounds=max, messages/byKind=sum; K and phases from the
-	// root's worker; transport counters summed with RTTs concatenated.
+	// worker assigned the root's shard only; transport counters summed
+	// with RTTs concatenated.
 	for w := range results {
 		hdr := &results[w]
 		if hdr.Err != "" {
@@ -179,7 +188,7 @@ func Dispatch(ctx context.Context, g *graph.Graph, cfg *Config, opts DispatchOpt
 			}
 			res.Stats.ByKind[k] += cnt
 		}
-		if hdr.HasRoot {
+		if workers[w].ownsRoot && hdr.HasRoot {
 			res.K = hdr.K
 			res.BoruvkaPhases = hdr.BoruvkaPhases
 		}
@@ -205,8 +214,10 @@ func Dispatch(ctx context.Context, g *graph.Graph, cfg *Config, opts DispatchOpt
 		return a.Peer < b.Peer
 	})
 
-	// Coverage: every vertex must have received a port list from
-	// exactly its shard's worker (nil means a range went missing).
+	// Coverage: decodeResult accepted from each worker exactly its own
+	// shards' ranges, and the shards partition the vertices, so every
+	// vertex holds the list its shard's worker sent (nil would mean the
+	// partition itself left a gap).
 	for v, ps := range res.Ports {
 		if ps == nil {
 			return nil, fmt.Errorf("cluster: no worker reported ports for vertex %d", v)
@@ -236,7 +247,7 @@ func Dispatch(ctx context.Context, g *graph.Graph, cfg *Config, opts DispatchOpt
 // The dial is retried briefly (workers may still be starting when the
 // driver launches) and is context-aware.
 func runWorkerJob(ctx context.Context, addr string, dialTimeout, runTimeout time.Duration,
-	job jobHeader, g *graph.Graph, ports [][]int) (resultHeader, error) {
+	job jobHeader, g *graph.Graph, ports [][]int, want []shardRange) (resultHeader, error) {
 	var zero resultHeader
 	payload, err := encodeJob(job, g)
 	if err != nil {
@@ -290,5 +301,5 @@ func runWorkerJob(ctx context.Context, addr string, dialTimeout, runTimeout time
 	if typ != frameResult {
 		return zero, fmt.Errorf("unexpected control frame %d", typ)
 	}
-	return decodeResult(resPayload, ports)
+	return decodeResult(resPayload, ports, want)
 }

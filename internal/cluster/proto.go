@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 
 	"congestmst/internal/graph"
 )
@@ -238,9 +239,32 @@ func encodeResult(h resultHeader, ports [][]int) ([]byte, error) {
 	return buf, nil
 }
 
+// shardSize is the number of vertices per shard when n vertices are
+// split into nshards shards by ceil-division, as the mesh splits them.
+func shardSize(n, nshards int) int { return (n + nshards - 1) / nshards }
+
+// shardRanges returns the vertex ranges of the shards marked in local,
+// in shard order, under that partition: shard i holds
+// [i·size, min((i+1)·size, n)).
+func shardRanges(n, nshards int, local []bool) []shardRange {
+	size := shardSize(n, nshards)
+	var rs []shardRange
+	for i, l := range local {
+		if l {
+			lo := i * size
+			rs = append(rs, shardRange{Shard: i, Lo: lo, Hi: min(lo+size, n)})
+		}
+	}
+	return rs
+}
+
 // decodeResult parses a result frame payload, scattering the decoded
-// port lists into ports (the driver's full-size slice).
-func decodeResult(payload []byte, ports [][]int) (resultHeader, error) {
+// port lists into ports (the driver's full-size slice). want is the
+// worker's own shard ranges (shardRanges of its job): a successful
+// result must name exactly those, so a stale or misconfigured worker
+// can never write another worker's vertices. A failed result (Err set)
+// carries no ports and scatters nothing.
+func decodeResult(payload []byte, ports [][]int, want []shardRange) (resultHeader, error) {
 	var h resultHeader
 	if len(payload) < 4 {
 		return h, fmt.Errorf("cluster: truncated result frame")
@@ -253,12 +277,15 @@ func decodeResult(payload []byte, ports [][]int) (resultHeader, error) {
 	if err := json.Unmarshal(rest[:jsonLen], &h); err != nil {
 		return h, fmt.Errorf("cluster: result header: %w", err)
 	}
+	if h.Err != "" {
+		return h, nil
+	}
+	if !slices.Equal(h.Ranges, want) {
+		return h, fmt.Errorf("cluster: result covers shard ranges %v, want the worker's own %v", h.Ranges, want)
+	}
 	blob := rest[jsonLen:]
 	off := 0
 	for _, r := range h.Ranges {
-		if r.Lo < 0 || r.Hi < r.Lo || r.Hi > len(ports) {
-			return h, fmt.Errorf("cluster: result range [%d,%d) out of bounds", r.Lo, r.Hi)
-		}
 		for v := r.Lo; v < r.Hi; v++ {
 			if off+4 > len(blob) {
 				return h, fmt.Errorf("cluster: result ports truncated at vertex %d", v)

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"reflect"
@@ -9,6 +10,7 @@ import (
 	"testing"
 
 	"congestmst/internal/graph"
+	"congestmst/internal/nettrans"
 )
 
 // rawJob builds a job payload from a literal JSON header and edge
@@ -102,6 +104,125 @@ func FuzzDecodeJob(f *testing.F) {
 		if !reflect.DeepEqual(h2, h) || g2.N() != g.N() || !slices.Equal(g2.Edges(), g.Edges()) {
 			hj, _ := json.Marshal(h)
 			t.Fatalf("round trip changed the job with header %s", hj)
+		}
+	})
+}
+
+// rawResult builds a result payload from a literal JSON header and the
+// u32 words of its ports blob, as a stale or hostile worker could send
+// it.
+func rawResult(hdr string, words ...uint32) []byte {
+	payload := binary.LittleEndian.AppendUint32(nil, uint32(len(hdr)))
+	payload = append(payload, hdr...)
+	for _, w := range words {
+		payload = binary.LittleEndian.AppendUint32(payload, w)
+	}
+	return payload
+}
+
+// TestDecodeResultRejectsForeignRanges: a worker assigned shard 0 of
+// an 8-vertex, 2-shard run owns vertices [0,4). A result naming any
+// other set of ranges is rejected before it writes a single port, so a
+// stale worker cannot overwrite (or race on) the other worker's slots.
+func TestDecodeResultRejectsForeignRanges(t *testing.T) {
+	want := shardRanges(8, 2, []bool{true, false})
+	if !slices.Equal(want, []shardRange{{Shard: 0, Lo: 0, Hi: 4}}) {
+		t.Fatalf("shardRanges = %v", want)
+	}
+	ports4 := []uint32{1, 0, 1, 0, 1, 0, 1, 0} // four vertices, one port each
+	cases := []struct {
+		name    string
+		payload []byte
+	}{
+		{"foreign", rawResult(`{"ranges":[{"shard":1,"lo":4,"hi":8}]}`, ports4...)},
+		{"own-plus-foreign", rawResult(`{"ranges":[{"shard":0,"lo":0,"hi":4},{"shard":1,"lo":4,"hi":8}]}`,
+			append(ports4, ports4...)...)},
+		{"shifted", rawResult(`{"ranges":[{"shard":0,"lo":2,"hi":6}]}`, ports4...)},
+		{"missing", rawResult(`{"ranges":[]}`)},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ports := make([][]int, 8)
+			_, err := decodeResult(tc.payload, ports, want)
+			if err == nil || !strings.Contains(err.Error(), "want the worker's own") {
+				t.Fatalf("err = %v, want a range mismatch", err)
+			}
+			for v, ps := range ports {
+				if ps != nil {
+					t.Errorf("rejected result wrote vertex %d", v)
+				}
+			}
+		})
+	}
+
+	ports := make([][]int, 8)
+	h, err := decodeResult(rawResult(`{"ranges":[{"shard":0,"lo":0,"hi":4}]}`, ports4...), ports, want)
+	if err != nil || h.Err != "" {
+		t.Fatalf("own range rejected: %v", err)
+	}
+	for v, ps := range ports {
+		if owned := v < 4; owned != (ps != nil) {
+			t.Errorf("vertex %d: ports %v after decoding the owner's result", v, ps)
+		}
+	}
+
+	// A failed run reports no ports, whatever ranges it lists.
+	failed := rawResult(`{"err":"boom","ranges":[{"shard":1,"lo":4,"hi":8}]}`, ports4...)
+	if h, err := decodeResult(failed, make([][]int, 8), want); err != nil || h.Err != "boom" {
+		t.Errorf("failed result: header err %q, decode err %v", h.Err, err)
+	}
+}
+
+// FuzzDecodeResult feeds arbitrary bytes to the result decoder the
+// driver runs on every worker's reply, for a worker owning the shards
+// in mask of an n-vertex run over the effective count of shards. It
+// must never panic and never write outside the worker's own ranges; a
+// successful result it accepts fills exactly those ranges and
+// re-encodes to the same frame. The seed corpus
+// (testdata/fuzz/FuzzDecodeResult) holds a valid result, a foreign
+// range, a truncated ports blob and a failed run.
+func FuzzDecodeResult(f *testing.F) {
+	f.Fuzz(func(t *testing.T, payload []byte, n uint16, shards, mask uint8) {
+		nn := int(n%512) + 1
+		eff := nettrans.EffectiveShards(nn, int(shards%8)+1)
+		local := make([]bool, eff)
+		for i := range local {
+			local[i] = mask>>i&1 == 1
+		}
+		want := shardRanges(nn, eff, local)
+		owned := make([]bool, nn)
+		for _, r := range want {
+			for v := r.Lo; v < r.Hi; v++ {
+				owned[v] = true
+			}
+		}
+		ports := make([][]int, nn)
+		h, err := decodeResult(payload, ports, want)
+		for v, ps := range ports {
+			if ps != nil && !owned[v] {
+				t.Fatalf("decode wrote vertex %d outside the ranges %v", v, want)
+			}
+		}
+		if err != nil || h.Err != "" {
+			return
+		}
+		for v, ps := range ports {
+			if owned[v] && ps == nil {
+				t.Fatalf("accepted result left owned vertex %d without ports", v)
+			}
+		}
+		wire, err := encodeResult(h, ports)
+		if err != nil {
+			t.Fatalf("re-encoding an accepted result: %v", err)
+		}
+		ports2 := make([][]int, nn)
+		h2, err := decodeResult(wire, ports2, want)
+		if err != nil {
+			t.Fatalf("re-encoded result rejected: %v", err)
+		}
+		wire2, err := encodeResult(h2, ports2)
+		if err != nil || !bytes.Equal(wire2, wire) {
+			t.Fatalf("round trip changed the result frame (err %v)", err)
 		}
 	})
 }

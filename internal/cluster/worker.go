@@ -272,16 +272,8 @@ func (w *Worker) runJob(payload []byte) jobResult {
 			res.header.ByKind[fmt.Sprint(k)] = n
 		}
 	}
-	shardSize := (h.N + h.NShards - 1) / h.NShards
-	for i, local := range h.Local {
-		if !local {
-			continue
-		}
-		lo := i * shardSize
-		hi := mathx.Min(lo+shardSize, h.N)
-		res.header.Ranges = append(res.header.Ranges, shardRange{Shard: i, Lo: lo, Hi: hi})
-	}
-	if rootShard := h.Root / shardSize; rootShard < len(h.Local) && h.Local[rootShard] {
+	res.header.Ranges = shardRanges(h.N, h.NShards, h.Local)
+	if rootShard := h.Root / shardSize(h.N, h.NShards); rootShard < len(h.Local) && h.Local[rootShard] {
 		res.header.HasRoot = true
 		res.header.K = rootRes.k
 		res.header.BoruvkaPhases = rootRes.phases

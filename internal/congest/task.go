@@ -28,9 +28,18 @@ package congest
 // Continuations receive the live Context as a parameter and must use
 // that value, never one captured before a park: engines hand out a
 // shared Context that is re-pointed between wakes, so a captured
-// Context silently aliases another vertex. Capturing plain data
+// Context silently aliases another vertex. Carrying plain data
 // (counters, buffers, the algorithm's own state) across parks is the
 // whole point and is always safe.
+//
+// That data lives in one of two places. A continuation literal can
+// close over it, which is the shortest to write, but every escaping
+// closure (and every method value written at a call site) is a heap
+// allocation each time the Step is built. A program that runs many
+// windows instead keeps its state in a per-vertex record it re-arms,
+// and hands Window method values bound once when the record was built;
+// then a window costs nothing. fragops.Tree and the Controlled-GHS
+// runner in internal/forest are written that way.
 
 // Resume is one continuation of a resumable program: it is handed the
 // live Context and the messages that woke the program (nil on a bare
@@ -130,9 +139,10 @@ func (f *StepFiber) enter(s Step) Park {
 // closure. boot builds a program's first Step; it may read the
 // vertex's identity and degree from the Context it is handed, so one
 // shared closure serves every vertex in the slab. The per-vertex cost
-// at rest is one StepFiber struct in the slab; all algorithm state
-// lives in the continuations' closed-over variables, allocated as the
-// program runs.
+// at rest is one StepFiber struct in the slab plus the program's own
+// state: the variables its continuations close over, allocated as the
+// program runs, or the per-vertex records it builds once and re-arms
+// (see the note on records at the top of this file).
 func StepFiberFactory(n int, boot func(c Context) Step) func(id int) Fiber {
 	slab := make([]StepFiber, n)
 	return func(id int) Fiber {

@@ -139,6 +139,7 @@ func Program(c congest.Context, cfg Config,
 				cfg:       cfg,
 				k:         k,
 				coarse:    st.FragID,
+				tree:      fragops.NewTree(st.ParentPort, st.ChildPorts),
 				nbrCoarse: make([]int64, c.Degree()),
 				mstPorts:  make(map[int]bool),
 			}
@@ -191,10 +192,11 @@ func chooseK(n, height, b int64, fixed int) int {
 // always a parameter, never a field (engines re-point a shared
 // per-shard Context between wakes).
 type boruvka struct {
-	tau *bfstree.Tree
-	st  *forest.State
-	cfg Config
-	k   int
+	tau  *bfstree.Tree
+	st   *forest.State
+	tree *fragops.Tree // the base fragment's tree-operation record
+	cfg  Config
+	k    int
 
 	coarse     int64
 	phaseFrags int // |F̂_j| of the last merged phase (τ root only)
@@ -216,12 +218,11 @@ type boruvka struct {
 func (r *boruvka) register(c congest.Context, k int, then func(c congest.Context) congest.Step) congest.Step {
 	// 12k+4 bounds the base fragment height: Controlled-GHS guarantees
 	// strong diameter at most 6·2^ceil(log k) <= 12k (Theorem 4.3).
-	return fragops.ConvergeStep(c, r.st.ParentPort, r.st.ChildPorts,
-		c.Round()+int64(12*k+6), true, [3]int64{1, 0, 0}, sizeHeight,
-		func(c congest.Context, meas [3]int64, isFragRoot bool) congest.Step {
+	return r.tree.Converge(c, c.Round()+int64(12*k+6), true, [3]int64{1, 0, 0}, fragops.SizeHeight,
+		func(c congest.Context) congest.Step {
 			var items []bfstree.Item
-			if isFragRoot {
-				items = []bfstree.Item{{Group: r.st.FragID, W: meas[1], U: r.tau.Lo, V: 0}}
+			if r.tree.Root {
+				items = []bfstree.Item{{Group: r.st.FragID, W: r.tree.Value[1], U: r.tau.Lo, V: 0}}
 			}
 			regStart := c.Round()
 			return r.tau.PipelinedUpcastStep(c, items, func(c congest.Context, regs []bfstree.Item) congest.Step {
@@ -307,9 +308,9 @@ func (r *boruvka) phase(c congest.Context,
 
 		// (2) Each base fragment finds its lightest edge leaving the
 		// coarse fragment: O(k) rounds, O(n) messages.
-		return fragops.ArgminStep(c, r.st.ParentPort, r.st.ChildPorts,
-			c.Round()+r.fragWin, true, r.localCandidate(c), &r.winner,
-			func(c congest.Context, best [3]int64, isFragRoot bool) congest.Step {
+		return r.tree.Argmin(c, c.Round()+r.fragWin, true, r.localCandidate(c), &r.winner,
+			func(c congest.Context) congest.Step {
+				isFragRoot, best := r.tree.Root, r.tree.Value
 				// (3) Pipelined min-filtering upcast over τ: the root
 				// learns the MWOE of every coarse fragment.
 				var items []bfstree.Item
@@ -350,9 +351,9 @@ func (r *boruvka) phase(c congest.Context,
 
 								// (6) Broadcast the new identity (and the
 								// chosen MWOE) through each base fragment.
-								return fragops.BroadcastStep(c, r.st.ParentPort, r.st.ChildPorts,
-									c.Round()+r.fragWin, true, payload,
-									func(c congest.Context, pay [3]int64, _ bool) congest.Step {
+								return r.tree.Broadcast(c, c.Round()+r.fragWin, true, payload,
+									func(c congest.Context) congest.Step {
+										pay := r.tree.Value
 										oldCoarse := r.coarse
 										r.coarse = pay[0]
 
@@ -468,14 +469,6 @@ func (r *boruvka) portTo(id int64) int {
 		}
 	}
 	return -1
-}
-
-func sizeHeight(acc, child [3]int64) [3]int64 {
-	acc[0] += child[0]
-	if child[1]+1 > acc[1] {
-		acc[1] = child[1] + 1
-	}
-	return acc
 }
 
 func encodeEdge(a, b int64) int64 {

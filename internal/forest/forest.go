@@ -16,6 +16,14 @@
 //
 // All vertices must enter Program in the same round (as arranged by
 // bfstree.BuildStep); they all continue in the same round.
+//
+// Each vertex runs the phases as a stage machine over one record, the
+// runner (runner.go): the stage enum says which step of the phase is
+// under way, one step method ends a stage and enters the next, and
+// every fragment-tree operation runs on the vertex's fragops.Tree.
+// Per-port phase state is held in port-indexed slices, so every loop
+// over ports runs in port order. A phase allocates only when the
+// re-rooting step outgrows a port-list buffer.
 package forest
 
 import (
@@ -133,23 +141,7 @@ func heightBound(i int) int64 { return 6*(int64(1)<<uint(i)) + 2 }
 // The fragment-tree edges held in State are edges of the unique MST.
 func Program(c congest.Context, k int, trace *Trace,
 	then func(c congest.Context, st *State) congest.Step) congest.Step {
-	r := newRunner(c, k, trace)
-	var loop func(c congest.Context, i int) congest.Step
-	loop = func(c congest.Context, i int) congest.Step {
-		if i >= r.t {
-			return then(c, &State{
-				FragID:      r.fragID,
-				ParentPort:  r.parent,
-				ChildPorts:  append([]int(nil), r.children...),
-				Phases:      r.t,
-				NbrVertexID: r.nbrVid,
-			})
-		}
-		return r.phase(c, i, func(c congest.Context) congest.Step {
-			return loop(c, i+1)
-		})
-	}
-	return loop(c, 0)
+	return newRunner(c, k, trace, then).startPhase(c)
 }
 
 func failf(format string, args ...any) {

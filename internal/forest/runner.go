@@ -1,8 +1,6 @@
 package forest
 
 import (
-	"sort"
-
 	"congestmst/internal/congest"
 	"congestmst/internal/fragops"
 )
@@ -11,28 +9,39 @@ import (
 // (weight, id, id) key.
 var sentinel = fragops.Sentinel
 
-// cont is a phase-program continuation: the next Step once a stage has
-// finished. Stages receive the live congest.Context as a parameter and
-// never store one in the runner — engines re-point a shared Context
-// between wakes, so captured Contexts go stale.
-type cont = func(c congest.Context) congest.Step
-
-// runner is one vertex's state machine for the Controlled-GHS phases.
-// It is plain data; every message handler lives in the Step-form
-// methods of phase.go.
+// runner is one vertex's state machine for the Controlled-GHS phases:
+// plain data plus the stage it is in. Its only continuation and window
+// handler are r.step and r.recv (phase.go), bound once into next and
+// handle by newRunner, and its fragment-tree operations run on one
+// fragops.Tree record, so entering a stage allocates nothing.
 type runner struct {
-	k, t  int
+	t     int // phases to run: Phases(k)
 	trace *Trace
+	done  func(c congest.Context, st *State) congest.Step
+
+	// The fragment tree this vertex belongs to (tree.Parent is -1 at
+	// the root) and the record of its current tree operation.
+	tree *fragops.Tree
 
 	// Persistent fragment state.
-	fragID   int64
-	parent   int   // fragment-tree parent port, -1 at the root
-	children []int // fragment-tree child ports
-	nbrVid   []int64
+	fragID int64
+	nbrVid []int64
 
 	// Per-phase neighbor knowledge (refreshed each phase).
 	nbrFrag []int64
 	nbrPart []bool
+
+	// Where the program is: the phase i, its window height bound, the
+	// stage within it, the Cole-Vishkin step and the colour class of
+	// the matching.
+	phase   int
+	h       int64
+	stage   stage
+	cvIdx   int
+	matchCC int64
+
+	next   func(c congest.Context) congest.Step
+	handle func(c congest.Context, in congest.Inbound)
 
 	// Root-only knowledge for the current phase.
 	size, height int64
@@ -44,21 +53,22 @@ type runner struct {
 	matched      bool
 	roleSelector bool
 	candExists   bool
+	candRoot     bool // the candidate argmin reported this vertex as a selecting root
 
-	// Border-vertex state for the current phase. The maps are allocated
-	// once and cleared in place each phase: a phase reset at 10^6
-	// vertices × O(log k) phases used to be the top allocation site of
-	// an Elkin run (four fresh maps per vertex per phase).
-	isOwner   bool // this vertex holds the fragment's MWOE
-	ownerPort int
-	bestPort  int           // this vertex's best local outgoing port
-	foreign   map[int]bool  // announce ports: participating child fragments
-	childMat  map[int]bool  // child fragment across port is matched
-	treeCross map[int]bool  // cross ports that became tree edges this phase
-	parentCol int64         // colour received from the parent fragment
-	childCol  map[int]int64 // colours received from child fragments
-	sendUpd   bool          // owner: send the matched-update cross
-	selBorder bool          // this vertex performs the match selection
+	// Border-vertex state for the current phase. The port-indexed
+	// slices are allocated once and cleared in place each phase.
+	isOwner     bool // this vertex holds the fragment's MWOE
+	ownerPort   int
+	bestPort    int    // this vertex's best local outgoing port
+	foreign     []bool // announce ports: participating child fragments
+	childMat    []bool // the child fragment across the port is matched
+	treeCross   []bool // cross ports that became tree edges this phase
+	parentCol   int64  // colour received from the parent fragment
+	childColMin int64  // least colour received from a child fragment
+	mutual      bool   // the announce across ownerPort was mutual
+	selected    bool   // a match proposal arrived on ownerPort
+	nbrGot      int    // neighbor updates heard this phase
+	treePorts   []int  // every tree port during the re-rooting broadcast
 
 	// Argmin winner pointers: -2 self, -1 none, >=0 child port.
 	winTmp  int
@@ -77,55 +87,30 @@ const (
 	statusIsolated  int64 = 3 // no outgoing edge: initiator, no merge
 )
 
-func newRunner(c congest.Context, k int, trace *Trace) *runner {
+func newRunner(c congest.Context, k int, trace *Trace,
+	done func(c congest.Context, st *State) congest.Step) *runner {
 	deg := c.Degree()
 	r := &runner{
-		k:         k,
 		t:         Phases(k),
 		trace:     trace,
+		done:      done,
+		tree:      fragops.NewTree(-1, nil),
 		fragID:    int64(c.ID()),
-		parent:    -1,
 		nbrVid:    make([]int64, deg),
 		nbrFrag:   make([]int64, deg),
 		nbrPart:   make([]bool, deg),
-		foreign:   make(map[int]bool),
-		childMat:  make(map[int]bool),
-		treeCross: make(map[int]bool),
-		childCol:  make(map[int]int64),
+		foreign:   make([]bool, deg),
+		childMat:  make([]bool, deg),
+		treeCross: make([]bool, deg),
 	}
+	r.next, r.handle = r.step, r.recv
 	for p := range r.nbrVid {
 		r.nbrVid[p] = -1
 	}
 	return r
 }
 
-func (r *runner) isRoot() bool { return r.parent == -1 }
-
-func (r *runner) isChildPort(p int) bool {
-	for _, c := range r.children {
-		if c == p {
-			return true
-		}
-	}
-	return false
-}
-
-func keyLess(a, b [3]int64) bool { return fragops.KeyLess(a, b) }
-
-// sortedPorts returns the keys of a port-keyed map in ascending order.
-// Phase state (foreign, childMat, treeCross, childCol) is map-backed,
-// and Go's map iteration order is random per run; every loop whose
-// effects escape — message sends, treePorts/children construction —
-// must go through here so runs stay bit-reproducible (see mstlint's
-// detrange analyzer).
-func sortedPorts[V any](m map[int]V) []int {
-	ports := make([]int, 0, len(m))
-	for p := range m {
-		ports = append(ports, p)
-	}
-	sort.Ints(ports)
-	return ports
-}
+func (r *runner) isRoot() bool { return r.tree.Parent == -1 }
 
 // participateThreshold is the size bound for phase i: fragments of at
 // most 2^i vertices join F'_i. Size bounds diameter from above, so the

@@ -10,13 +10,16 @@
 // not active simply drains its (empty) window, so global alignment is
 // preserved without any coordination traffic.
 //
-// Each primitive is written in the Step form of internal/congest/task.go
-// (the *Step functions): it takes the live congest.Context and hands its
-// results to a continuation. Handlers and continuations take the live
-// Context as a parameter and must not capture one across parks (engines
-// re-point a shared Context between wakes). The window every primitive
-// drains is congest.Window, which lives in congest with the rest of the
-// Step kit; DrainStep is the window that expects no traffic.
+// Each vertex keeps one Tree: its place in the fragment tree plus the
+// record of the operation it is running. An operation is a method that
+// re-arms the record and returns a congest.Window Step (see
+// internal/congest/task.go) whose handler and finish step are method
+// values NewTree bound once, so running an operation allocates nothing.
+// At round end the operation continues with then, and its results stay
+// in the record (Value, Root, Received, Target) until the next
+// operation re-arms it. Handlers and continuations take the live
+// Context as a parameter and never keep one across parks (engines
+// re-point a shared Context between wakes).
 package fragops
 
 import (
@@ -49,205 +52,278 @@ func KeyLess(a, b [3]int64) bool {
 	return a[2] < b[2]
 }
 
-// DrainStep asserts that nothing arrives until end, then continues.
-func DrainStep(c congest.Context, end int64, then func(c congest.Context) congest.Step) congest.Step {
-	return congest.Window(c, end, func(c congest.Context, in congest.Inbound) {
-		failf("vertex %d: unexpected kind %d on port %d at round %d",
-			c.ID(), in.Msg.Kind, in.Port, c.Round())
-	}, then)
-}
-
-func isChild(children []int, p int) bool {
-	for _, c := range children {
-		if c == p {
-			return true
-		}
+// SizeHeight is the Converge combine that measures a fragment: start
+// each vertex at (1, 0, 0) and the root ends with (size, height, 0).
+func SizeHeight(acc, child [3]int64) [3]int64 {
+	acc[0] += child[0]
+	if child[1]+1 > acc[1] {
+		acc[1] = child[1] + 1
 	}
-	return false
+	return acc
 }
 
-// ConvergeStep runs one fragment-internal convergecast inside
-// [now, end): every vertex of an active fragment contributes own;
-// combine folds a child's reported value into the accumulator. At end
-// the fragment root continues with (combined, true); everyone else with
-// (partial, false).
-func ConvergeStep(c congest.Context, parent int, children []int, end int64, active bool,
-	own [3]int64, combine func(acc, child [3]int64) [3]int64,
-	then func(c congest.Context, acc [3]int64, isRoot bool) congest.Step) congest.Step {
+// op names the operation a Tree record is armed for.
+type op uint8
+
+const (
+	opDrain     op = iota // nothing may arrive: an inactive fragment, or a broadcasting root
+	opConverge            // Converge
+	opArgmin              // Argmin
+	opBroadcast           // Broadcast below the root
+	opDowncast            // WinnerDowncast
+	opUpPath              // UpPath
+)
+
+// Tree is one vertex's fragment-tree record: where the vertex sits in
+// its fragment tree and the state of the operation it is running.
+// Build it once per vertex with NewTree; every operation re-arms it.
+type Tree struct {
+	// Parent is the fragment-tree parent port, -1 at the root, and
+	// Children the child ports. The owner may change them between
+	// operations, never during one.
+	Parent   int
+	Children []int
+
+	// Value is the last operation's result: the accumulator of Converge
+	// and Argmin (combined at the root, partial elsewhere), or the
+	// payload Broadcast, WinnerDowncast and UpPath delivered here. Root
+	// (Converge, Argmin), Received (Broadcast, UpPath) and Target
+	// (WinnerDowncast) qualify it. All four hold until the next
+	// operation re-arms the record.
+	Value    [3]int64
+	Root     bool
+	Received bool
+	Target   bool
+
+	op      op
+	pend    int  // children yet to report (Converge, Argmin)
+	sent    bool // the accumulator went to the parent (Converge, Argmin)
+	active  bool // a broadcast must arrive (Broadcast)
+	combine func(acc, child [3]int64) [3]int64
+	winner  *int // the argmin winner pointer (Argmin, WinnerDowncast)
+	then    func(c congest.Context) congest.Step
+
+	// handle and finish are t.recv and t.done, bound once by NewTree:
+	// a method value built per operation would allocate per operation.
+	handle func(c congest.Context, in congest.Inbound)
+	finish func(c congest.Context) congest.Step
+}
+
+// NewTree builds a vertex's record for a fragment tree with the given
+// parent port (-1 at the root) and child ports.
+func NewTree(parent int, children []int) *Tree {
+	t := &Tree{Parent: parent, Children: children}
+	t.handle, t.finish = t.recv, t.done
+	return t
+}
+
+// Converge runs one fragment-internal convergecast inside [now, end):
+// every vertex of an active fragment contributes own; combine folds a
+// child's reported value into the accumulator. At end the fragment
+// root holds the combined value in Value with Root set; everyone else
+// holds its partial value (own, if inactive) with Root clear.
+func (t *Tree) Converge(c congest.Context, end int64, active bool, own [3]int64,
+	combine func(acc, child [3]int64) [3]int64, then func(c congest.Context) congest.Step) congest.Step {
+	t.arm(own, then)
 	if !active {
-		return DrainStep(c, end, func(c congest.Context) congest.Step {
-			return then(c, own, false)
-		})
+		return t.window(c, opDrain, end)
 	}
-	acc := own
-	pend := len(children)
-	sent := false
-	maybeSend := func(c congest.Context) {
-		if pend == 0 && parent >= 0 && !sent {
-			sent = true
-			c.Send(parent, congest.Message{Kind: KindConv, A: acc[0], B: acc[1], C: acc[2]})
-		}
-	}
-	maybeSend(c)
-	return congest.Window(c, end, func(c congest.Context, in congest.Inbound) {
-		if in.Msg.Kind != KindConv || !isChild(children, in.Port) {
-			failf("vertex %d: kind %d from port %d during convergecast", c.ID(), in.Msg.Kind, in.Port)
-		}
-		acc = combine(acc, [3]int64{in.Msg.A, in.Msg.B, in.Msg.C})
-		pend--
-		maybeSend(c)
-	}, func(c congest.Context) congest.Step {
-		if pend != 0 {
-			failf("vertex %d: convergecast missed %d children (window too small)", c.ID(), pend)
-		}
-		return then(c, acc, parent < 0)
-	})
+	t.combine = combine
+	return t.gather(c, opConverge, end)
 }
 
-// ArgminStep is ConvergeStep specialised to lexicographic
-// minimisation. It records a winner pointer into *winner before then
-// runs: -2 if this vertex's own key won locally, -1 if no candidate
-// reached here, or the child port whose subtree supplied the local
-// minimum. A vertex with no candidate passes the Sentinel.
-func ArgminStep(c congest.Context, parent int, children []int, end int64, active bool,
-	own [3]int64, winner *int,
-	then func(c congest.Context, best [3]int64, isRoot bool) congest.Step) congest.Step {
+// Argmin is Converge specialised to lexicographic minimisation. It
+// records a winner pointer into *winner: -2 if this vertex's own key
+// won locally, -1 if no candidate reached here, or the child port whose
+// subtree supplied the local minimum. A vertex with no candidate passes
+// the Sentinel, which is also the Value of an inactive vertex.
+func (t *Tree) Argmin(c congest.Context, end int64, active bool, own [3]int64, winner *int,
+	then func(c congest.Context) congest.Step) congest.Step {
 	*winner = -1
 	if own != Sentinel {
 		*winner = -2
 	}
+	t.arm(Sentinel, then)
 	if !active {
-		return DrainStep(c, end, func(c congest.Context) congest.Step {
-			return then(c, Sentinel, false)
-		})
+		return t.window(c, opDrain, end)
 	}
-	acc := own
-	pend := len(children)
-	sent := false
-	maybeSend := func(c congest.Context) {
-		if pend == 0 && parent >= 0 && !sent {
-			sent = true
-			c.Send(parent, congest.Message{Kind: KindConv, A: acc[0], B: acc[1], C: acc[2]})
-		}
-	}
-	maybeSend(c)
-	return congest.Window(c, end, func(c congest.Context, in congest.Inbound) {
-		if in.Msg.Kind != KindConv || !isChild(children, in.Port) {
-			failf("vertex %d: kind %d from port %d during argmin", c.ID(), in.Msg.Kind, in.Port)
-		}
-		got := [3]int64{in.Msg.A, in.Msg.B, in.Msg.C}
-		if KeyLess(got, acc) {
-			acc = got
-			*winner = in.Port
-		}
-		pend--
-		maybeSend(c)
-	}, func(c congest.Context) congest.Step {
-		if pend != 0 {
-			failf("vertex %d: argmin missed %d children", c.ID(), pend)
-		}
-		return then(c, acc, parent < 0)
-	})
+	t.Value, t.winner = own, winner
+	return t.gather(c, opArgmin, end)
 }
 
-// BroadcastStep distributes a 3-word payload from the fragment root
-// inside [now, end); then receives the payload and whether one was
-// received (true everywhere in active fragments).
-func BroadcastStep(c congest.Context, parent int, children []int, end int64, active bool,
-	own [3]int64, then func(c congest.Context, got [3]int64, received bool) congest.Step) congest.Step {
-	if active && parent < 0 {
-		for _, ch := range children {
-			c.Send(ch, congest.Message{Kind: KindBcast, A: own[0], B: own[1], C: own[2]})
-		}
-		return DrainStep(c, end, func(c congest.Context) congest.Step {
-			return then(c, own, true)
-		})
-	}
-	var got [3]int64
-	received := false
-	return congest.Window(c, end, func(c congest.Context, in congest.Inbound) {
-		if in.Msg.Kind != KindBcast || in.Port != parent || received {
-			failf("vertex %d: kind %d from port %d during broadcast", c.ID(), in.Msg.Kind, in.Port)
-		}
-		received = true
-		got = [3]int64{in.Msg.A, in.Msg.B, in.Msg.C}
-		for _, ch := range children {
-			c.Send(ch, congest.Message{Kind: KindBcast, A: got[0], B: got[1], C: got[2]})
-		}
-	}, func(c congest.Context) congest.Step {
-		if active && !received {
-			failf("vertex %d: broadcast never arrived", c.ID())
-		}
-		return then(c, got, received)
-	})
+// gather opens a convergecast window over the accumulator in Value.
+func (t *Tree) gather(c congest.Context, o op, end int64) congest.Step {
+	t.Root = t.Parent < 0
+	t.pend, t.sent = len(t.Children), false
+	t.sendUp(c)
+	return t.window(c, o, end)
 }
 
-// WinnerDowncastStep follows argmin winner pointers from the fragment
-// root to the winning vertex inside [now, end). initiate must hold only
-// at roots of fragments that start a downcast; winner must read this
-// vertex's recorded pointer. then receives the payload and whether this
-// vertex is the target.
-func WinnerDowncastStep(c congest.Context, parent int, end int64, initiate bool,
-	winner func() int, payload [3]int64,
-	then func(c congest.Context, got [3]int64, target bool) congest.Step) congest.Step {
-	target := false
-	var got [3]int64
+// sendUp reports the accumulator to the parent once every child has.
+func (t *Tree) sendUp(c congest.Context) {
+	if t.pend == 0 && t.Parent >= 0 && !t.sent {
+		t.sent = true
+		c.Send(t.Parent, congest.Message{Kind: KindConv, A: t.Value[0], B: t.Value[1], C: t.Value[2]})
+	}
+}
+
+// Broadcast distributes a 3-word payload from the fragment root inside
+// [now, end). Value then holds the payload and Received whether it
+// arrived (true everywhere in active fragments).
+func (t *Tree) Broadcast(c congest.Context, end int64, active bool, own [3]int64,
+	then func(c congest.Context) congest.Step) congest.Step {
+	t.arm([3]int64{}, then)
+	if active && t.Parent < 0 {
+		t.Value, t.Received = own, true
+		t.sendDown(c, own)
+		return t.window(c, opDrain, end)
+	}
+	t.active = active
+	return t.window(c, opBroadcast, end)
+}
+
+func (t *Tree) sendDown(c congest.Context, m [3]int64) {
+	for _, ch := range t.Children {
+		c.Send(ch, congest.Message{Kind: KindBcast, A: m[0], B: m[1], C: m[2]})
+	}
+}
+
+// WinnerDowncast follows argmin winner pointers from the fragment root
+// to the winning vertex inside [now, end). initiate must hold only at
+// roots of fragments that start a downcast; winner points at this
+// vertex's recorded pointer, read as the downcast passes. At end Target
+// reports whether this vertex is the target, and Value holds the
+// payload there.
+func (t *Tree) WinnerDowncast(c congest.Context, end int64, initiate bool, winner *int, payload [3]int64,
+	then func(c congest.Context) congest.Step) congest.Step {
+	t.arm([3]int64{}, then)
+	t.winner = winner
 	if initiate {
-		switch w := winner(); {
+		switch w := *winner; {
 		case w == -2:
-			target, got = true, payload
+			t.Target, t.Value = true, payload
 		case w >= 0:
 			c.Send(w, congest.Message{Kind: KindWinner, A: payload[0], B: payload[1], C: payload[2]})
 		default:
 			failf("vertex %d: downcast initiated with no winner", c.ID())
 		}
 	}
-	return congest.Window(c, end, func(c congest.Context, in congest.Inbound) {
-		if in.Msg.Kind != KindWinner || in.Port != parent {
+	return t.window(c, opDowncast, end)
+}
+
+// UpPath sends a 3-word payload from one origin vertex up the fragment
+// tree to the root inside [now, end). At end the root has Received set,
+// with the payload in Value, if an origin existed in its fragment.
+func (t *Tree) UpPath(c congest.Context, end int64, origin bool, payload [3]int64,
+	then func(c congest.Context) congest.Step) congest.Step {
+	t.arm([3]int64{}, then)
+	if origin {
+		t.deliverUp(c, payload)
+	}
+	return t.window(c, opUpPath, end)
+}
+
+func (t *Tree) deliverUp(c congest.Context, m [3]int64) {
+	if t.Parent < 0 {
+		if t.Received {
+			failf("vertex %d: two UpPath payloads in one fragment", c.ID())
+		}
+		t.Received, t.Value = true, m
+		return
+	}
+	c.Send(t.Parent, congest.Message{Kind: KindUpPath, A: m[0], B: m[1], C: m[2]})
+}
+
+// arm clears the previous operation's results, starting Value at v,
+// and records the continuation.
+func (t *Tree) arm(v [3]int64, then func(c congest.Context) congest.Step) {
+	t.Value, t.Root, t.Received, t.Target = v, false, false, false
+	t.then = then
+}
+
+// window enters operation o until round end.
+func (t *Tree) window(c congest.Context, o op, end int64) congest.Step {
+	t.op = o
+	return congest.Window(c, end, t.handle, t.finish)
+}
+
+// recv is the window handler of every operation.
+func (t *Tree) recv(c congest.Context, in congest.Inbound) {
+	m := [3]int64{in.Msg.A, in.Msg.B, in.Msg.C}
+	switch t.op {
+	case opDrain:
+		failf("vertex %d: unexpected kind %d on port %d at round %d",
+			c.ID(), in.Msg.Kind, in.Port, c.Round())
+	case opConverge:
+		if in.Msg.Kind != KindConv || !t.isChild(in.Port) {
+			failf("vertex %d: kind %d from port %d during convergecast", c.ID(), in.Msg.Kind, in.Port)
+		}
+		t.Value = t.combine(t.Value, m)
+		t.pend--
+		t.sendUp(c)
+	case opArgmin:
+		if in.Msg.Kind != KindConv || !t.isChild(in.Port) {
+			failf("vertex %d: kind %d from port %d during argmin", c.ID(), in.Msg.Kind, in.Port)
+		}
+		if KeyLess(m, t.Value) {
+			t.Value = m
+			*t.winner = in.Port
+		}
+		t.pend--
+		t.sendUp(c)
+	case opBroadcast:
+		if in.Msg.Kind != KindBcast || in.Port != t.Parent || t.Received {
+			failf("vertex %d: kind %d from port %d during broadcast", c.ID(), in.Msg.Kind, in.Port)
+		}
+		t.Received, t.Value = true, m
+		t.sendDown(c, m)
+	case opDowncast:
+		if in.Msg.Kind != KindWinner || in.Port != t.Parent {
 			failf("vertex %d: kind %d from port %d during winner downcast", c.ID(), in.Msg.Kind, in.Port)
 		}
-		switch w := winner(); {
+		switch w := *t.winner; {
 		case w == -2:
-			target, got = true, [3]int64{in.Msg.A, in.Msg.B, in.Msg.C}
+			t.Target, t.Value = true, m
 		case w >= 0:
 			c.Send(w, in.Msg)
 		default:
 			failf("vertex %d: winner downcast hit a dead end", c.ID())
 		}
-	}, func(c congest.Context) congest.Step {
-		return then(c, got, target)
-	})
-}
-
-// UpPathStep sends a 3-word payload from one origin vertex up the
-// fragment tree to the root inside [now, end). The root's then receives
-// (payload, true) if an origin existed in its fragment.
-func UpPathStep(c congest.Context, parent int, children []int, end int64, origin bool,
-	payload [3]int64,
-	then func(c congest.Context, got [3]int64, received bool) congest.Step) congest.Step {
-	received := false
-	var got [3]int64
-	deliver := func(c congest.Context, m [3]int64) {
-		if parent < 0 {
-			if received {
-				failf("vertex %d: two UpPath payloads in one fragment", c.ID())
-			}
-			received, got = true, m
-			return
-		}
-		c.Send(parent, congest.Message{Kind: KindUpPath, A: m[0], B: m[1], C: m[2]})
-	}
-	if origin {
-		deliver(c, payload)
-	}
-	return congest.Window(c, end, func(c congest.Context, in congest.Inbound) {
-		if in.Msg.Kind != KindUpPath || !isChild(children, in.Port) {
+	case opUpPath:
+		if in.Msg.Kind != KindUpPath || !t.isChild(in.Port) {
 			failf("vertex %d: kind %d from port %d during UpPath", c.ID(), in.Msg.Kind, in.Port)
 		}
-		deliver(c, [3]int64{in.Msg.A, in.Msg.B, in.Msg.C})
-	}, func(c congest.Context) congest.Step {
-		return then(c, got, received)
-	})
+		t.deliverUp(c, m)
+	}
+}
+
+// done is the finish step of every operation: it checks the window
+// was long enough and continues with then.
+func (t *Tree) done(c congest.Context) congest.Step {
+	switch t.op {
+	case opConverge:
+		if t.pend != 0 {
+			failf("vertex %d: convergecast missed %d children (window too small)", c.ID(), t.pend)
+		}
+	case opArgmin:
+		if t.pend != 0 {
+			failf("vertex %d: argmin missed %d children", c.ID(), t.pend)
+		}
+	case opBroadcast:
+		if t.active && !t.Received {
+			failf("vertex %d: broadcast never arrived", c.ID())
+		}
+	}
+	return t.then(c)
+}
+
+func (t *Tree) isChild(p int) bool {
+	for _, c := range t.Children {
+		if c == p {
+			return true
+		}
+	}
+	return false
 }
 
 func failf(format string, args ...any) {

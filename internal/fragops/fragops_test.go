@@ -8,8 +8,8 @@ import (
 )
 
 // program is one vertex's Step program on a fragment tree, given its
-// fragment-tree parent port (-1 at the root) and child ports.
-type program func(c congest.Context, parent int, children []int) congest.Step
+// tree record (Parent is -1 at the root).
+type program func(c congest.Context, t *Tree) congest.Step
 
 // starTree runs a program on a star graph where vertex 0 is the
 // fragment root and every leaf is its child; all vertices share one
@@ -24,9 +24,9 @@ func starTree(t *testing.T, n int, prog program) *congest.Stats {
 			for i := range children {
 				children[i] = i
 			}
-			return prog(c, -1, children)
+			return prog(c, NewTree(-1, children))
 		}
-		return prog(c, 0, nil)
+		return prog(c, NewTree(0, nil))
 	}))
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -53,7 +53,7 @@ func pathTree(t *testing.T, n int, prog program) {
 			parent = 0          // port 0 leads to the smaller neighbor
 			children = []int{1} // port 1 leads to the larger neighbor
 		}
-		return prog(c, parent, children)
+		return prog(c, NewTree(parent, children))
 	}))
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -62,19 +62,19 @@ func pathTree(t *testing.T, n int, prog program) {
 
 func TestConvergeSumsOverStar(t *testing.T) {
 	const n = 12
-	starTree(t, n, func(c congest.Context, parent int, children []int) congest.Step {
+	starTree(t, n, func(c congest.Context, tr *Tree) congest.Step {
 		sum := func(acc, child [3]int64) [3]int64 {
 			return [3]int64{acc[0] + child[0], acc[1] + child[1], 0}
 		}
-		return ConvergeStep(c, parent, children, c.Round()+4, true, [3]int64{int64(c.ID()), 1, 0}, sum,
-			func(c congest.Context, got [3]int64, isRoot bool) congest.Step {
-				if isRoot != (c.ID() == 0) {
-					t.Errorf("vertex %d isRoot=%v", c.ID(), isRoot)
+		return tr.Converge(c, c.Round()+4, true, [3]int64{int64(c.ID()), 1, 0}, sum,
+			func(c congest.Context) congest.Step {
+				if tr.Root != (c.ID() == 0) {
+					t.Errorf("vertex %d Root=%v", c.ID(), tr.Root)
 				}
-				if isRoot {
+				if tr.Root {
 					wantSum := int64(n * (n - 1) / 2)
-					if got[0] != wantSum || got[1] != n {
-						t.Errorf("root got %v, want sum=%d count=%d", got, wantSum, n)
+					if tr.Value[0] != wantSum || tr.Value[1] != n {
+						t.Errorf("root got %v, want sum=%d count=%d", tr.Value, wantSum, n)
 					}
 				}
 				return congest.Done()
@@ -83,11 +83,16 @@ func TestConvergeSumsOverStar(t *testing.T) {
 }
 
 func TestConvergeInactiveDrains(t *testing.T) {
-	starTree(t, 6, func(c congest.Context, parent int, children []int) congest.Step {
-		return ConvergeStep(c, parent, children, c.Round()+3, false, [3]int64{}, nil,
-			func(c congest.Context, _ [3]int64, _ bool) congest.Step {
+	starTree(t, 6, func(c congest.Context, tr *Tree) congest.Step {
+		own := [3]int64{int64(c.ID()), 5, 0}
+		return tr.Converge(c, c.Round()+3, false, own, nil,
+			func(c congest.Context) congest.Step {
 				if c.Round() == 0 {
 					t.Error("inactive Converge did not consume the window")
+				}
+				if tr.Root || tr.Value != own {
+					t.Errorf("vertex %d: inactive Converge left Root=%v Value=%v, want false %v",
+						c.ID(), tr.Root, tr.Value, own)
 				}
 				return congest.Done()
 			})
@@ -96,14 +101,14 @@ func TestConvergeInactiveDrains(t *testing.T) {
 
 func TestArgminFindsMinAndWinnerPath(t *testing.T) {
 	const n = 9
-	pathTree(t, n, func(c congest.Context, parent int, children []int) congest.Step {
+	pathTree(t, n, func(c congest.Context, tr *Tree) congest.Step {
 		// Vertex i bids (100-i, i, 0); the tail vertex n-1 wins.
 		var winner int
 		own := [3]int64{int64(100 - c.ID()), int64(c.ID()), 0}
-		return ArgminStep(c, parent, children, c.Round()+int64(n+4), true, own, &winner,
-			func(c congest.Context, got [3]int64, isRoot bool) congest.Step {
-				if isRoot && got != [3]int64{int64(100 - (n - 1)), int64(n - 1), 0} {
-					t.Errorf("root argmin %v", got)
+		return tr.Argmin(c, c.Round()+int64(n+4), true, own, &winner,
+			func(c congest.Context) congest.Step {
+				if tr.Root && tr.Value != [3]int64{int64(100 - (n - 1)), int64(n - 1), 0} {
+					t.Errorf("root argmin %v", tr.Value)
 				}
 				// Winner pointers: tail says self, everyone else points down.
 				if c.ID() == n-1 {
@@ -114,11 +119,13 @@ func TestArgminFindsMinAndWinnerPath(t *testing.T) {
 					t.Errorf("vertex %d winner = %d, want child port", c.ID(), winner)
 				}
 				// Downcast to the winner.
-				return WinnerDowncastStep(c, parent, c.Round()+int64(n+4), isRoot,
-					func() int { return winner }, [3]int64{7, 0, 0},
-					func(c congest.Context, _ [3]int64, target bool) congest.Step {
-						if target != (c.ID() == n-1) {
-							t.Errorf("vertex %d target=%v", c.ID(), target)
+				return tr.WinnerDowncast(c, c.Round()+int64(n+4), tr.Root, &winner, [3]int64{7, 0, 0},
+					func(c congest.Context) congest.Step {
+						if tr.Target != (c.ID() == n-1) {
+							t.Errorf("vertex %d target=%v", c.ID(), tr.Target)
+						}
+						if tr.Target && tr.Value != [3]int64{7, 0, 0} {
+							t.Errorf("target got %v, want the payload", tr.Value)
 						}
 						return congest.Done()
 					})
@@ -127,12 +134,12 @@ func TestArgminFindsMinAndWinnerPath(t *testing.T) {
 }
 
 func TestArgminAllSentinel(t *testing.T) {
-	starTree(t, 5, func(c congest.Context, parent int, children []int) congest.Step {
+	starTree(t, 5, func(c congest.Context, tr *Tree) congest.Step {
 		var winner int
-		return ArgminStep(c, parent, children, c.Round()+4, true, Sentinel, &winner,
-			func(c congest.Context, got [3]int64, isRoot bool) congest.Step {
-				if isRoot && got != Sentinel {
-					t.Errorf("root got %v, want sentinel", got)
+		return tr.Argmin(c, c.Round()+4, true, Sentinel, &winner,
+			func(c congest.Context) congest.Step {
+				if tr.Root && tr.Value != Sentinel {
+					t.Errorf("root got %v, want sentinel", tr.Value)
 				}
 				if winner != -1 {
 					t.Errorf("winner = %d, want -1", winner)
@@ -144,14 +151,14 @@ func TestArgminAllSentinel(t *testing.T) {
 
 func TestBroadcastReachesAll(t *testing.T) {
 	const n = 9
-	pathTree(t, n, func(c congest.Context, parent int, children []int) congest.Step {
-		return BroadcastStep(c, parent, children, c.Round()+int64(n+4), true, [3]int64{42, 43, 44},
-			func(c congest.Context, got [3]int64, ok bool) congest.Step {
-				if !ok {
+	pathTree(t, n, func(c congest.Context, tr *Tree) congest.Step {
+		return tr.Broadcast(c, c.Round()+int64(n+4), true, [3]int64{42, 43, 44},
+			func(c congest.Context) congest.Step {
+				if !tr.Received {
 					t.Errorf("vertex %d did not receive the broadcast", c.ID())
 				}
-				if got != [3]int64{42, 43, 44} {
-					t.Errorf("vertex %d got %v", c.ID(), got)
+				if tr.Value != [3]int64{42, 43, 44} {
+					t.Errorf("vertex %d got %v", c.ID(), tr.Value)
 				}
 				return congest.Done()
 			})
@@ -160,19 +167,44 @@ func TestBroadcastReachesAll(t *testing.T) {
 
 func TestUpPathFromDeepVertex(t *testing.T) {
 	const n = 7
-	pathTree(t, n, func(c congest.Context, parent int, children []int) congest.Step {
+	pathTree(t, n, func(c congest.Context, tr *Tree) congest.Step {
 		origin := c.ID() == n-1
-		return UpPathStep(c, parent, children, c.Round()+int64(n+4), origin, [3]int64{9, 8, 7},
-			func(c congest.Context, got [3]int64, received bool) congest.Step {
+		return tr.UpPath(c, c.Round()+int64(n+4), origin, [3]int64{9, 8, 7},
+			func(c congest.Context) congest.Step {
 				if c.ID() == 0 {
-					if !received || got != [3]int64{9, 8, 7} {
-						t.Errorf("root got %v received=%v", got, received)
+					if !tr.Received || tr.Value != [3]int64{9, 8, 7} {
+						t.Errorf("root got %v received=%v", tr.Value, tr.Received)
 					}
-				} else if received {
+				} else if tr.Received {
 					t.Errorf("non-root %d claims receipt", c.ID())
 				}
 				return congest.Done()
 			})
+	})
+}
+
+// TestOperationsReuseOneRecord runs every operation back to back on one
+// record per vertex: each re-arms it, so no result leaks into the
+// next operation.
+func TestOperationsReuseOneRecord(t *testing.T) {
+	const n = 6
+	pathTree(t, n, func(c congest.Context, tr *Tree) congest.Step {
+		var winner int
+		end := func(c congest.Context) int64 { return c.Round() + int64(n+4) }
+		return tr.UpPath(c, end(c), c.ID() == n-1, [3]int64{1, 2, 3}, func(c congest.Context) congest.Step {
+			return tr.Broadcast(c, end(c), true, [3]int64{4, 5, 6}, func(c congest.Context) congest.Step {
+				if tr.Value != [3]int64{4, 5, 6} || !tr.Received {
+					t.Errorf("vertex %d: broadcast after UpPath left %v received=%v", c.ID(), tr.Value, tr.Received)
+				}
+				return tr.Argmin(c, end(c), false, [3]int64{0, 0, 0}, &winner, func(c congest.Context) congest.Step {
+					if tr.Value != Sentinel || tr.Root || tr.Received {
+						t.Errorf("vertex %d: inactive argmin left %v root=%v received=%v",
+							c.ID(), tr.Value, tr.Root, tr.Received)
+					}
+					return congest.Done()
+				})
+			})
+		})
 	})
 }
 
@@ -194,12 +226,14 @@ func TestKeyLess(t *testing.T) {
 	}
 }
 
+// TestWindowDeadlineExact: an operation hands over exactly at its end
+// round, here the drained window of an inactive convergecast.
 func TestWindowDeadlineExact(t *testing.T) {
-	starTree(t, 3, func(c congest.Context, parent int, children []int) congest.Step {
+	starTree(t, 3, func(c congest.Context, tr *Tree) congest.Step {
 		start := c.Round()
-		return DrainStep(c, start+5, func(c congest.Context) congest.Step {
+		return tr.Converge(c, start+5, false, [3]int64{}, nil, func(c congest.Context) congest.Step {
 			if c.Round() != start+5 {
-				t.Errorf("vertex %d at round %d after Drain, want %d", c.ID(), c.Round(), start+5)
+				t.Errorf("vertex %d at round %d after the window, want %d", c.ID(), c.Round(), start+5)
 			}
 			return congest.Done()
 		})
