@@ -54,12 +54,13 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParseConfig -fuzztime 15s ./internal/cluster/
 
 # Time and allocations per op of whole runs (Elkin on a message-bound
-# and a round-bound graph, GHS, Pipeline), of the two park paths every
+# and a round-bound graph, the message-bound one on every other engine
+# too, GHS, Pipeline), of the shard round and the two park paths every
 # engine shares (the calendar and a Step-kit window) and of the two
 # fragment-tree operations a Controlled-GHS phase runs most.
 bench-layers:
-	$(GO) test -run '^$$' -bench '^Benchmark(ElkinMST|ElkinMSTLollipop|GHSMST|PipelineMST)$$' -benchmem .
-	$(GO) test -run '^$$' -bench '^Benchmark(Calendar|StepWindow)$$' -benchmem ./internal/congest/
+	$(GO) test -run '^$$' -bench '^Benchmark(ElkinMST|ElkinMSTLollipop|ElkinMSTEngines|GHSMST|PipelineMST)$$' -benchmem .
+	$(GO) test -run '^$$' -bench '^Benchmark(Calendar|StepWindow|ShardRound)$$' -benchmem ./internal/congest/
 	$(GO) test -run '^$$' -bench '^Benchmark(Convergecast|Broadcast)$$' -benchmem ./internal/fragops/
 
 bench-tables:

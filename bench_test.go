@@ -58,14 +58,15 @@ func BenchmarkE8Convergence(b *testing.B) { benchExperiment(b, "e8") }
 // BenchmarkE9GHSAdversary regenerates the GHS time-separation table.
 func BenchmarkE9GHSAdversary(b *testing.B) { benchExperiment(b, "e9") }
 
-// benchElkin measures full lockstep Elkin runs on g, reporting CONGEST
-// metrics and allocations per run.
-func benchElkin(b *testing.B, g *congestmst.Graph) {
+// benchElkin measures full Elkin runs on g under opts, reporting
+// CONGEST metrics and allocations per run.
+func benchElkin(b *testing.B, g *congestmst.Graph, opts congestmst.Options) {
 	b.Helper()
 	b.ReportAllocs()
+	opts.Verify = congestmst.VerifyOff
 	var rounds, msgs int64
 	for i := 0; i < b.N; i++ {
-		res, err := congestmst.Run(g, congestmst.Options{Verify: congestmst.VerifyOff})
+		res, err := congestmst.Run(g, opts)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -82,7 +83,23 @@ func BenchmarkElkinMST(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	benchElkin(b, g)
+	benchElkin(b, g, congestmst.Options{})
+}
+
+// BenchmarkElkinMSTEngines is BenchmarkElkinMST on each engine besides
+// Lockstep, so every engine's executor has an exact allocation count.
+func BenchmarkElkinMSTEngines(b *testing.B) {
+	g, err := congestmst.RandomConnected(512, 2048, congestmst.GenOptions{Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, opts := range []congestmst.Options{
+		{Engine: congestmst.Parallel, Workers: 2},
+		{Engine: congestmst.Async, AsyncSeed: 1},
+		{Engine: congestmst.Cluster, Shards: 4},
+	} {
+		b.Run(opts.Engine.String(), func(b *testing.B) { benchElkin(b, g, opts) })
+	}
 }
 
 // BenchmarkElkinMSTLollipop is the round-bound twin of
@@ -90,7 +107,7 @@ func BenchmarkElkinMST(b *testing.B) {
 // under one message each, so parks, the calendar and fixed-length
 // windows dominate its time and allocations.
 func BenchmarkElkinMSTLollipop(b *testing.B) {
-	benchElkin(b, congestmst.Lollipop(32, 512, congestmst.GenOptions{Seed: 1}))
+	benchElkin(b, congestmst.Lollipop(32, 512, congestmst.GenOptions{Seed: 1}), congestmst.Options{})
 }
 
 // BenchmarkGHSMST measures one full GHS'83 run on the same graph.

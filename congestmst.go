@@ -74,22 +74,25 @@ func (a Algorithm) String() string {
 }
 
 // Engine selects which execution engine runs the program. All of them
-// enforce the same CONGEST(b log n) model and report bit-identical
-// Rounds, Messages and per-kind statistics; they differ only in how
-// wall-clock time and memory scale with the graph and in what carries
+// run the vertex programs on one executor, congest.Shard, so they
+// enforce the same CONGEST(b log n) model with the same checks and
+// report bit-identical Rounds, Messages and per-kind statistics; they
+// differ only in the round structure around their shards: how
+// wall-clock time and memory scale with the graph and what carries
 // the messages.
 type Engine int
 
 const (
 	// Lockstep is the single-coordinator engine of internal/congest:
-	// it runs every vertex program on the caller's goroutine, has the
-	// lowest constant overhead, is the default, and is the reference
-	// implementation the other engines are validated against. Use it
-	// for graphs up to roughly 10^5 vertices.
+	// one shard holding every vertex, played on the caller's
+	// goroutine. It has the lowest constant overhead, is the default,
+	// and is the reference implementation the other engines are
+	// validated against. Use it for graphs up to roughly 10^5
+	// vertices.
 	Lockstep Engine = iota
 	// Parallel is the event-driven engine of internal/parsim: sparse
-	// activation with a calendar heap, a worker pool over vertex
-	// shards running the vertex programs inline, and per-shard
+	// activation with a calendar heap per shard, a worker pool over
+	// the shards running the vertex programs inline, and per-shard
 	// delivery arenas merged deterministically. Use it for large
 	// graphs (10^5 vertices and up) on multi-core hosts; at a million
 	// vertices it is the only practical option.
@@ -97,7 +100,7 @@ const (
 	// Cluster is the TCP engine of internal/nettrans: vertices are
 	// partitioned into shards (Options.Shards), each shard pair shares
 	// one loopback connection carrying length-prefixed frame batches,
-	// and idle rounds are skipped by a per-connection calendar
+	// and idle rounds are skipped by each shard's calendar
 	// announcement. Use it to exercise the algorithms over a real
 	// network transport; the socket count is Shards·(Shards-1)/2,
 	// independent of the number of edges.
@@ -106,8 +109,9 @@ const (
 	// code path. It is kept so existing callers and the "fiber" engine
 	// name keep working.
 	Fiber
-	// Async is the parallel engine without the round barrier: per-shard
-	// delivery queues drained concurrently with execution, windows
+	// Async is the parallel engine without the round barrier: its
+	// shards are stepped one vertex at a time, with per-shard delivery
+	// queues drained concurrently with execution, windows
 	// closed by an acknowledgment-counting quiescence detector, and an
 	// α-synchronizer-style logical clock in place of the global round
 	// clock. The contract it promises is deliberately weaker than the

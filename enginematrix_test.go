@@ -1,12 +1,17 @@
 package congestmst_test
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
 	"testing"
 
 	"congestmst"
+	"congestmst/internal/congest"
+	"congestmst/internal/nettrans"
+	"congestmst/internal/parsim"
 )
 
 // enginesUnderTest configures the non-reference engines of the matrix:
@@ -404,6 +409,98 @@ func TestEngineMatrixAsyncEquivalence(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// violator runs act at one vertex in round 0 and parks every other
+// vertex until a delivery that never comes.
+type violator struct {
+	id  int
+	act func(c congest.Context) congest.Park
+}
+
+func (f violator) Start(c congest.Context) congest.Park {
+	if c.ID() == f.id {
+		return f.act(c)
+	}
+	return congest.ParkAwait
+}
+
+func (violator) Resume(congest.Context, []congest.Inbound) congest.Park { return congest.ParkAwait }
+
+// TestEngineMatrixContractViolations drives every engine directly, with
+// fibers no stock algorithm would write: each row breaks the model at
+// vertex 1 alone. Every engine must fail the run with one identical
+// error text and still return stats.
+func TestEngineMatrixContractViolations(t *testing.T) {
+	g, err := congestmst.RandomConnected(64, 200, congestmst.GenOptions{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	engines := []struct {
+		name string
+		run  func(factory func(int) congest.Fiber) (*congest.Stats, error)
+	}{
+		{"lockstep", func(f func(int) congest.Fiber) (*congest.Stats, error) {
+			return congest.NewEngine(g, congest.Config{}).RunContext(ctx, f)
+		}},
+		{"parallel", func(f func(int) congest.Fiber) (*congest.Stats, error) {
+			return parsim.NewEngine(g, parsim.Config{Workers: 3}).RunContext(ctx, f)
+		}},
+		{"async", func(f func(int) congest.Fiber) (*congest.Stats, error) {
+			return parsim.NewEngine(g, parsim.Config{Workers: 3}).RunAsync(ctx, f, 1)
+		}},
+		{"cluster", func(f func(int) congest.Fiber) (*congest.Stats, error) {
+			return nettrans.RunContext(ctx, g, nettrans.Config{Shards: 3}, f)
+		}},
+	}
+	deg := g.Degree(1)
+	msg := congest.Message{Kind: 1}
+	rows := []struct {
+		name string
+		act  func(c congest.Context) congest.Park
+		want string
+	}{
+		{"bandwidth", func(c congest.Context) congest.Park {
+			c.Send(0, msg)
+			c.Send(0, msg)
+			return congest.ParkDone
+		}, "congest: per-edge bandwidth exceeded: processor 1 port 0 round 0 (b=1)"},
+		{"send-port-degree", func(c congest.Context) congest.Park {
+			c.Send(c.Degree(), msg)
+			return congest.ParkDone
+		}, fmt.Sprintf("congest: processor 1 used invalid port %d", deg)},
+		{"weight-port-degree", func(c congest.Context) congest.Park {
+			c.Weight(c.Degree())
+			return congest.ParkDone
+		}, fmt.Sprintf("congest: processor 1 used invalid port %d", deg)},
+		{"weight-port-negative", func(c congest.Context) congest.Park {
+			c.Weight(-1)
+			return congest.ParkDone
+		}, "congest: processor 1 used invalid port -1"},
+		{"stale-park", func(c congest.Context) congest.Park {
+			return congest.ParkUntil(c.Round())
+		}, "congest: processor 1 parked for round 0 at round 0"},
+		{"panic", func(congest.Context) congest.Park {
+			panic("boom")
+		}, "congest: processor 1 panicked: boom"},
+	}
+	for _, row := range rows {
+		for _, eng := range engines {
+			t.Run(row.name+"/"+eng.name, func(t *testing.T) {
+				stats, err := eng.run(func(int) congest.Fiber { return violator{id: 1, act: row.act} })
+				if err == nil || err.Error() != row.want {
+					t.Errorf("err = %v, want %q", err, row.want)
+				}
+				if row.name == "bandwidth" && !errors.Is(err, congest.ErrBandwidth) {
+					t.Errorf("err = %v, want it to wrap congest.ErrBandwidth", err)
+				}
+				if stats == nil {
+					t.Error("failed run returned nil stats")
+				}
+			})
+		}
 	}
 }
 

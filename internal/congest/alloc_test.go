@@ -7,20 +7,39 @@ import "testing"
 // window. These gates hold that line.
 
 func TestCalendarAllocatesNothing(t *testing.T) {
-	c := NewClock(Forever - 1)
+	c, cal := NewClock(Forever-1), &Calendar{}
 	live := func(t TimerEntry) bool { return t.Gen >= 0 }
 	released := 0
 	release := func(TimerEntry) { released++ }
 	allocs := testing.AllocsPerRun(1000, func() {
-		if err := calendarCycle(c, live, release); err != nil {
+		if err := calendarCycle(c, cal, live, release); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs != 0 {
 		t.Errorf("schedule + fast-forward + release: %v allocations per cycle, want 0", allocs)
 	}
-	if released != 1001 || len(c.items) != 0 {
-		t.Errorf("released %d entries in 1001 cycles, %d left filed", released, len(c.items))
+	if released != 1001 || len(cal.items) != 0 {
+		t.Errorf("released %d entries in 1001 cycles, %d left filed", released, len(cal.items))
+	}
+}
+
+// TestShardRoundAllocatesNothing plays whole rounds of a Shard whose
+// fibers send on every port every round: after one warm-up round has
+// grown the rows and the arena, a round and the delivery of its sends
+// allocate nothing.
+func TestShardRoundAllocatesNothing(t *testing.T) {
+	s, round := floodShard(t)
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := round(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("wake + play + deliver: %v allocations per round, want 0", allocs)
+	}
+	if want := int64(102 * 2 * 12); s.Messages != want {
+		t.Errorf("delivered %d messages in 102 rounds, want %d", s.Messages, want)
 	}
 }
 

@@ -3,6 +3,8 @@ package congest
 import (
 	"slices"
 	"testing"
+
+	"congestmst/internal/graph"
 )
 
 func TestCalendarOrdersAndDropsStale(t *testing.T) {
@@ -104,14 +106,14 @@ func windowLoop(h int64) (Fiber, *int) {
 // calendarCycle files one live and one stale entry, fast-forwards the
 // clock to the live one and releases it: one idle stretch of a round
 // loop.
-func calendarCycle(c *Clock, live func(TimerEntry) bool, release func(TimerEntry)) error {
+func calendarCycle(c *Clock, cal *Calendar, live func(TimerEntry) bool, release func(TimerEntry)) error {
 	now := c.Now()
-	c.Schedule(TimerEntry{Round: now + 2, ID: 1, Gen: -1})
-	c.Schedule(TimerEntry{Round: now + 5, ID: 2, Gen: now})
-	if err := c.Advance(false, live); err != nil {
+	cal.Schedule(TimerEntry{Round: now + 2, ID: 1, Gen: -1})
+	cal.Schedule(TimerEntry{Round: now + 5, ID: 2, Gen: now})
+	if err := c.Advance(cal.Next(live)); err != nil {
 		return err
 	}
-	c.PopDue(live, release)
+	cal.Release(c.Now(), live, release)
 	return nil
 }
 
@@ -119,15 +121,15 @@ func calendarCycle(c *Clock, live func(TimerEntry) bool, release func(TimerEntry
 // backlog of 64 far deadlines.
 func BenchmarkCalendar(b *testing.B) {
 	b.ReportAllocs()
-	c := NewClock(Forever - 1)
+	c, cal := NewClock(Forever-1), &Calendar{}
 	for i := 0; i < 64; i++ { // a standing backlog of far deadlines
-		c.Schedule(TimerEntry{Round: Forever - 1, ID: 3})
+		cal.Schedule(TimerEntry{Round: Forever - 1, ID: 3})
 	}
 	live := func(t TimerEntry) bool { return t.Gen >= 0 }
 	released := 0
 	release := func(TimerEntry) { released++ }
 	for i := 0; i < b.N; i++ {
-		if err := calendarCycle(c, live, release); err != nil {
+		if err := calendarCycle(c, cal, live, release); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -152,5 +154,53 @@ func BenchmarkStepWindow(b *testing.B) {
 	}
 	if *seen == 0 {
 		b.Fatal("handler never ran")
+	}
+}
+
+// floodFiber sends on every port and wakes again the next round,
+// forever.
+type floodFiber struct{}
+
+func (floodFiber) Start(c Context) Park { return floodFiber{}.Resume(c, nil) }
+
+func (floodFiber) Resume(c Context, _ []Inbound) Park {
+	for p := 0; p < c.Degree(); p++ {
+		c.Send(p, Message{Kind: 1, A: c.Round()})
+	}
+	return ParkUntil(c.Round() + 1)
+}
+
+// floodShard returns a Shard holding every vertex of a 12-vertex ring
+// of floodFibers, and a function that plays its next round as the
+// lockstep engine does: wake, play, deliver its own sends, advance.
+// The shard has played round 0 (the warm-up) when it is returned.
+func floodShard(tb testing.TB) (*Shard, func() error) {
+	tb.Helper()
+	g := graph.Ring(12, graph.GenOptions{Seed: 1})
+	s := NewShard(g.CSR(), 0, g.N(), 1, func(err error) { tb.Fatal(err) })
+	s.Load(func(int) Fiber { return floodFiber{} })
+	c := NewClock(0)
+	round := func() error {
+		s.Wake(c.Now())
+		s.Play(c.Now())
+		s.Receive(&s.Out[0])
+		s.Deliver()
+		return c.Advance(s.Next(c.Now()))
+	}
+	if err := round(); err != nil {
+		tb.Fatal(err)
+	}
+	return s, round
+}
+
+// BenchmarkShardRound times one round of floodShard per op: 12 fiber
+// calls, 24 sends and their delivery.
+func BenchmarkShardRound(b *testing.B) {
+	b.ReportAllocs()
+	_, round := floodShard(b)
+	for i := 0; i < b.N; i++ {
+		if err := round(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -2,55 +2,36 @@ package congest
 
 import "fmt"
 
-// Clock is the logical clock every engine in this repository advances,
-// split out of the engines so the round counter and the park calendar
-// are one shared synchronizer rather than a per-engine copy.
+// Clock is the round counter of a run: it moves to the round the
+// shards agree has work next, and is the one place that round is
+// checked against MaxRounds and for deadlock. Each Shard keeps its own
+// park calendar; a coordinator takes the minimum of their Next and
+// hands it to Advance. Under the Async engine the same value is the
+// logical time of its delivery windows.
 //
-// Under the synchronizer-driven engines (lockstep, parallel, fiber,
-// cluster) the clock is the round index: Advance(due) moves it by one
-// when any vertex owes an immediate wake, and fast-forwards over idle
-// stretches to the earliest live calendar entry otherwise. Under the
-// Async engine the same value is the α-synchronizer's logical time: a
-// tick happens only when the quiescence detector has seen every
-// in-flight message acknowledged, so "round r+1" means "the causal
-// frontier after window r", not "the barrier after round r". Both
-// interpretations share this one implementation.
-//
-// A Clock is owned by a single coordinator goroutine; it is not safe
-// for concurrent use. MaxRounds violations and deadlock (no due work
-// and no live calendar entry) surface as ErrMaxRounds / ErrDeadlock
-// from Advance, with the same error text every engine has always
-// reported.
+// A Clock is owned by a single goroutine; it is not safe for concurrent
+// use.
 type Clock struct {
 	now int64
 	max int64
-	Calendar
 }
 
-// NewClock returns a clock at time 0 that refuses to advance past
-// maxRounds.
-func NewClock(maxRounds int64) *Clock { return &Clock{max: maxRounds} }
+// NewClock returns a clock at round 0 that refuses to advance past
+// maxRounds. Zero means 100 million.
+func NewClock(maxRounds int64) *Clock {
+	if maxRounds <= 0 {
+		maxRounds = 100_000_000
+	}
+	return &Clock{max: maxRounds}
+}
 
-// Now returns the current logical time (the round number, starting
-// at 0).
+// Now returns the current round (starting at 0).
 func (c *Clock) Now() int64 { return c.now }
 
-// Advance moves the clock to the next moment with work: now+1 when
-// due (some vertex owes an immediate wake — fresh deliveries or an
-// explicit next-tick park), otherwise a fast-forward to the earliest
-// live calendar entry. live reports whether an entry still represents
-// a parked vertex; stale entries are discarded as they surface.
-// Returns ErrMaxRounds past the horizon and ErrDeadlock when nothing
-// is due and no live entry remains.
-func (c *Clock) Advance(due bool, live func(TimerEntry) bool) error {
-	if due {
-		c.now++
-		if c.now > c.max {
-			return fmt.Errorf("%w (%d)", ErrMaxRounds, c.max)
-		}
-		return nil
-	}
-	next := c.Next(live)
+// Advance moves the clock to next, the earliest round any shard has
+// work: ErrDeadlock when that is Forever (every program waits for mail
+// no one will send), ErrMaxRounds when it lies past the horizon.
+func (c *Clock) Advance(next int64) error {
 	if next == Forever {
 		return ErrDeadlock
 	}
@@ -59,14 +40,6 @@ func (c *Clock) Advance(due bool, live func(TimerEntry) bool) error {
 	}
 	c.now = next
 	return nil
-}
-
-// PopDue hands every live calendar entry with deadline <= Now() to
-// release, dropping stale ones. release typically marks the vertex
-// queued (so duplicate entries for the same vertex die at their live
-// check) and appends it to a wake set.
-func (c *Clock) PopDue(live func(TimerEntry) bool, release func(TimerEntry)) {
-	c.Release(c.now, live, release)
 }
 
 // TimerEntry is one parked deadline in a calendar: vertex ID wakes at
@@ -78,15 +51,14 @@ type TimerEntry struct {
 	Gen   int64
 }
 
-// Calendar is the park calendar of a round loop: a binary min-heap of
+// Calendar is the park calendar of a Shard: a binary min-heap of
 // TimerEntry ordered by Round. Entries are invalidated, not removed: a
 // stale entry (the vertex woke early and re-parked, bumping its Gen) is
 // dropped when it surfaces, by the live check its owner passes to Next
 // and Release. The heap is typed, so scheduling and popping an entry
 // allocate nothing once the backing array has grown to the run's
 // widest calendar. The zero Calendar is empty and ready to use; every
-// round loop (Clock, hence lockstep and parsim, and each nettrans
-// shard) keeps its calendar in one.
+// Shard keeps its park deadlines in one.
 type Calendar struct {
 	items []TimerEntry
 }

@@ -41,9 +41,11 @@ type Fiber interface {
 	// sorted by port — nil when the wake was a bare ParkUntil deadline
 	// expiry — and returns the next park decision. The msgs slice is
 	// owned by the engine and recycled after the call: copy any
-	// element the fiber keeps. This is what lets a million-message execution
-	// reuse a handful of inbox buffers per shard instead of
-	// allocating one per wake.
+	// element the fiber keeps. On every barrier engine, Lockstep
+	// included, it is a view into the shard's delivery arena, which
+	// the next round overwrites; that is what lets a million-message
+	// execution reuse one arena per shard instead of allocating an
+	// inbox per wake.
 	Resume(c Context, msgs []Inbound) Park
 }
 

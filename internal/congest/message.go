@@ -34,8 +34,3 @@ func SortInbox(msgs []Inbound) {
 		slices.SortStableFunc(msgs, func(a, b Inbound) int { return cmp.Compare(a.Port, b.Port) })
 	}
 }
-
-type outMsg struct {
-	port int
-	msg  Message
-}

@@ -20,9 +20,9 @@
 //     edge every round (the alpha-synchronizer cost that scales with
 //     idle rounds), a shard writes one batch to every peer only in the
 //     agreed rounds where it has work. A batch carries the sender's own
-//     calendar next — round+1 if a local vertex is due, else its
-//     earliest live park deadline (a congest.Calendar, the calendar
-//     the simulators' clock embeds) — its count of still-running
+//     calendar next — round+1 if a local vertex is due, counting the
+//     recipients of its local sends, else its earliest live park
+//     deadline (congest.Shard.Next) — its count of still-running
 //     programs, and the set of shards it sent frames to. Every shard
 //     keeps the last (next, live) of every shard. The agreed next round
 //     G′ is the minimum of all those next values, or G+1 when any batch
@@ -67,15 +67,18 @@
 // for the largest run-ahead plus a replay. So the lowest shard always
 // makes progress, however far a lone busy shard runs ahead.
 //
-// Vertex programs are congest.Fiber state machines. Each shard loop
-// calls its wake set's fibers inline, one at a time in ascending vertex
-// order, through one shared Node context, so a run costs one goroutine
-// per shard (plus one reader per link), never one per vertex.
+// Each shard is a congest.Shard, the executor the in-process engines
+// run on, so the vertex record, the Context, the park switch and the
+// delivery arena are the same code here. A shard loop plays its wake
+// set inline, one fiber at a time in ascending vertex order, stages
+// remote sends as wire frames and scatters local sends and peers'
+// frames in one delivery after the exchange, so a run costs one
+// goroutine per shard (plus one reader per link), never one per
+// vertex.
 package nettrans
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"net"
 	"slices"
@@ -129,20 +132,6 @@ type Config struct {
 	// congest.NetObserver implementations, per-shard workload samples
 	// and the socket-level transport account when the run ends.
 	Observer congest.Observer
-}
-
-func (c Config) bandwidth() int {
-	if c.Bandwidth <= 0 {
-		return 1
-	}
-	return c.Bandwidth
-}
-
-func (c Config) maxRounds() int64 {
-	if c.MaxRounds <= 0 {
-		return 100_000_000
-	}
-	return c.MaxRounds
 }
 
 func (c Config) shards(n int) int {
@@ -209,10 +198,6 @@ func (c Config) acceptWindow() time.Duration {
 	return w
 }
 
-// errAborted unwinds a fiber call after a failure; it never escapes
-// the package.
-var errAborted = errors.New("nettrans: run aborted")
-
 // Run executes the fiber factory(v) on every vertex v of g over the
 // sharded TCP cluster and blocks until every fiber parked Done (or the
 // run fails). Any algorithm in this repository runs unchanged, and the
@@ -235,25 +220,6 @@ func RunContext(ctx context.Context, g *graph.Graph, cfg Config, factory func(id
 		return nil, err
 	}
 	return c.run(ctx, factory)
-}
-
-// sentMsg is one staged send: the sending vertex, its port, and the
-// payload.
-type sentMsg struct {
-	src  int32
-	port int32
-	msg  congest.Message
-}
-
-// nodeState is the shard-side state of one local vertex. Every field is
-// owned by the vertex's shard loop.
-type nodeState struct {
-	fib    congest.Fiber // nil once done
-	inbox  []congest.Inbound
-	queued bool
-	parked bool
-	done   bool
-	gen    int64
 }
 
 // cluster is one Run: the shard mesh plus shared failure state. In a
@@ -307,37 +273,28 @@ type cluster struct {
 	aborted atomic.Bool
 }
 
-// shard owns a contiguous vertex range, one endpoint of the connection
-// to every other shard, and the local slice of the synchronizer state.
+// shard is one congest.Shard of the run, one endpoint of the
+// connection to every other shard, and the local slice of the
+// synchronizer state.
 type shard struct {
-	c      *cluster
-	id     int
-	lo, hi int
+	*congest.Shard
+	c  *cluster
+	id int
 
 	links []*link // indexed by peer shard id; links[id] is nil
-	nodes []nodeState
 
-	// node is the Context every local fiber is handed, re-pointed at
-	// each vertex of the wake set in turn.
-	node Node
-
-	// ready lists local vertices due at round+1 (fresh deliveries or an
-	// explicit next-round park); timers orders the more distant park
-	// deadlines. wakes is the wake set of the round being played; it
-	// trades backing arrays with ready every round.
-	ready  []int
-	wakes  []int
-	timers congest.Calendar
-
+	// round is the agreed round being played; clock vets each next
+	// agreed round against MaxRounds and deadlock.
 	round int64
-	live  int // local programs still running
+	clock *congest.Clock
 
-	// out[d] stages this round's frames destined to shard d; dests
-	// lists the d with frames staged, and wbuf is the reused
-	// wire-encoding buffer.
-	out   [][]wireMsg
-	dests []int32
-	wbuf  []byte
+	// inbound collects the frames of this round's peer batches, resolved
+	// to deliveries; dests lists the peers this round's sends go to, and
+	// wire and wbuf are the reused wire-encoding buffers.
+	inbound []congest.Delivery
+	dests   []int32
+	wire    []wireMsg
+	wbuf    []byte
 
 	// view is the synchronizer state, indexed by shard id and identical
 	// on every shard; played is the index of the current agreed round
@@ -345,17 +302,9 @@ type shard struct {
 	view   []shardView
 	played int64
 
-	// Per-shard statistics, merged once at the end of the run.
-	busyRound int64
-	messages  int64
-	byKind    [256]int64
-
-	// Observability: delivered-message watermark for per-round deltas,
-	// vertex resumptions handled, and (when sampling is armed) the
-	// wall-clock this shard spent executing vertices.
+	// prevMessages is the delivered-message watermark for per-round
+	// deltas of the round events.
 	prevMessages int64
-	execs        int64
-	busyNanos    int64
 }
 
 // heartbeatEvery is how many agreed rounds a quiet shard may go
@@ -426,25 +375,22 @@ func newCluster(g *graph.Graph, cfg Config, topo *Topology) *cluster {
 			c.obsShard = i
 		}
 		s := &shard{
-			c:  c,
-			id: i,
-			lo: i * c.shardSize,
-			hi: min((i+1)*c.shardSize, n),
+			Shard: congest.NewShard(c.csr, i, c.shardSize, cfg.Bandwidth, func(err error) { c.fail(err) }),
+			c:     c,
+			id:    i,
+			clock: congest.NewClock(cfg.MaxRounds),
 		}
-		s.nodes = make([]nodeState, s.hi-s.lo)
-		s.node.s = s
+		s.Reserve()
 		s.links = make([]*link, nShards)
 		for j := range s.links {
 			if j != i {
 				s.links[j] = newLink(c, i, j)
 			}
 		}
-		s.out = make([][]wireMsg, nShards)
 		s.view = make([]shardView, nShards)
 		for j := range s.view {
 			s.view[j].busy = true // round 0 has every shard busy
 		}
-		s.live = s.hi - s.lo
 		c.shards[i] = s
 	}
 	return c
@@ -579,15 +525,8 @@ func (c *cluster) run(ctx context.Context, factory func(id int) congest.Fiber) (
 		}
 	}
 	for _, s := range c.shards {
-		if s == nil {
-			continue
-		}
-		for v := s.lo; v < s.hi; v++ {
-			// Every vertex is in the round-0 wake set.
-			nd := &s.nodes[v-s.lo]
-			nd.fib = factory(v)
-			nd.queued = true
-			s.ready = append(s.ready, v)
+		if s != nil {
+			s.Load(factory)
 		}
 	}
 	var wg sync.WaitGroup
@@ -608,15 +547,9 @@ func (c *cluster) run(ctx context.Context, factory func(id int) congest.Fiber) (
 	// messages), which is what keeps a distributed run bit-identical.
 	stats := &congest.Stats{}
 	for _, s := range c.shards {
-		if s == nil {
-			continue
-		}
-		if s.busyRound > stats.Rounds {
-			stats.Rounds = s.busyRound
-		}
-		stats.Messages += s.messages
-		for k, n := range s.byKind {
-			stats.ByKind[k] += n
+		if s != nil {
+			s.AddTo(stats)
+			s.Release()
 		}
 	}
 	if obs := c.cfg.Observer; obs != nil {
@@ -626,16 +559,9 @@ func (c *cluster) run(ctx context.Context, factory func(id int) congest.Fiber) (
 		obs.OnRound(congest.RoundEvent{Round: stats.Rounds, Messages: stats.Messages})
 		if so, ok := obs.(congest.ShardObserver); ok {
 			for _, s := range c.shards {
-				if s == nil {
-					continue
+				if s != nil {
+					so.OnShardSample(s.Sample(s.id))
 				}
-				so.OnShardSample(congest.ShardSample{
-					Shard:     s.id,
-					Vertices:  s.hi - s.lo,
-					Execs:     s.execs,
-					Messages:  s.messages,
-					BusyNanos: s.busyNanos,
-				})
 			}
 		}
 		if no, ok := obs.(congest.NetObserver); ok {
@@ -650,7 +576,6 @@ func (c *cluster) run(ctx context.Context, factory func(id int) congest.Fiber) (
 // sequence, which is what keeps the statistics engine-exact.
 func (s *shard) loop() {
 	c := s.c
-	maxRounds := c.cfg.maxRounds()
 	obs := c.cfg.Observer
 	sample := false
 	if obs != nil {
@@ -666,27 +591,29 @@ func (s *shard) loop() {
 		if obs != nil {
 			roundStart = time.Now() //lint:allow noclock observer round-wall-clock sampling, off the stats path
 		}
-		var wakes []int
+		active := 0
 		if s.view[s.id].busy {
-			wakes = s.wakeSet()
-			if len(wakes) > 0 && s.round > s.busyRound {
-				s.busyRound = s.round
-			}
-			s.execs += int64(len(wakes))
-			s.exec(wakes)
+			active = s.Wake(s.round)
+			s.Play(s.round)
 		}
 		if sample {
-			s.busyNanos += time.Since(roundStart).Nanoseconds() //lint:allow noclock shard busy-time sampling, off the stats path
+			s.BusyNanos += time.Since(roundStart).Nanoseconds() //lint:allow noclock shard busy-time sampling, off the stats path
 		}
 		if c.aborted.Load() { // a local program panicked or violated bandwidth
 			s.abort()
 			return
 		}
+		// Local sends wake their recipients before this shard announces
+		// its calendar; the peers' frames join them after the exchange,
+		// and one Deliver scatters both.
+		s.Receive(&s.Out[s.id])
 		if err := s.exchange(); err != nil {
 			c.fail(err)
 			s.abort()
 			return
 		}
+		s.Receive(&s.inbound)
+		s.Deliver()
 		if obs != nil {
 			// Every shard folds its per-round deltas into the shared
 			// accumulators; the lowest local shard emits the round event.
@@ -694,9 +621,9 @@ func (s *shard) loop() {
 			// ahead of the emitter, so Active is a best-effort sample
 			// (process-local in worker mode) — the final event in run()
 			// pins the cumulative message total exactly.
-			c.obsActive.Add(int64(len(wakes)))
-			c.obsMessages.Add(s.messages - s.prevMessages)
-			s.prevMessages = s.messages
+			c.obsActive.Add(int64(active))
+			c.obsMessages.Add(s.Messages - s.prevMessages)
+			s.prevMessages = s.Messages
 			if s.id == c.obsShard {
 				active := c.obsActive.Load()
 				obs.OnRound(congest.RoundEvent{
@@ -709,17 +636,13 @@ func (s *shard) loop() {
 			}
 		}
 		next, totalLive := s.agree()
-		switch {
-		case totalLive == 0:
+		if totalLive == 0 {
 			// Agreed by every shard from the same view: nothing will ever
 			// be sent again, so the mesh can simply be dropped.
 			return
-		case next == congest.Forever:
-			c.fail(fmt.Errorf("nettrans: %w", congest.ErrDeadlock))
-			s.abort()
-			return
-		case next > maxRounds:
-			c.fail(fmt.Errorf("nettrans: %w (%d)", congest.ErrMaxRounds, maxRounds))
+		}
+		if err := s.clock.Advance(next); err != nil {
+			c.fail(fmt.Errorf("nettrans: %w", err))
 			s.abort()
 			return
 		}
@@ -770,146 +693,6 @@ func (s *shard) agree() (next int64, totalLive int) {
 	return next, totalLive
 }
 
-// wakeSet collects the local vertices due at the current agreed round:
-// the ready list plus every live calendar entry with deadline <= round,
-// in ascending vertex order.
-func (s *shard) wakeSet() []int {
-	s.wakes, s.ready = s.ready, s.wakes[:0]
-	s.timers.Release(s.round, s.liveTimer, s.release)
-	slices.Sort(s.wakes)
-	return s.wakes
-}
-
-// release adds a due calendar entry's vertex to the wake set.
-func (s *shard) release(t congest.TimerEntry) {
-	s.nodes[t.ID-s.lo].queued = true // guards against double release
-	s.wakes = append(s.wakes, t.ID)
-}
-
-// liveTimer reports whether a calendar entry still represents a parked
-// local vertex (stale entries survive early wakes; the gen check kills
-// them).
-func (s *shard) liveTimer(t congest.TimerEntry) bool {
-	nd := &s.nodes[t.ID-s.lo]
-	return !nd.done && nd.parked && !nd.queued && nd.gen == t.Gen
-}
-
-// exec calls the wake set's fibers inline, one at a time in ascending
-// vertex order, and records their parks. Their sends stay staged until
-// the whole wake set has run and are then routed: local messages are
-// delivered in place, remote ones staged per destination shard.
-func (s *shard) exec(wakes []int) {
-	nc := &s.node
-	for _, v := range wakes {
-		nd := &s.nodes[v-s.lo]
-		nd.queued = false
-		nd.parked = false
-		msgs := nd.inbox
-		nd.inbox = nil
-		congest.SortInbox(msgs)
-		mark := len(nc.outbox)
-		park, ok := s.call(nd, v, msgs)
-		for _, sm := range nc.outbox[mark:] {
-			nc.sentN[sm.port] = 0
-		}
-		target := park.Deadline(s.round)
-		switch {
-		case !ok:
-			// The fiber died mid-call: discard its partial outbox.
-			nc.outbox = nc.outbox[:mark]
-			s.retire(nd)
-			continue
-		case park == congest.ParkDone:
-			s.retire(nd)
-			continue
-		case target <= s.round:
-			s.c.fail(fmt.Errorf("nettrans: processor %d parked for round %d at round %d", v, target, s.round))
-			s.retire(nd)
-			continue
-		}
-		nd.parked = true
-		nd.gen++
-		switch {
-		case target == s.round+1:
-			nd.queued = true
-			s.ready = append(s.ready, v)
-		case target < congest.Forever:
-			s.timers.Schedule(congest.TimerEntry{Round: target, ID: v, Gen: nd.gen})
-		}
-	}
-	for _, sm := range nc.outbox {
-		s.route(sm)
-	}
-	nc.outbox = nc.outbox[:0]
-}
-
-// call runs one Start (round 0) or Resume; a panic fails the run and
-// ok reports whether the fiber survived the call. errAborted is the
-// unwinding sentinel of an already-failed run and is not reported
-// again.
-func (s *shard) call(nd *nodeState, v int, msgs []congest.Inbound) (park congest.Park, ok bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			if r != errAborted { //nolint:errorlint // sentinel identity
-				s.c.fail(fmt.Errorf("nettrans: processor %d panicked: %v", v, r))
-			}
-			park, ok = congest.ParkDone, false
-		}
-	}()
-	s.node.point(v, s.round)
-	if s.round == 0 {
-		return nd.fib.Start(&s.node), true
-	}
-	return nd.fib.Resume(&s.node, msgs), true
-}
-
-// retire marks a local vertex finished and releases its program.
-func (s *shard) retire(nd *nodeState) {
-	nd.done = true
-	nd.fib = nil
-	s.live--
-}
-
-// route stages one outbound message: delivered immediately if the
-// destination vertex is local, otherwise appended to the destination
-// shard's wire batch as a (src, port) frame.
-func (s *shard) route(sm sentMsg) {
-	pos := s.c.csr.Off[sm.src] + int64(sm.port)
-	to := int(s.c.csr.To[pos])
-	d := s.c.shardOf(to)
-	if d == s.id {
-		s.deliver(to, int(s.c.csr.PeerPort[pos]), sm.msg)
-		return
-	}
-	s.out[d] = append(s.out[d], wireMsg{src: sm.src, port: sm.port, msg: sm.msg})
-}
-
-// deliver appends one message to a local vertex's inbox, counts it, and
-// queues the vertex for the next round if it is parked. Deliveries to
-// finished vertices still count (exactly as the simulators count them).
-func (s *shard) deliver(to, port int, m congest.Message) {
-	nd := &s.nodes[to-s.lo]
-	nd.inbox = append(nd.inbox, congest.Inbound{Port: port, Msg: m})
-	s.messages++
-	s.byKind[m.Kind]++
-	if nd.parked && !nd.queued && !nd.done {
-		nd.queued = true
-		s.ready = append(s.ready, to)
-	}
-}
-
-// calendar computes this shard's own announcement: the earliest future
-// round at which it can be busy on its own account — round+1 if any
-// local vertex is already due, else the earliest live calendar entry.
-// Remote messages it just staged wake their recipients' shards instead,
-// through the destination set of its batch.
-func (s *shard) calendar() int64 {
-	if len(s.ready) > 0 {
-		return s.round + 1
-	}
-	return s.timers.Next(s.liveTimer)
-}
-
 // flush writes this round's batch to every peer shard: the frames
 // staged for it, then this shard's calendar, live count and
 // destination set. A quiet shard's heartbeat is the same batch with no
@@ -917,25 +700,40 @@ func (s *shard) calendar() int64 {
 // re-established and the batch replayed by the link; only an exhausted
 // retry budget fails the run.
 func (s *shard) flush() error {
-	next := s.calendar()
+	next := s.Next(s.round)
+	live := uint32(s.Live())
 	s.dests = s.dests[:0]
-	for d, msgs := range s.out {
-		if len(msgs) > 0 {
+	for d, row := range s.Out {
+		if d != s.id && len(row) > 0 {
 			s.dests = append(s.dests, int32(d))
 		}
 	}
-	for j := range s.links {
-		if j == s.id {
+	for j, l := range s.links {
+		if l == nil {
 			continue
 		}
-		s.wbuf = appendBatch(s.wbuf[:0], s.round, next, uint32(s.live), s.dests, s.out[j])
-		if err := s.links[j].send(s.round, s.wbuf, int64(len(s.out[j]))); err != nil {
+		s.wbuf = appendBatch(s.wbuf[:0], s.round, next, live, s.dests, s.frames(j))
+		if err := l.send(s.round, s.wbuf, int64(len(s.Out[j]))); err != nil {
 			return fmt.Errorf("nettrans: shard %d write to shard %d: %w", s.id, j, err)
 		}
-		s.out[j] = s.out[j][:0]
+		s.Out[j] = s.Out[j][:0]
 	}
-	s.announced(s.id, next, uint32(s.live), s.dests)
+	s.announced(s.id, next, live, s.dests)
 	return nil
+}
+
+// frames returns this round's sends to shard j as wire frames. A
+// Delivery names the arc's receiving end; the frame names its sending
+// end, which the CSR gives back: the arc behind port p of vertex v
+// leads to vertex To and arrives there on port PeerPort.
+func (s *shard) frames(j int) []wireMsg {
+	csr := s.c.csr
+	s.wire = s.wire[:0]
+	for _, dv := range s.Out[j] {
+		pos := csr.Off[dv.To] + int64(dv.Port)
+		s.wire = append(s.wire, wireMsg{src: csr.To[pos], port: csr.PeerPort[pos], msg: dv.Msg})
+	}
+	return s.wire
 }
 
 // announced folds shard j's batch for the current round into the view.
@@ -948,7 +746,8 @@ func (s *shard) announced(j int, next int64, live uint32, dests []int32) {
 }
 
 // recvBatch blocks for peer shard j's batch for the current agreed
-// round, ingests its frames, and folds its announcement into the view.
+// round, checks its frames and resolves them into inbound for this
+// round's delivery, and folds its announcement into the view.
 // Batches for past rounds are duplicates replayed by the peer's
 // reconnect path and are skipped, which is what makes the at-least-once
 // replay exactly-once at ingestion. The mesh closing mid-wait means
@@ -991,11 +790,11 @@ func (s *shard) recvBatch(j int) error {
 		if wm.port < 0 || pos >= s.c.csr.Off[src+1] {
 			return fmt.Errorf("nettrans: shard %d: frame on invalid port %d of vertex %d", s.id, wm.port, src)
 		}
-		to := int(s.c.csr.To[pos])
-		if s.c.shardOf(to) != s.id {
+		to := s.c.csr.To[pos]
+		if s.c.shardOf(int(to)) != s.id {
 			return fmt.Errorf("nettrans: shard %d: misrouted frame for vertex %d", s.id, to)
 		}
-		s.deliver(to, int(s.c.csr.PeerPort[pos]), wm.msg)
+		s.inbound = append(s.inbound, congest.Delivery{To: to, Port: s.c.csr.PeerPort[pos], Msg: wm.msg})
 	}
 	s.links[j].ack(b.round)
 	s.announced(j, b.next, b.live, b.dests)
@@ -1005,68 +804,3 @@ func (s *shard) recvBatch(j int) error {
 // abort tears down the mesh, unblocking every other shard. Parked
 // fibers are plain structs and need no unwinding.
 func (s *shard) abort() { s.c.closeAll() }
-
-// Node is the congest.Context of one shard: the shard loop re-points it
-// at each vertex of the wake set before calling that vertex's fiber.
-// All methods must be called only from within that call.
-type Node struct {
-	s     *shard
-	id    int
-	base  int64 // first arc position of this vertex in the CSR
-	deg   int
-	round int64
-
-	// outbox stages the wake set's sends, in call order; exec routes
-	// and clears it once the whole wake set has run.
-	outbox []sentMsg
-
-	// sentN counts the current call's sends per port. A fiber is
-	// called at most once per round, so per-call counts are per-round
-	// counts; exec re-zeroes the entries a call touched.
-	sentN []int32
-}
-
-var _ congest.Context = (*Node)(nil)
-
-// point aims the context at vertex id for one Start/Resume call.
-func (nd *Node) point(id int, round int64) {
-	nd.id = id
-	nd.base = nd.s.c.csr.Off[id]
-	nd.deg = nd.s.c.csr.Degree(id)
-	nd.round = round
-	if nd.deg > len(nd.sentN) {
-		nd.sentN = make([]int32, nd.deg)
-	}
-}
-
-// ID returns the identity of the hosting vertex.
-func (nd *Node) ID() int { return nd.id }
-
-// Degree returns the number of ports (incident edges).
-func (nd *Node) Degree() int { return nd.deg }
-
-// Weight returns the weight of the edge behind port p.
-func (nd *Node) Weight(p int) int64 { return nd.s.c.csr.W[nd.base+int64(p)] }
-
-// Round returns the current round number (starting at 0).
-func (nd *Node) Round() int64 { return nd.round }
-
-// Bandwidth returns b, the per-edge per-direction message budget.
-func (nd *Node) Bandwidth() int { return nd.s.c.cfg.bandwidth() }
-
-// Send queues m on port p for delivery at the beginning of the next
-// round. Sending more than Bandwidth() messages on one port in a
-// single round violates the CONGEST model and aborts the run.
-func (nd *Node) Send(p int, m congest.Message) {
-	if p < 0 || p >= nd.deg {
-		nd.s.c.fail(fmt.Errorf("nettrans: processor %d sent on invalid port %d", nd.id, p))
-		panic(errAborted)
-	}
-	if int(nd.sentN[p]) >= nd.s.c.cfg.bandwidth() {
-		nd.s.c.fail(fmt.Errorf("%w: processor %d port %d round %d (b=%d)",
-			congest.ErrBandwidth, nd.id, p, nd.round, nd.s.c.cfg.bandwidth()))
-		panic(errAborted)
-	}
-	nd.sentN[p]++
-	nd.outbox = append(nd.outbox, sentMsg{src: int32(nd.id), port: int32(p), msg: m})
-}

@@ -10,9 +10,12 @@ package parsim
 // vertex yields (one flush per vertex, not one scatter per round), and
 // a destination shard drains its queue as soon as its own execution
 // slice is finished — concurrently with other shards still executing.
-// The logical clock (congest.Clock, shared with every other engine)
-// advances when the window quiesces: every execution slice done and
-// the in-flight acknowledgment counter at zero.
+// The shards are the barrier engines' congest.Shards, stepped one
+// vertex at a time so each vertex's sends can be flushed as it yields,
+// and drained one message at a time with Shard.Put. The logical clock
+// (congest.Clock, shared with every other engine) advances when the
+// window quiesces: every execution slice done and the in-flight
+// acknowledgment counter at zero.
 //
 // What stays synchronous is the logical semantics: a message sent at
 // clock T is delivered stamped T+1 and wakes its recipient at T+1,
@@ -84,8 +87,8 @@ type asyncRun struct {
 	shardMu []sync.Mutex
 	dirty   []atomic.Bool
 	execed  []atomic.Bool
-	queues  [][]delivery
-	spare   [][]delivery
+	queues  [][]congest.Delivery
+	spare   [][]congest.Delivery
 
 	// obs is the configured Observer's AsyncObserver side, nil when it
 	// has none.
@@ -102,7 +105,7 @@ type asyncRun struct {
 // Cancellation is checked at window boundaries — parked fibers are
 // plain structs, so teardown drops them wholesale.
 func (e *Engine) RunAsync(ctx context.Context, factory func(id int) congest.Fiber, seed uint64) (*congest.Stats, error) {
-	if stats, err, ok := e.begin(ctx); !ok {
+	if stats, err, ok := e.begin(ctx, factory); !ok {
 		return stats, err
 	}
 	nsh := len(e.shards)
@@ -113,60 +116,34 @@ func (e *Engine) RunAsync(ctx context.Context, factory func(id int) congest.Fibe
 		shardMu: make([]sync.Mutex, nsh),
 		dirty:   make([]atomic.Bool, nsh),
 		execed:  make([]atomic.Bool, nsh),
-		queues:  make([][]delivery, nsh),
-		spare:   make([][]delivery, nsh),
+		queues:  make([][]congest.Delivery, nsh),
+		spare:   make([][]congest.Delivery, nsh),
 	}
 	if ao, ok := e.cfg.Observer.(congest.AsyncObserver); ok {
 		a.obs = ao
 	}
 	e.async = a
-	n := e.g.N()
-	for v := 0; v < n; v++ {
-		e.nodes[v].fib = factory(v)
-	}
-	// The buckets are per-vertex staging here (flushed after every
-	// yield), not per-round arenas, so they stay small; recycle rows
-	// from the fiber arena pool where available rather than sizing
-	// them for a whole round's traffic.
-	for i := range e.shards {
-		s := &e.shards[i]
-		s.fc.e = e
-		ar := fiberArenas.Get().(*fiberArena)
-		s.arena = ar
-		spare := ar.buckets
-		for d := 0; d < nsh && len(spare) > 0; d++ {
-			s.buckets[d], spare = spare[len(spare)-1][:0], spare[:len(spare)-1]
-		}
-		ar.cnt, ar.start, ar.inArena, ar.touched, ar.buckets = nil, nil, nil, nil, spare
-	}
 	return e.runLoop(ctx)
 }
 
 // playWindow plays one delivery window: shuffle the active shards into
-// a claim order, hand the window to the worker pool (or run it inline
-// when sparse), and return how many programs finished once the
-// quiescence detector closed it. The caller (runLoop) advances the
-// clock between windows, exactly as it advances rounds.
-func (e *Engine) playWindow() int {
+// a claim order and hand the window to the worker pool (or run it
+// inline when sparse) until the quiescence detector closes it. The
+// caller (runLoop) advances the clock between windows, exactly as it
+// advances rounds.
+func (e *Engine) playWindow() {
 	a := e.async
-	total := 0
 	a.order = a.order[:0]
-	for i := range e.shards {
-		act := len(e.shards[i].active)
-		total += act
-		if act > 0 {
+	for i, due := range e.due {
+		if due > 0 {
 			a.order = append(a.order, i)
 		}
 		// Shards with nothing to execute are drainable immediately:
 		// nothing of theirs can run at the current clock.
-		a.execed[i].Store(act == 0)
+		a.execed[i].Store(due == 0)
 	}
-	e.lastActive = total
-	if total == 0 {
-		return 0
-	}
-	if now := e.clock.Now(); now > e.statsRounds {
-		e.statsRounds = now
+	if e.active == 0 {
+		return
 	}
 	var w0 time.Time
 	if a.obs != nil {
@@ -176,7 +153,7 @@ func (e *Engine) playWindow() int {
 	a.execCur.Store(0)
 	a.execDone.Store(0)
 	a.delivered.Store(0)
-	if total < parallelThreshold || e.nworkers == 1 {
+	if e.active < parallelThreshold || e.nworkers == 1 {
 		a.work(e)
 	} else {
 		e.wg.Add(e.nworkers)
@@ -190,12 +167,11 @@ func (e *Engine) playWindow() int {
 		a.obs.OnQuiesce(congest.QuiesceEvent{
 			Clock:     e.clock.Now(),
 			Window:    a.windows,
-			Executed:  int64(total),
+			Executed:  int64(e.active),
 			Delivered: a.delivered.Load(),
 			WallNanos: time.Since(w0).Nanoseconds(), //lint:allow noclock observer window wall-clock sampling, off the stats path
 		})
 	}
-	return e.collectShards()
 }
 
 // work is one worker's participation in the current window. Draining
@@ -239,36 +215,38 @@ func (a *asyncRun) claimDirty(e *Engine) (int, bool) {
 	return 0, false
 }
 
-// execOne runs shard si's execution slice under its shard lock, then
-// publishes completion: execed[si] opens the shard for draining,
-// execDone feeds the quiescence detector. The slice itself is the
-// shared exec path (execShard), which in async mode flushes
-// each vertex's sends as it yields.
+// execOne steps shard si's wake set under its shard lock, flushing
+// each vertex's sends as it yields, then publishes completion:
+// execed[si] opens the shard for draining, execDone feeds the
+// quiescence detector.
 func (a *asyncRun) execOne(e *Engine, si int) {
 	var t0 time.Time
 	if e.sample {
 		t0 = time.Now() //lint:allow noclock shard busy-time sampling, armed only for ShardObservers
 	}
 	a.shardMu[si].Lock()
-	s := &e.shards[si]
-	s.execs += int64(len(s.active))
-	e.execShard(si)
+	s := e.shards[si]
+	now := e.clock.Now()
+	for _, v := range s.Woken() {
+		s.Step(v, now)
+		a.flush(s)
+	}
 	if e.sample {
-		s.busyNanos += time.Since(t0).Nanoseconds() //lint:allow noclock shard busy-time sampling, armed only for ShardObservers
+		s.BusyNanos += time.Since(t0).Nanoseconds() //lint:allow noclock shard busy-time sampling, armed only for ShardObservers
 	}
 	a.shardMu[si].Unlock()
 	a.execed[si].Store(true)
 	a.execDone.Add(1)
 }
 
-// flush moves one vertex's staged sends from the source shard's
-// buckets into the destination queues, incrementing the in-flight
-// counter before a message becomes visible (so the detector can never
-// see zero with a message enqueued) and raising the destination's
-// dirty flag after. Called from execShard after every yield, so
-// a port's messages land contiguously, in send order.
-func (a *asyncRun) flush(e *Engine, s *shard) {
-	for d, b := range s.buckets {
+// flush moves one vertex's staged sends from the source shard's rows
+// into the destination queues, incrementing the in-flight counter
+// before a message becomes visible (so the detector can never see zero
+// with a message enqueued) and raising the destination's dirty flag
+// after. Called after every yield, so a port's messages land
+// contiguously, in send order.
+func (a *asyncRun) flush(s *congest.Shard) {
+	for d, b := range s.Out {
 		if len(b) == 0 {
 			continue
 		}
@@ -277,17 +255,17 @@ func (a *asyncRun) flush(e *Engine, s *shard) {
 		a.queues[d] = append(a.queues[d], b...)
 		a.qmu[d].Unlock()
 		a.dirty[d].Store(true)
-		s.buckets[d] = b[:0]
+		s.Out[d] = b[:0]
 	}
 }
 
 // drain delivers shard si's queued messages into its vertices'
-// inboxes, waking parked recipients into the next window's active set.
-// The shard lock makes drains exclusive against each other and against
-// the shard's own (already finished) execution slice; the queue swap
-// under qmu keeps senders flushing concurrently into a fresh buffer.
-// The in-flight decrement is the acknowledgment: it happens only after
-// every message of the batch is in an inbox.
+// inboxes one at a time, waking parked recipients into the next
+// window's wake set. The shard lock makes drains exclusive against
+// each other and against the shard's own (already finished) execution
+// slice; the queue swap under qmu keeps senders flushing concurrently
+// into a fresh buffer. The in-flight decrement is the acknowledgment:
+// it happens only after every message of the batch is in an inbox.
 func (a *asyncRun) drain(e *Engine, si int) {
 	var t0 time.Time
 	if e.sample {
@@ -298,25 +276,13 @@ func (a *asyncRun) drain(e *Engine, si int) {
 	batch := a.queues[si]
 	a.queues[si] = a.spare[si][:0]
 	a.qmu[si].Unlock()
-	s := &e.shards[si]
+	s := e.shards[si]
 	for _, dv := range batch {
-		nd := &e.nodes[dv.to]
-		s.messages++
-		s.byKind[dv.msg.Kind]++
-		if nd.done {
-			// A done vertex's deliveries count (they did arrive) but
-			// are never read.
-			continue
-		}
-		nd.inbox = append(nd.inbox, congest.Inbound{Port: int(dv.port), Msg: dv.msg})
-		if nd.parked && !nd.queued {
-			nd.queued = true
-			s.nextActive = append(s.nextActive, int(dv.to))
-		}
+		s.Put(dv)
 	}
 	a.spare[si] = batch[:0]
 	if e.sample {
-		s.busyNanos += time.Since(t0).Nanoseconds() //lint:allow noclock shard busy-time sampling, armed only for ShardObservers
+		s.BusyNanos += time.Since(t0).Nanoseconds() //lint:allow noclock shard busy-time sampling, armed only for ShardObservers
 	}
 	a.shardMu[si].Unlock()
 	if n := int64(len(batch)); n > 0 {

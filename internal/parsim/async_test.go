@@ -310,7 +310,7 @@ func TestAsyncRunContextCancel(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("cancelled async engine did not return")
 	}
-	if e.nodes != nil {
+	if e.shards != nil {
 		t.Error("cancelled async run left vertex state live")
 	}
 	awaitGoroutines(t, baseline)
@@ -328,7 +328,7 @@ func TestAsyncRunContextDeadline(t *testing.T) {
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Errorf("error %v does not wrap context.DeadlineExceeded", err)
 	}
-	if e.nodes != nil {
+	if e.shards != nil {
 		t.Error("deadline-expired async run left vertex state live")
 	}
 	awaitGoroutines(t, baseline)

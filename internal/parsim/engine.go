@@ -3,26 +3,30 @@
 // bit-identical Rounds, Messages and per-kind counters, but is built
 // for million-vertex graphs.
 //
-// Three things distinguish it from the lockstep engine:
+// Every vertex lives in one of several congest.Shards, the executor
+// the lockstep engine runs on too, so the vertex record, the Context,
+// the park switch and the delivery arena are the same code on both.
+// What this package adds is the round structure around them:
 //
 //   - Sparse activation. A round only touches vertices that have
-//     pending deliveries or an expired park deadline. Wake times
-//     live in per-round ready lists plus a calendar heap, so a quiet
-//     stretch of the execution costs one heap pop, not n vertex
-//     wakeups.
+//     pending deliveries or an expired park deadline. Each shard keeps
+//     its own ready list and calendar; the coordinator advances the
+//     round to the earliest Next of any shard, so a quiet stretch of
+//     the execution costs a heap peek per shard, not n vertex wakeups.
 //
-//   - A fixed worker pool over vertex shards. Vertices are split into
+//   - A fixed worker pool over the shards. Vertices are split into
 //     contiguous shards (several per worker, claimed atomically, so a
 //     shard with a hot spot is stolen around); each round runs two
-//     phases: execute (resume active vertices, collect their outboxes
-//     into per-shard arenas) and deliver (each shard merges, in fixed
-//     source order, every other shard's bucket destined to it). No
-//     locks are taken on the hot path; all cross-shard traffic moves
-//     through the arena buckets between two barriers.
+//     phases: execute (each shard plays its wake set, staging sends in
+//     one row per destination shard) and deliver (each shard receives,
+//     in ascending source order, the column of rows staged for it and
+//     scatters them into its arena). No locks are taken on the hot
+//     path; all cross-shard traffic moves through the rows between two
+//     barriers.
 //
-//   - Deterministic merge. Within a shard, vertices are processed in
-//     ascending id; outboxes are staged in send order; a destination
-//     shard consumes source buckets in ascending source-shard order.
+//   - Deterministic merge. Within a shard, vertices are played in
+//     ascending id and their sends staged in send order; a destination
+//     shard consumes source rows in ascending source-shard order.
 //     Per-port FIFO order is therefore exactly the sender's send
 //     order, and inboxes (stably sorted by port on wakeup) are
 //     byte-for-byte what the lockstep engine delivers. Statistics are
@@ -43,7 +47,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -72,20 +75,6 @@ type Config struct {
 	Observer congest.Observer
 }
 
-func (c Config) bandwidth() int {
-	if c.Bandwidth <= 0 {
-		return 1
-	}
-	return c.Bandwidth
-}
-
-func (c Config) maxRounds() int64 {
-	if c.MaxRounds <= 0 {
-		return 100_000_000
-	}
-	return c.MaxRounds
-}
-
 func (c Config) workers() int {
 	if c.Workers > 0 {
 		return c.Workers
@@ -101,93 +90,6 @@ const (
 	parallelThreshold = 512
 )
 
-// errAborted unwinds a fiber call after a failure; it never escapes
-// the package.
-var errAborted = fmt.Errorf("parsim: run aborted")
-
-type outMsg struct {
-	port int32
-	msg  congest.Message
-}
-
-// delivery is one staged message: destination vertex, destination
-// port, payload.
-type delivery struct {
-	to   int32
-	port int32
-	msg  congest.Message
-}
-
-// node is the engine-side state of one vertex, lean enough that a
-// million parked fibers cost tens of megabytes. Every field is owned
-// by the vertex's own shard: the exec phase touches it from the
-// shard's processing loop, the deliver phase from the destination
-// shard's merge loop — the same shard, since a vertex's inbox belongs
-// to the shard that contains the vertex — and the two phases are
-// separated by a barrier.
-type node struct {
-	fib congest.Fiber // the vertex program (nil once done)
-
-	inbox []congest.Inbound
-
-	started bool // Start has run
-	queued  bool
-	parked  bool
-	done    bool
-	gen     int64
-}
-
-// shard owns a contiguous vertex range and this round's arenas.
-type shard struct {
-	lo, hi int
-
-	// fc is the execution context, shared by every vertex of the
-	// shard (exec is inline and sequential within a shard).
-	fc fiberCtx
-
-	// active/nextActive are this and next round's wake sets (own
-	// vertices only, sorted ascending before execution).
-	active     []int
-	nextActive []int
-
-	// buckets[d] stages messages from this shard to shard d; the
-	// backing arrays are reused from round to round.
-	buckets [][]delivery
-
-	// Delivery arena. A fiber's msgs argument is engine-owned and
-	// valid only during the call, so one round's deliveries to this
-	// shard live in a single flat array (written by the deliver phase,
-	// fully consumed by the next exec phase) and every vertex's inbox
-	// is a view into it: zero allocations per round. cnt/start are
-	// per-local-vertex scatter state and touched lists the local
-	// indices with deliveries this round; all four are reused for the
-	// life of the run.
-	inArena []congest.Inbound
-	cnt     []int32
-	start   []int32
-	touched []int32
-
-	// arena is the pooled backing-store record the slices above were
-	// drawn from; runLoop returns it to fiberArenas when the run ends.
-	arena *fiberArena
-
-	// timers stages calendar entries for the coordinator.
-	timers []congest.TimerEntry
-
-	// Per-shard statistics, merged once at the end of the run.
-	messages int64
-	byKind   [256]int64
-
-	// Observability: vertex resumptions handled, and (when the
-	// configured Observer implements ShardObserver) wall-clock spent in
-	// this shard's exec and deliver phases. Each shard is touched by
-	// exactly one worker per phase, so plain fields suffice.
-	execs     int64
-	busyNanos int64
-
-	finished int
-}
-
 type phaseKind int32
 
 const (
@@ -201,29 +103,32 @@ const (
 
 // Engine executes one program on one graph. Engines are single-use.
 type Engine struct {
-	g   *graph.Graph
-	csr *graph.CSR
 	cfg Config
 
-	nodes     []node
-	shards    []shard
-	shardSize int
+	// shards are the run's executors, each a contiguous vertex range;
+	// nil once the run ended. Every field of a shard is owned by the
+	// shard: the exec phase touches it from its own worker, the
+	// deliver phase too, reading only the column of rows the other
+	// shards staged for it, and the two phases are separated by a
+	// barrier.
+	shards []*congest.Shard
 
-	// clock is the shared logical clock + park calendar
-	// (congest.Clock): the round index under the barrier engines, the
-	// α-synchronizer's window frontier under the Async engine.
-	clock       *congest.Clock
-	statsRounds int64
+	// clock is the round counter (congest.Clock): the round index under
+	// the barrier engines, the α-synchronizer's window frontier under
+	// the Async engine.
+	clock *congest.Clock
 
 	// async, when non-nil, switches runLoop onto the windowed
 	// delivery path (async.go); the barrier engines never touch it.
 	async *asyncRun
 
 	// sample arms per-shard busy-time measurement (Observer implements
-	// congest.ShardObserver); lastActive is the wake-set size of the
-	// round just played, recorded for the round event.
-	sample     bool
-	lastActive int
+	// congest.ShardObserver); due holds each shard's wake-set size in
+	// the round being played and active their sum, recorded for the
+	// round event.
+	sample bool
+	due    []int
+	active int
 
 	nworkers int
 	jobs     chan phaseKind
@@ -245,52 +150,36 @@ func NewEngine(g *graph.Graph, cfg Config) *Engine {
 	if w > n && n > 0 {
 		w = n
 	}
-	nShards := w * shardsPerWorker
-	if nShards > n {
-		nShards = n
-	}
-	if nShards < 1 {
-		nShards = 1
-	}
-	shardSize := (n + nShards - 1) / nShards
-	if shardSize < 1 {
-		shardSize = 1
-	}
-	nShards = (n + shardSize - 1) / shardSize
-	if nShards < 1 {
-		nShards = 1
-	}
+	nShards := min(max(w*shardsPerWorker, 1), max(n, 1))
+	shardSize := max((n+nShards-1)/nShards, 1)
+	nShards = max((n+shardSize-1)/shardSize, 1)
 	e := &Engine{
-		g:         g,
-		csr:       g.CSR(),
-		cfg:       cfg,
-		nodes:     make([]node, n),
-		shards:    make([]shard, nShards),
-		shardSize: shardSize,
-		nworkers:  w,
-		jobs:      make(chan phaseKind),
-		clock:     congest.NewClock(cfg.maxRounds()),
+		cfg:      cfg,
+		shards:   make([]*congest.Shard, nShards),
+		due:      make([]int, nShards),
+		nworkers: w,
+		jobs:     make(chan phaseKind),
+		clock:    congest.NewClock(cfg.MaxRounds),
 	}
 	for i := range e.shards {
-		s := &e.shards[i]
-		s.lo = i * shardSize
-		s.hi = min(s.lo+shardSize, n)
-		s.buckets = make([][]delivery, nShards)
+		e.shards[i] = congest.NewShard(g.CSR(), i, shardSize, cfg.Bandwidth, e.fail)
 	}
 	return e
 }
 
-func (e *Engine) shardOf(v int) int { return v / e.shardSize }
-
 // begin guards single use and pre-cancelled contexts for both run
-// entry points; ok reports whether the run should proceed.
-func (e *Engine) begin(ctx context.Context) (*congest.Stats, error, bool) {
-	if e.nodes == nil && e.g.N() > 0 {
+// entry points, and installs the fibers; ok reports whether the run
+// should proceed.
+func (e *Engine) begin(ctx context.Context, factory func(id int) congest.Fiber) (*congest.Stats, error, bool) {
+	if e.shards == nil {
 		return nil, congest.ErrReused, false
 	}
 	if err := ctx.Err(); err != nil {
-		e.nodes = nil
+		e.release()
 		return &congest.Stats{}, fmt.Errorf("parsim: run cancelled: %w", err), false
+	}
+	for _, s := range e.shards {
+		s.Load(factory)
 	}
 	return nil, nil, true
 }
@@ -309,89 +198,22 @@ func (e *Engine) Run(factory func(id int) congest.Fiber) (*congest.Stats, error)
 // unwind — the engine drops every fiber and returns, leaving zero
 // vertex state live, with an error wrapping ctx.Err().
 func (e *Engine) RunContext(ctx context.Context, factory func(id int) congest.Fiber) (*congest.Stats, error) {
-	if stats, err, ok := e.begin(ctx); !ok {
+	if stats, err, ok := e.begin(ctx, factory); !ok {
 		return stats, err
 	}
-	n := e.g.N()
-	for v := 0; v < n; v++ {
-		e.nodes[v].fib = factory(v)
-	}
-	// Pre-size the delivery arenas at their b=1 worst case — one
-	// message per arc, which is exactly what a protocol's identity
-	// exchange or a Boruvka flood produces. Growing these to
-	// hundreds of megabytes through append doubling would leave an
-	// equal weight of garbage behind at the moment of peak demand;
-	// sized up front they are part of the stable live set and the
-	// steady state allocates nothing per round. (Runs with b > 1 that
-	// actually exceed an arc's single slot still grow organically.)
-	pairArcs := make([][]int64, len(e.shards))
-	for i := range pairArcs {
-		pairArcs[i] = make([]int64, len(e.shards))
-	}
-	for v := 0; v < n; v++ {
-		src := e.shardOf(v)
-		for pos := e.csr.Off[v]; pos < e.csr.Off[v+1]; pos++ {
-			pairArcs[src][e.shardOf(int(e.csr.To[pos]))]++
-		}
-	}
-	for i := range e.shards {
-		s := &e.shards[i]
-		s.fc.e = e
-		// Engines are single-use but benchmark sweeps run many in
-		// sequence; recycling the arenas through fiberArenas means the
-		// second run of a sweep reuses the first one's delivery buffers
-		// instead of re-allocating hundreds of megabytes per run.
-		a := fiberArenas.Get().(*fiberArena)
-		s.arena = a
-		s.cnt = sizedInt32(a.cnt, s.hi-s.lo)
-		s.start = sizedInt32(a.start, s.hi-s.lo)
-		s.touched = a.touched[:0]
-		if local := int(e.csr.Off[s.hi] - e.csr.Off[s.lo]); cap(a.inArena) >= local {
-			s.inArena = a.inArena[:0]
-		} else if local > 0 {
-			s.inArena = make([]congest.Inbound, 0, local)
-		}
-		spare := a.buckets
-		for d, c := range pairArcs[i] {
-			if c == 0 {
-				continue
-			}
-			var row []delivery
-			if len(spare) > 0 {
-				row, spare = spare[len(spare)-1][:0], spare[:len(spare)-1]
-			}
-			if int64(cap(row)) < c {
-				row = make([]delivery, 0, c)
-			}
-			s.buckets[d] = row
-		}
-		a.cnt, a.start, a.inArena, a.touched, a.buckets = nil, nil, nil, nil, spare
+	for _, s := range e.shards {
+		s.Reserve()
 	}
 	return e.runLoop(ctx)
 }
 
-// fiberArena is the recyclable backing store of one shard's fiber-mode
-// delivery state. Pooled across runs (and engines) within a process so
-// that repeated fiber runs — a worker-count sweep, a benchmark, a
-// service — stop paying the arena allocation after the first.
-type fiberArena struct {
-	cnt, start []int32
-	touched    []int32
-	inArena    []congest.Inbound
-	buckets    [][]delivery // spare rows, capacity-preserving
-}
-
-var fiberArenas = sync.Pool{New: func() any { return new(fiberArena) }}
-
-// sizedInt32 returns a zeroed int32 slice of length n, reusing buf's
-// backing array when it is large enough.
-func sizedInt32(buf []int32, n int) []int32 {
-	if cap(buf) < n {
-		return make([]int32, n)
+// release hands every shard's buffers back to the pool and drops the
+// shards, and with them every fiber and inbox.
+func (e *Engine) release() {
+	for _, s := range e.shards {
+		s.Release()
 	}
-	buf = buf[:n]
-	clear(buf)
-	return buf
+	e.shards = nil
 }
 
 // runLoop is the shared round loop: release everyone in round 0, then
@@ -403,46 +225,37 @@ func (e *Engine) runLoop(ctx context.Context) (*congest.Stats, error) {
 	}
 	defer close(e.jobs)
 
-	// Round 0: release everyone.
-	for i := range e.shards {
-		s := &e.shards[i]
-		for v := s.lo; v < s.hi; v++ {
-			s.active = append(s.active, v)
-		}
-	}
-
 	obs := e.cfg.Observer
 	if obs != nil {
 		_, e.sample = obs.(congest.ShardObserver)
 	}
-	n := e.g.N()
-	doneCount := 0
-	for n > 0 {
+	e.wake()
+	for {
 		var roundStart time.Time
 		if obs != nil {
 			roundStart = time.Now() //lint:allow noclock observer round-wall-clock sampling, off the stats path
 		}
 		if e.async != nil {
-			doneCount += e.playWindow()
+			e.playWindow()
 		} else {
-			doneCount += e.playRound()
+			e.playRound()
 		}
-		if obs != nil && e.lastActive > 0 {
+		if obs != nil && e.active > 0 {
 			// The phases barrier in playRound (or the quiescence
 			// detector in playWindow) ordered every shard's counter
 			// writes before this read.
 			var cum int64
-			for i := range e.shards {
-				cum += e.shards[i].messages
+			for _, s := range e.shards {
+				cum += s.Messages
 			}
 			obs.OnRound(congest.RoundEvent{
 				Round:     e.clock.Now(),
-				Active:    e.lastActive,
+				Active:    e.active,
 				Messages:  cum,
 				WallNanos: time.Since(roundStart).Nanoseconds(), //lint:allow noclock observer round-wall-clock sampling, off the stats path
 			})
 		}
-		if e.aborted.Load() || doneCount == n {
+		if e.aborted.Load() || e.live() == 0 {
 			break
 		}
 		if err := ctx.Err(); err != nil {
@@ -455,95 +268,45 @@ func (e *Engine) runLoop(ctx context.Context) (*congest.Stats, error) {
 		}
 	}
 
-	stats := &congest.Stats{Rounds: e.statsRounds}
-	for i := range e.shards {
-		s := &e.shards[i]
-		stats.Messages += s.messages
-		for k, c := range s.byKind {
-			stats.ByKind[k] += c
-		}
+	stats := &congest.Stats{}
+	for _, s := range e.shards {
+		s.AddTo(stats)
 	}
 	if obs != nil {
 		// Pin the cumulative total to Stats.Messages (exact even on an
 		// aborted run), then surface per-shard skew.
 		obs.OnRound(congest.RoundEvent{Round: stats.Rounds, Messages: stats.Messages})
 		if so, ok := obs.(congest.ShardObserver); ok {
-			for i := range e.shards {
-				s := &e.shards[i]
-				so.OnShardSample(congest.ShardSample{
-					Shard:     i,
-					Vertices:  s.hi - s.lo,
-					Execs:     s.execs,
-					Messages:  s.messages,
-					BusyNanos: s.busyNanos,
-				})
+			for i, s := range e.shards {
+				so.OnShardSample(s.Sample(i))
 			}
 		}
 	}
-	// Workers are idle behind the jobs channel here, so the shard
-	// arenas are quiescent: hand their backing stores back to the
-	// pool for the next fiber run in this process.
-	for i := range e.shards {
-		s := &e.shards[i]
-		a := s.arena
-		if a == nil {
-			continue
-		}
-		s.arena = nil
-		a.cnt, s.cnt = s.cnt, nil
-		a.start, s.start = s.start, nil
-		a.inArena, s.inArena = s.inArena[:0], nil
-		a.touched, s.touched = s.touched[:0], nil
-		spare := a.buckets[:0]
-		for d, row := range s.buckets {
-			if row != nil {
-				spare = append(spare, row[:0])
-				s.buckets[d] = nil
-			}
-		}
-		a.buckets = spare
-		fiberArenas.Put(a)
-	}
-	e.nodes = nil // single use; drops every fiber and inbox
+	// Workers are idle behind the jobs channel here, so the shards are
+	// quiescent.
+	e.release()
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return stats, e.failErr
 }
 
-// playRound executes one round (exec + deliver phases) over the
-// current per-shard active sets and returns how many programs
-// finished.
-func (e *Engine) playRound() int {
-	total := 0
-	for i := range e.shards {
-		total += len(e.shards[i].active)
+// live counts the programs still running.
+func (e *Engine) live() int {
+	n := 0
+	for _, s := range e.shards {
+		n += s.Live()
 	}
-	e.lastActive = total
-	if total == 0 {
-		return 0
-	}
-	if now := e.clock.Now(); now > e.statsRounds {
-		e.statsRounds = now
-	}
-	e.runPhase(phaseExec, total)
-	e.runPhase(phaseDeliver, total)
-	return e.collectShards()
+	return n
 }
 
-// collectShards gathers the finished counts and staged calendar
-// entries out of every shard after a round (or window) completes.
-func (e *Engine) collectShards() int {
-	finished := 0
-	for i := range e.shards {
-		s := &e.shards[i]
-		finished += s.finished
-		s.finished = 0
-		for _, t := range s.timers {
-			e.clock.Schedule(t)
-		}
-		s.timers = s.timers[:0]
+// playRound executes one round (exec + deliver phases) over the
+// shards' wake sets.
+func (e *Engine) playRound() {
+	if e.active == 0 {
+		return
 	}
-	return finished
+	e.runPhase(phaseExec, e.active)
+	e.runPhase(phaseDeliver, e.active)
 }
 
 // runPhase runs one phase over all shards: inline on the coordinator
@@ -586,234 +349,51 @@ func (e *Engine) runShardPhase(ph phaseKind, i int) {
 	if e.sample {
 		t0 = time.Now() //lint:allow noclock shard busy-time sampling, armed only for ShardObservers
 	}
-	if ph == phaseExec {
-		e.shards[i].execs += int64(len(e.shards[i].active))
-	}
+	s := e.shards[i]
 	if ph == phaseDeliver {
-		e.deliverShard(i)
-	} else {
-		e.execShard(i)
+		// The column of rows the shards staged for shard i, merged in
+		// ascending source order. Most rows of a sparse round are empty.
+		for _, src := range e.shards {
+			if len(src.Out[i]) > 0 {
+				s.Receive(&src.Out[i])
+			}
+		}
+		s.Deliver()
+	} else if e.due[i] > 0 {
+		s.Play(e.clock.Now())
 	}
 	if e.sample {
-		e.shards[i].busyNanos += time.Since(t0).Nanoseconds() //lint:allow noclock shard busy-time sampling, armed only for ShardObservers
+		s.BusyNanos += time.Since(t0).Nanoseconds() //lint:allow noclock shard busy-time sampling, armed only for ShardObservers
 	}
-}
-
-// execShard runs the shard's active fibers one at a time, in ascending
-// vertex order: each Start/Resume runs inline on this worker, its sends
-// drain from the shard's shared context straight into the buckets, and
-// its Park is recorded. Serializing within the shard keeps the
-// deterministic-merge contract by construction; parallelism comes from
-// the other shards.
-func (e *Engine) execShard(i int) {
-	s := &e.shards[i]
-	if len(s.active) == 0 {
-		return
-	}
-	// The wake set accumulated in arbitrary (deliver, then timer)
-	// order; ascending id order is part of the deterministic-merge
-	// contract. Sorting here, not on the coordinator, keeps the
-	// O(active log active) work inside the parallel phase.
-	sort.Ints(s.active)
-	fc := &s.fc
-	now := e.clock.Now()
-	for _, id := range s.active {
-		nd := &e.nodes[id]
-		nd.queued = false
-		nd.parked = false
-		msgs := nd.inbox
-		nd.inbox = nil
-		congest.SortInbox(msgs)
-		fc.point(id, now)
-		park, ok := e.callFiber(nd, fc, msgs)
-		if !ok {
-			// The fiber died mid-call: discard its partial outbox.
-			for _, om := range fc.outbox {
-				fc.sentN[om.port] = 0
-			}
-			fc.outbox = fc.outbox[:0]
-			e.retire(s, nd)
-			continue
-		}
-		for _, om := range fc.outbox {
-			pos := e.csr.Off[id] + int64(om.port)
-			to := e.csr.To[pos]
-			s.buckets[e.shardOf(int(to))] = append(s.buckets[e.shardOf(int(to))],
-				delivery{to: to, port: e.csr.PeerPort[pos], msg: om.msg})
-			fc.sentN[om.port] = 0
-		}
-		fc.outbox = fc.outbox[:0]
-		if e.async != nil {
-			// Async mode: one flush per source vertex moves its staged
-			// sends into the destination queues, so a port's messages
-			// sit contiguously in its queue in send order and other
-			// shards can start draining them while this slice is still
-			// executing.
-			e.async.flush(e, s)
-		}
-		if park == congest.ParkDone {
-			e.retire(s, nd)
-			continue
-		}
-		target := park.Deadline(now)
-		if target <= now {
-			e.fail(fmt.Errorf("parsim: fiber %d parked for round %d at round %d", id, target, now))
-			e.retire(s, nd)
-			continue
-		}
-		e.park(s, id, target)
-	}
-	s.active = s.active[:0]
-}
-
-// callFiber runs one Start/Resume under the engine's panic protocol:
-// errAborted unwinds silently, any other panic fails the run; ok
-// reports whether the fiber survived the call.
-func (e *Engine) callFiber(nd *node, fc *fiberCtx, msgs []congest.Inbound) (park congest.Park, ok bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			if r != errAborted { //nolint:errorlint // sentinel identity
-				e.fail(fmt.Errorf("parsim: processor %d panicked: %v", fc.id, r))
-			}
-			park, ok = congest.ParkDone, false
-		}
-	}()
-	if !nd.started {
-		nd.started = true
-		return nd.fib.Start(fc), true
-	}
-	return nd.fib.Resume(fc, msgs), true
-}
-
-// retire marks a fiber finished and releases its program state.
-func (e *Engine) retire(s *shard, nd *node) {
-	nd.done = true
-	nd.fib = nil
-	s.finished++
-}
-
-// park records a vertex's next wake: the immediate ready list for
-// round+1, the calendar for a later deadline, nothing for Forever.
-func (e *Engine) park(s *shard, id int, target int64) {
-	nd := &e.nodes[id]
-	nd.parked = true
-	nd.gen++
-	switch {
-	case target == e.clock.Now()+1:
-		nd.queued = true
-		s.nextActive = append(s.nextActive, id)
-	case target < congest.Forever:
-		s.timers = append(s.timers, congest.TimerEntry{Round: target, ID: id, Gen: nd.gen})
-	}
-}
-
-// deliverShard merges every shard's bucket destined to shard i, in
-// ascending source-shard order: count, then scatter this round's
-// deliveries into the shard's flat arena and hand each vertex a view of
-// its run, queueing freshly-delivered vertices for the next round.
-// Per-port FIFO order holds — a port has exactly one sender, whose
-// messages sit contiguously in one source bucket in send order — and
-// the exec phase's stable sort by port canonicalizes the rest, so
-// inboxes are byte-identical to the lockstep engine's. The arena and
-// scatter arrays are reused every round, so a million-message execution
-// allocates nothing per wake. Bucket [src][i] is read by this shard
-// alone, so it is also truncated here for reuse.
-func (e *Engine) deliverShard(i int) {
-	s := &e.shards[i]
-	total := 0
-	for src := range e.shards {
-		bucket := e.shards[src].buckets[i]
-		total += len(bucket)
-		for _, dv := range bucket {
-			idx := int(dv.to) - s.lo
-			if s.cnt[idx] == 0 {
-				s.touched = append(s.touched, int32(idx))
-			}
-			s.cnt[idx]++
-			nd := &e.nodes[dv.to]
-			if nd.parked && !nd.queued && !nd.done {
-				nd.queued = true
-				s.nextActive = append(s.nextActive, int(dv.to))
-			}
-		}
-	}
-	if total == 0 {
-		return
-	}
-	// The arena grows to the widest round seen and stays there:
-	// delivery width is bounded by b×arcs of the shard, and a stable
-	// buffer beats a trimmed one under GC pacing — reallocating
-	// burst-sized buffers every oscillation is what turns a lean live
-	// set into a peak twice its size.
-	if cap(s.inArena) < total {
-		s.inArena = make([]congest.Inbound, total)
-	}
-	arena := s.inArena[:total]
-	off := int32(0)
-	for _, idx := range s.touched {
-		s.start[idx] = off
-		off += s.cnt[idx]
-	}
-	for src := range e.shards {
-		bucket := e.shards[src].buckets[i]
-		for _, dv := range bucket {
-			idx := int(dv.to) - s.lo
-			arena[s.start[idx]] = congest.Inbound{Port: int(dv.port), Msg: dv.msg}
-			s.start[idx]++
-			s.messages++
-			s.byKind[dv.msg.Kind]++
-		}
-		e.shards[src].buckets[i] = bucket[:0]
-	}
-	for _, idx := range s.touched {
-		end := s.start[idx]
-		beg := end - s.cnt[idx]
-		// A done vertex's deliveries count (they did arrive) but are
-		// never read, and a view would pin a trimmed arena.
-		if nd := &e.nodes[s.lo+int(idx)]; !nd.done {
-			nd.inbox = arena[beg:end:end]
-		}
-		s.cnt[idx] = 0
-		s.start[idx] = 0
-	}
-	s.touched = s.touched[:0]
 }
 
 // advance moves the clock to the next round (or delivery window) with
-// work: now+1 if any vertex is due (fresh deliveries or an explicit
-// Step), otherwise a fast-forward to the earliest live calendar entry.
-// Calendar entries expiring at or before the new time fire together
-// with the message wakeups.
+// work, the earliest any shard reports, and collects the wake sets.
 func (e *Engine) advance() error {
-	due := false
-	for i := range e.shards {
-		if len(e.shards[i].nextActive) > 0 {
-			due = true
+	now := e.clock.Now()
+	next := congest.Forever
+	for _, s := range e.shards {
+		// No shard can have work before now+1, so the first shard due
+		// then settles it and the rest need not consult their calendars.
+		if next = min(next, s.Next(now)); next == now+1 {
 			break
 		}
 	}
-	if err := e.clock.Advance(due, e.liveTimer); err != nil {
+	if err := e.clock.Advance(next); err != nil {
 		return err
 	}
-	if due {
-		for i := range e.shards {
-			s := &e.shards[i]
-			s.active, s.nextActive = s.nextActive, s.active[:0]
-		}
-	}
-	e.clock.PopDue(e.liveTimer, func(t congest.TimerEntry) {
-		e.nodes[t.ID].queued = true // guards against double release
-		s := &e.shards[e.shardOf(t.ID)]
-		s.active = append(s.active, t.ID)
-	})
+	e.wake()
 	return nil
 }
 
-// liveTimer reports whether a calendar entry still represents a parked
-// vertex (stale entries survive early wakes; the gen check kills them).
-func (e *Engine) liveTimer(t congest.TimerEntry) bool {
-	nd := &e.nodes[t.ID]
-	return !nd.done && nd.parked && !nd.queued && nd.gen == t.Gen
+// wake collects every shard's wake set for the current round; the
+// shards sort them inside the exec phase.
+func (e *Engine) wake() {
+	e.active = 0
+	for i, s := range e.shards {
+		e.due[i] = s.Wake(e.clock.Now())
+		e.active += e.due[i]
+	}
 }
 
 func (e *Engine) fail(err error) {

@@ -201,7 +201,7 @@ func TestFiberRunContextCancel(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("cancelled fiber engine did not return")
 	}
-	if e.nodes != nil {
+	if e.shards != nil {
 		t.Error("cancelled fiber run left vertex state live")
 	}
 	awaitGoroutines(t, baseline)
@@ -219,7 +219,7 @@ func TestFiberRunContextDeadline(t *testing.T) {
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Errorf("error %v does not wrap context.DeadlineExceeded", err)
 	}
-	if e.nodes != nil {
+	if e.shards != nil {
 		t.Error("deadline-expired fiber run left vertex state live")
 	}
 	awaitGoroutines(t, baseline)
