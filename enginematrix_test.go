@@ -504,14 +504,17 @@ func TestEngineMatrixContractViolations(t *testing.T) {
 	}
 }
 
-// TestClusterEngineLargeGraph is the scaling acceptance test for the
-// cluster engine: all four algorithms on a random graph with m = 10^4
-// edges, over real loopback TCP, with stats bit-identical to lockstep.
-// The retired per-edge transport needed one socket per edge (10^4 fds,
-// beyond default rlimits); the shard mesh holds 6.
-func TestClusterEngineLargeGraph(t *testing.T) {
+// TestEngineMatrixLargeGraph is the engine matrix at a size where it
+// matters: all four algorithms on a random graph with 1,250 vertices
+// and m = 10^4 edges, with full Stats, weight and MST bit-identical to
+// Lockstep on Parallel at 1, 2, 4 and 8 workers, on Async at 4 workers
+// and on Cluster over real loopback TCP (6 sockets at any m). The
+// matrix graphs above have at most 96 vertices, so only here do rounds
+// get wider than the 512 active vertices at which Parallel fans a
+// round out to its worker pool.
+func TestEngineMatrixLargeGraph(t *testing.T) {
 	if testing.Short() {
-		t.Skip("large cluster matrix skipped in short mode")
+		t.Skip("large engine matrix skipped in short mode")
 	}
 	g, err := congestmst.RandomConnected(1250, 10_000, congestmst.GenOptions{Seed: 42})
 	if err != nil {
@@ -519,6 +522,14 @@ func TestClusterEngineLargeGraph(t *testing.T) {
 	}
 	algs := []congestmst.Algorithm{
 		congestmst.Elkin, congestmst.ElkinFixedK, congestmst.GHS, congestmst.Pipeline,
+	}
+	engines := []congestmst.Options{
+		{Engine: congestmst.Parallel, Workers: 1},
+		{Engine: congestmst.Parallel, Workers: 2},
+		{Engine: congestmst.Parallel, Workers: 4},
+		{Engine: congestmst.Parallel, Workers: 8},
+		{Engine: congestmst.Async, Workers: 4},
+		{Engine: congestmst.Cluster, Shards: 4},
 	}
 	for _, alg := range algs {
 		t.Run(alg.String(), func(t *testing.T) {
@@ -528,13 +539,15 @@ func TestClusterEngineLargeGraph(t *testing.T) {
 			if err != nil {
 				t.Fatalf("lockstep: %v", err)
 			}
-			clu, err := congestmst.Run(g, congestmst.Options{
-				Algorithm: alg, Engine: congestmst.Cluster, Shards: 4,
-			})
-			if err != nil {
-				t.Fatalf("cluster: %v", err)
+			for _, opts := range engines {
+				opts.Algorithm = alg
+				name := fmt.Sprintf("%s workers=%d shards=%d", opts.Engine, opts.Workers, opts.Shards)
+				got, err := congestmst.Run(g, opts)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				requireSameRun(t, name, lock, got)
 			}
-			requireSameRun(t, "cluster", lock, clu)
 		})
 	}
 }

@@ -1,14 +1,18 @@
-// Package bench defines the reproduction experiments (E1-E12, E14,
-// E15): one per claim of the paper plus the engine races, each
-// regenerating a table that the README's experiment sections record.
-// The same definitions back cmd/mstbench and the root-level testing.B
-// benchmarks.
+// Package bench defines the reproduction experiments E1-E10, one per
+// claim of the paper, each regenerating a table (the README's
+// "Experiments E1–E10" section lists them). The same definitions back
+// cmd/mstbench and the root-level testing.B benchmarks.
 //
 // The paper is a theory paper with no empirical tables, so the "tables"
 // reproduced here are its complexity claims: each experiment reports
 // the measured rounds/messages next to the corresponding bound formula
 // and their ratio, which must stay flat (bounded by a constant) across
 // the sweep for the claim to hold in this implementation.
+//
+// Every experiment runs on Lockstep, the reference engine. The tables
+// hold only rounds, messages and forest structure, which the engine
+// matrix tests pin equal on every engine; engine speed and memory are
+// measured by perfbench.
 package bench
 
 import (
@@ -28,13 +32,7 @@ import (
 	"congestmst/internal/graph"
 	"congestmst/internal/mathx"
 	"congestmst/internal/obs"
-	"congestmst/internal/parsim"
 )
-
-// DefaultEngine is the execution engine every experiment runs on
-// (mstbench -engine). E11 and E12 ignore it: each measures its own
-// engine pair against each other by definition.
-var DefaultEngine = congestmst.Lockstep
 
 // BaseContext is the context every experiment run executes under.
 // cmd/mstbench wires Ctrl-C into it so a multi-minute sweep cancels at
@@ -104,8 +102,8 @@ func (t *Table) Format() string {
 type Experiment struct {
 	ID    string
 	Title string
-	// Run executes the experiment; full selects the scale the README
-	// records (false = the quicker scale used by `go test -bench`).
+	// Run executes the experiment; full selects the larger sweeps
+	// (false = the quicker scale used by tests and `go test -bench`).
 	Run func(full bool) (*Table, error)
 }
 
@@ -122,10 +120,6 @@ func All() []Experiment {
 		{"e8", "Convergence constants: Cole-Vishkin and Boruvka halving", E8Convergence},
 		{"e9", "Time separation vs GHS on its adversarial workload (Section 1.1)", E9GHSAdversary},
 		{"e10", "Message separation vs Pipeline-MST (Section 1.1)", E10PipelineMessages},
-		{"e11", "Engine scaling: parsim vs lockstep up to 10^6 vertices", E11ParsimScaling},
-		{"e12", "Cluster transport: TCP shard mesh vs lockstep", E12ClusterTransport},
-		{"e14", "Worker sweep: four algorithms on the parallel engine", E14FiberSweep},
-		{"e15", "Async engine: barrier-free delivery windows vs the fiber barrier", E15AsyncRace},
 	}
 }
 
@@ -159,10 +153,9 @@ func tauTraffic(s *congestmst.Stats) int64 {
 		s.ByKind[bfstree.KindRoute] + s.ByKind[bfstree.KindRouteFlush]
 }
 
-// runAlg is congestmst.RunContext on the experiment-wide DefaultEngine
-// under BaseContext, with optional per-run trace capture (TraceDir).
+// runAlg is congestmst.RunContext on Lockstep under BaseContext, with
+// optional per-run trace capture (TraceDir).
 func runAlg(g *graph.Graph, opts congestmst.Options) (*congestmst.Result, error) {
-	opts.Engine = DefaultEngine
 	if TraceDir == "" {
 		return congestmst.RunContext(BaseContext, g, opts)
 	}
@@ -221,10 +214,6 @@ func forestRun(g *graph.Graph, k int, bandwidth int) ([]*forest.State, *forest.T
 			})
 		})
 	})
-	if DefaultEngine == congestmst.Parallel {
-		stats, err := parsim.NewEngine(g, parsim.Config{Bandwidth: bandwidth}).RunContext(BaseContext, factory)
-		return states, trace, stats, err
-	}
 	stats, err := congest.NewEngine(g, congest.Config{Bandwidth: bandwidth}).RunContext(BaseContext, factory)
 	return states, trace, stats, err
 }

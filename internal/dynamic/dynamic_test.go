@@ -375,3 +375,47 @@ func TestParseOpsErrors(t *testing.T) {
 		})
 	}
 }
+
+// FuzzParseOps feeds arbitrary bytes and op limits to the edge-update
+// parser behind PATCH /graphs/{digest} and `mstrun -updates`. It must
+// never panic. A stream it accepts holds at least one op, and at most
+// maxOps when maxOps > 0, each an insert or a delete; written back one
+// MarshalJSON object per line, the ops parse to themselves. The seed
+// corpus (testdata/fuzz/FuzzParseOps) holds a valid mix, a delete with
+// a weight, a missing endpoint, an unknown key and a stream over its
+// op limit.
+func FuzzParseOps(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte, maxOps int) {
+		ops, err := ParseOps(strings.NewReader(string(data)), maxOps)
+		if err != nil {
+			return
+		}
+		if len(ops) == 0 || (maxOps > 0 && len(ops) > maxOps) {
+			t.Fatalf("accepted %d ops under a limit of %d", len(ops), maxOps)
+		}
+		var sb strings.Builder
+		for i, op := range ops {
+			if op.Kind != Insert && op.Kind != Delete {
+				t.Fatalf("op %d has kind %v", i, op.Kind)
+			}
+			b, err := op.MarshalJSON()
+			if err != nil {
+				t.Fatalf("op %d %v: %v", i, op, err)
+			}
+			sb.Write(b)
+			sb.WriteByte('\n')
+		}
+		again, err := ParseOps(strings.NewReader(sb.String()), 0)
+		if err != nil {
+			t.Fatalf("re-encoded ops do not parse: %v\n%s", err, sb.String())
+		}
+		if len(again) != len(ops) {
+			t.Fatalf("re-encoded %d ops parse to %d", len(ops), len(again))
+		}
+		for i := range ops {
+			if again[i] != ops[i] {
+				t.Fatalf("op %d = %v, re-encoded parses to %v", i, ops[i], again[i])
+			}
+		}
+	})
+}
