@@ -63,7 +63,7 @@ fuzz:
 # fragment-tree operations a Controlled-GHS phase runs most.
 bench-layers:
 	$(GO) test -run '^$$' -bench '^Benchmark(ElkinMST|ElkinMSTLollipop|ElkinMSTEngines|GHSMST|PipelineMST)$$' -benchmem .
-	$(GO) test -run '^$$' -bench '^Benchmark(Calendar|StepWindow|ShardRound)$$' -benchmem ./internal/congest/
+	$(GO) test -run '^$$' -bench '^Benchmark(Calendar|CalendarSharedDeadline|StepWindow|ShardRound)$$' -benchmem ./internal/congest/
 	$(GO) test -run '^$$' -bench '^Benchmark(Convergecast|Broadcast)$$' -benchmem ./internal/fragops/
 
 bench-tables:

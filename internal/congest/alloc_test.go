@@ -2,9 +2,9 @@ package congest
 
 import "testing"
 
-// A park allocates nothing: the calendar is a typed heap, and a Window
-// keeps its handlers in the StepFiber instead of a fresh closure per
-// window. These gates hold that line.
+// A park allocates nothing: the calendar reuses its buckets' arrays,
+// and a Window keeps its handlers in the StepFiber instead of a fresh
+// closure per window. These gates hold that line.
 
 func TestCalendarAllocatesNothing(t *testing.T) {
 	c, cal := NewClock(Forever-1), &Calendar{}
@@ -19,8 +19,8 @@ func TestCalendarAllocatesNothing(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("schedule + fast-forward + release: %v allocations per cycle, want 0", allocs)
 	}
-	if released != 1001 || len(cal.items) != 0 {
-		t.Errorf("released %d entries in 1001 cycles, %d left filed", released, len(cal.items))
+	if released != 1001 || held(cal) != 0 {
+		t.Errorf("released %d entries in 1001 cycles, %d left filed", released, held(cal))
 	}
 }
 

@@ -14,8 +14,8 @@ func TestCalendarOrdersAndDropsStale(t *testing.T) {
 	}
 	stale := map[int]bool{5: true, 3: true} // rounds 1 and 3
 	live := func(t TimerEntry) bool { return !stale[t.ID] }
-	if got := cal.Next(live); got != 3 || len(cal.items) > 6 {
-		t.Fatalf("Next = %d with %d entries left, want 3 with the stale round-1 entry dropped", got, len(cal.items))
+	if got := cal.Next(live); got != 3 || held(&cal) != 6 {
+		t.Fatalf("Next = %d with %d entries left, want 3 with the stale round-1 entry dropped", got, held(&cal))
 	}
 	var rounds []int64
 	var ids []int
@@ -32,8 +32,42 @@ func TestCalendarOrdersAndDropsStale(t *testing.T) {
 	cal.Release(Forever, func(TimerEntry) bool { return false }, func(TimerEntry) {
 		t.Fatal("released a dead entry")
 	})
-	if got := cal.Next(live); got != Forever || len(cal.items) != 0 {
-		t.Fatalf("drained calendar: Next = %d with %d entries left", got, len(cal.items))
+	if got := cal.Next(live); got != Forever || held(&cal) != 0 {
+		t.Fatalf("drained calendar: Next = %d with %d entries left", got, held(&cal))
+	}
+}
+
+// held counts the entries a calendar still holds.
+func held(cal *Calendar) int {
+	n := 0
+	for _, b := range cal.buckets {
+		n += len(b.items) - b.head
+	}
+	return n
+}
+
+// A deadline's bucket keeps a cursor past the stale prefix Next
+// dropped, so a second Next checks only the live entry it stopped at.
+func TestCalendarNextPassesStalePrefixOnce(t *testing.T) {
+	var cal Calendar
+	for i := 0; i < 1000; i++ {
+		cal.Schedule(TimerEntry{Round: 5, ID: i})
+	}
+	checks := 0
+	live := func(t TimerEntry) bool {
+		checks++
+		return t.ID == 999
+	}
+	for range 2 {
+		if got := cal.Next(live); got != 5 {
+			t.Fatalf("Next = %d, want 5", got)
+		}
+	}
+	if checks > 1001 {
+		t.Errorf("two Next calls ran the live check %d times over 999 stale entries and 1 live, want at most 1001", checks)
+	}
+	if held(&cal) != 1 {
+		t.Errorf("%d entries left, want the live one", held(&cal))
 	}
 }
 
@@ -118,11 +152,11 @@ func calendarCycle(c *Clock, cal *Calendar, live func(TimerEntry) bool, release 
 }
 
 // BenchmarkCalendar times one calendarCycle per op over a standing
-// backlog of 64 far deadlines.
+// backlog of 64 entries on one far deadline.
 func BenchmarkCalendar(b *testing.B) {
 	b.ReportAllocs()
 	c, cal := NewClock(Forever-1), &Calendar{}
-	for i := 0; i < 64; i++ { // a standing backlog of far deadlines
+	for i := 0; i < 64; i++ {
 		cal.Schedule(TimerEntry{Round: Forever - 1, ID: 3})
 	}
 	live := func(t TimerEntry) bool { return t.Gen >= 0 }
@@ -135,6 +169,35 @@ func BenchmarkCalendar(b *testing.B) {
 	}
 	if released != b.N {
 		b.Fatalf("released %d entries in %d cycles", released, b.N)
+	}
+}
+
+// BenchmarkCalendarSharedDeadline times the calendar traffic of an
+// Elkin run, where whole fragments park until one shared round: per
+// op, 1,024 entries filed on one deadline in ascending id order, every
+// fifth stale, then Next and the Release of that deadline.
+func BenchmarkCalendarSharedDeadline(b *testing.B) {
+	b.ReportAllocs()
+	var cal Calendar
+	live := func(t TimerEntry) bool { return t.Gen >= 0 }
+	released := 0
+	release := func(TimerEntry) { released++ }
+	for i := 0; i < b.N; i++ {
+		round := int64(i + 1)
+		for id := 0; id < 1024; id++ {
+			gen := round
+			if id%5 == 0 {
+				gen = -1
+			}
+			cal.Schedule(TimerEntry{Round: round, ID: id, Gen: gen})
+		}
+		if got := cal.Next(live); got != round {
+			b.Fatalf("Next = %d, want %d", got, round)
+		}
+		cal.Release(round, live, release)
+	}
+	if want := b.N * (1024 - 205); released != want {
+		b.Fatalf("released %d entries in %d ops, want %d", released, b.N, want)
 	}
 }
 

@@ -51,83 +51,94 @@ type TimerEntry struct {
 	Gen   int64
 }
 
-// Calendar is the park calendar of a Shard: a binary min-heap of
-// TimerEntry ordered by Round. Entries are invalidated, not removed: a
-// stale entry (the vertex woke early and re-parked, bumping its Gen) is
-// dropped when it surfaces, by the live check its owner passes to Next
-// and Release. The heap is typed, so scheduling and popping an entry
-// allocate nothing once the backing array has grown to the run's
-// widest calendar. The zero Calendar is empty and ready to use; every
-// Shard keeps its park deadlines in one.
+// Calendar is the park calendar of a Shard: its entries grouped by
+// deadline into one bucket per distinct Round, the latest deadline
+// first, so that a park to the latest deadline finds its bucket at once
+// and a release drops buckets off the end. Window parks send whole
+// fragments to a few shared deadlines, so a calendar holds few buckets,
+// and releasing one hands over its entries without ordering work per
+// entry. Entries are invalidated, not removed: a stale entry (the
+// vertex woke early and re-parked, bumping its Gen) is dropped when it
+// is reached, by the live check its owner passes to Next and Release. A
+// bucket keeps a cursor past the stale prefix Next dropped, so Next
+// checks no entry twice. A drained bucket's array is kept for the next
+// deadline, so scheduling and releasing allocate nothing once the
+// arrays have grown to the run's widest deadlines. The zero Calendar is
+// empty and ready to use; every Shard keeps its park deadlines in one.
 type Calendar struct {
+	buckets []bucket       // descending by round: the earliest is last
+	spare   [][]TimerEntry // emptied arrays of drained buckets
+}
+
+// bucket holds the entries of one deadline; those before head are
+// stale and dropped.
+type bucket struct {
+	round int64
+	head  int
 	items []TimerEntry
 }
 
 // Schedule files a parked vertex's wake deadline.
 func (h *Calendar) Schedule(t TimerEntry) {
-	h.items = append(h.items, t)
-	h.up(len(h.items) - 1)
+	n := len(h.buckets)
+	if n > 0 && h.buckets[0].round == t.Round {
+		h.buckets[0].items = append(h.buckets[0].items, t)
+		return
+	}
+	i, j := 0, n // binary search for the first bucket at or before t.Round
+	for i < j {
+		if m := int(uint(i+j) >> 1); h.buckets[m].round > t.Round {
+			i = m + 1
+		} else {
+			j = m
+		}
+	}
+	if i == n || h.buckets[i].round != t.Round {
+		var items []TimerEntry
+		if k := len(h.spare); k > 0 {
+			items, h.spare = h.spare[k-1], h.spare[:k-1]
+		}
+		h.buckets = append(h.buckets, bucket{})
+		copy(h.buckets[i+1:], h.buckets[i:n])
+		h.buckets[i] = bucket{round: t.Round, items: items}
+	}
+	h.buckets[i].items = append(h.buckets[i].items, t)
 }
 
 // Next returns the earliest live deadline, or Forever when no live
-// entry remains, discarding the stale entries it finds on top.
+// entry remains, discarding the stale entries it passes.
 func (h *Calendar) Next(live func(TimerEntry) bool) int64 {
-	for len(h.items) > 0 {
-		if top := h.items[0]; live(top) {
-			return top.Round
+	for n := len(h.buckets); n > 0; n = len(h.buckets) {
+		b := &h.buckets[n-1]
+		for ; b.head < len(b.items); b.head++ {
+			if live(b.items[b.head]) {
+				return b.round
+			}
 		}
-		h.pop()
+		h.drop()
 	}
 	return Forever
 }
 
-// Release pops every entry with deadline <= now and hands the live
-// ones to release, in deadline order.
+// Release drains every bucket with deadline <= now and hands the live
+// entries to release, in deadline order and, within a deadline, in
+// the order they were filed.
 func (h *Calendar) Release(now int64, live func(TimerEntry) bool, release func(TimerEntry)) {
-	for len(h.items) > 0 && h.items[0].Round <= now {
-		if t := h.pop(); live(t) {
-			release(t)
+	for n := len(h.buckets); n > 0 && h.buckets[n-1].round <= now; n = len(h.buckets) {
+		b := &h.buckets[n-1]
+		for _, t := range b.items[b.head:] {
+			if live(t) {
+				release(t)
+			}
 		}
+		h.drop()
 	}
 }
 
-// pop removes and returns the earliest entry; the heap must be
-// non-empty.
-func (h *Calendar) pop() TimerEntry {
-	top := h.items[0]
-	last := len(h.items) - 1
-	h.items[0] = h.items[last]
-	h.items = h.items[:last]
-	h.down(0)
-	return top
-}
-
-func (h *Calendar) up(i int) {
-	for i > 0 {
-		p := (i - 1) / 2
-		if h.items[p].Round <= h.items[i].Round {
-			return
-		}
-		h.items[p], h.items[i] = h.items[i], h.items[p]
-		i = p
-	}
-}
-
-func (h *Calendar) down(i int) {
-	n := len(h.items)
-	for {
-		l := 2*i + 1
-		if l >= n {
-			return
-		}
-		m := l
-		if r := l + 1; r < n && h.items[r].Round < h.items[l].Round {
-			m = r
-		}
-		if h.items[i].Round <= h.items[m].Round {
-			return
-		}
-		h.items[i], h.items[m] = h.items[m], h.items[i]
-		i = m
-	}
+// drop removes the earliest bucket and keeps its array for reuse.
+func (h *Calendar) drop() {
+	n := len(h.buckets) - 1
+	h.spare = append(h.spare, h.buckets[n].items[:0])
+	h.buckets[n] = bucket{}
+	h.buckets = h.buckets[:n]
 }

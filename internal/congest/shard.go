@@ -3,7 +3,6 @@ package congest
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"sync"
 
 	"congestmst/internal/graph"
@@ -22,17 +21,17 @@ type Delivery struct {
 // range of a run's vertices and plays rounds over them.
 //
 // A round is four calls. Wake collects the vertices due at the round:
-// those with fresh mail or a next-round park (the ready list), plus
-// the calendar entries that expired. Play calls their fibers in
-// ascending vertex order through the one Context of this package,
-// under recover, and files each park: the ready list for round+1, the
-// calendar for a later deadline, nothing for ParkAwait. A call's sends
-// are staged in Out, one row per destination shard. The destination
-// takes each row with Receive, which counts the messages and wakes
-// their parked recipients, and Deliver then scatters every received
-// row into one arena and gives each recipient a view of its run.
-// Between rounds, Next reports the earliest round the shard has work
-// on its own account.
+// those with fresh mail or a next-round park, plus the calendar
+// entries that expired. Play calls their fibers in ascending vertex
+// order through the one Context of this package, under recover, and
+// files each park: the bitmap of vertices due at round+1, the calendar
+// for a later deadline, nothing for ParkAwait. A call's sends are
+// staged in Out, one row per destination shard. The destination takes
+// each row with Receive, which counts the messages and wakes their
+// parked recipients, and Deliver then scatters every received row into
+// one arena and gives each recipient a view of its run. Between
+// rounds, Next reports the earliest round the shard has work on its
+// own account.
 //
 // An engine keeps only its round structure: Lockstep is one Shard that
 // receives its own row, Parallel runs many on a worker pool and hands
@@ -65,13 +64,14 @@ type Shard struct {
 	live  int   // programs not yet finished
 	last  int64 // the last round a fiber of the shard ran
 
-	// ready lists the vertices due at round+1 and cal orders the later
-	// deadlines; wake is the wake set of the round being played. ready
-	// and wake trade backing arrays every round.
-	cal         Calendar
-	ready, wake []int
-	liveFn      func(TimerEntry) bool
-	releaseFn   func(TimerEntry)
+	// due holds the vertices due at round+1 and cal the later
+	// deadlines; woken is the wake set of the round being played. Wake
+	// swaps due and woken and adds the calendar's releases to woken,
+	// which Play empties in ascending order.
+	cal        Calendar
+	due, woken wakeSet
+	liveFn     func(TimerEntry) bool
+	releaseFn  func(TimerEntry)
 
 	// Delivery arena. A fiber's msgs argument is engine-owned and valid
 	// only during the call, so one round's deliveries live in a single
@@ -92,8 +92,6 @@ type vertex struct {
 	// cnt counts this round's deliveries and at is the next arena slot
 	// of the vertex while Deliver scatters them.
 	cnt, at int32
-	queued  bool // already in the next wake set
-	parked  bool // between calls, waiting for a wake
 	done    bool
 }
 
@@ -129,6 +127,7 @@ func NewShard(csr *graph.CSR, i, size, b int, fail func(error)) *Shard {
 		fail: fail,
 	}
 	s.nodes = make([]vertex, s.hi-s.lo)
+	s.due, s.woken = newWakeSet(s.lo, s.hi), newWakeSet(s.lo, s.hi)
 	s.ctx.s = s
 	s.liveFn, s.releaseFn = s.liveTimer, s.release
 	buf := buffers.Get().(*shardBuffers)
@@ -169,9 +168,8 @@ func grown[T any](buf []T, n int) []T {
 // round 0.
 func (s *Shard) Load(factory func(id int) Fiber) {
 	for v := s.lo; v < s.hi; v++ {
-		nd := &s.nodes[v-s.lo]
-		nd.fib, nd.queued = factory(v), true
-		s.ready = append(s.ready, v)
+		s.nodes[v-s.lo].fib = factory(v)
+		s.due.add(v)
 	}
 	s.live = s.hi - s.lo
 }
@@ -207,24 +205,24 @@ func (s *Shard) Sample(i int) ShardSample {
 	return ShardSample{Shard: i, Vertices: s.hi - s.lo, Execs: s.execs, Messages: s.Messages, BusyNanos: s.BusyNanos}
 }
 
-// Wake collects the wake set of round: the ready list plus every live
-// calendar entry due at or before it. It returns the set's size.
+// Wake collects the wake set of round: the vertices due at it plus
+// every live calendar entry due at or before it. It returns the set's
+// size, each vertex counted once however many reasons it has to wake.
 func (s *Shard) Wake(round int64) int {
-	s.wake, s.ready = s.ready, s.wake[:0]
+	s.woken, s.due = s.due, s.woken
 	s.cal.Release(round, s.liveFn, s.releaseFn)
-	return len(s.wake)
+	return s.woken.n
 }
 
-// Woken returns the wake set Wake collected, in ascending vertex
-// order.
-func (s *Shard) Woken() []int {
-	slices.Sort(s.wake)
-	return s.wake
-}
+// Woken is an iter.Seq over the wake set Wake collected: ranged over,
+// it yields the set in ascending vertex order and empties it. It is a
+// method rather than a function returning one, so that ranging over it
+// allocates nothing.
+func (s *Shard) Woken(yield func(v int) bool) { s.woken.drain(yield) }
 
 // Play steps every vertex of the wake set in ascending order.
 func (s *Shard) Play(round int64) {
-	for _, v := range s.Woken() {
+	for v := range s.Woken {
 		s.Step(v, round)
 	}
 }
@@ -235,7 +233,6 @@ func (s *Shard) Play(round int64) {
 // dropped.
 func (s *Shard) Step(v int, round int64) {
 	nd := &s.nodes[v-s.lo]
-	nd.queued, nd.parked = false, false
 	msgs := nd.inbox
 	nd.inbox = nil
 	SortInbox(msgs)
@@ -264,12 +261,10 @@ func (s *Shard) Step(v int, round int64) {
 		s.retire(nd)
 		return
 	}
-	nd.parked = true
 	nd.gen++
 	switch {
 	case target == round+1:
-		nd.queued = true
-		s.ready = append(s.ready, v)
+		s.due.add(v)
 	case target < Forever:
 		s.cal.Schedule(TimerEntry{Round: target, ID: v, Gen: nd.gen})
 	}
@@ -300,11 +295,10 @@ func (s *Shard) retire(nd *vertex) {
 	s.live--
 }
 
-// mailed queues a parked recipient of fresh mail for the next round.
+// mailed makes a recipient of fresh mail due at the next round.
 func (s *Shard) mailed(nd *vertex, v int) {
-	if nd.parked && !nd.queued && !nd.done {
-		nd.queued = true
-		s.ready = append(s.ready, v)
+	if !nd.done {
+		s.due.add(v)
 	}
 }
 
@@ -386,21 +380,20 @@ func (s *Shard) Put(dv Delivery) {
 // live park deadline, or Forever. Sends staged in Out are not counted
 // until their receiver took them.
 func (s *Shard) Next(round int64) int64 {
-	if len(s.ready) > 0 {
+	if s.due.n > 0 {
 		return round + 1
 	}
 	return s.cal.Next(s.liveFn)
 }
 
-// release adds a due calendar entry's vertex to the wake set.
-func (s *Shard) release(t TimerEntry) {
-	s.nodes[t.ID-s.lo].queued = true // guards against double release
-	s.wake = append(s.wake, t.ID)
-}
+// release adds a due calendar entry's vertex to the wake set; a
+// vertex already in it, through mail or a next-round park, stays once.
+func (s *Shard) release(t TimerEntry) { s.woken.add(t.ID) }
 
 // liveTimer reports whether a calendar entry still represents a parked
-// vertex (stale entries survive early wakes; the gen check kills them).
+// vertex: a call bumps gen at every park, so an entry from before the
+// vertex's last call is stale.
 func (s *Shard) liveTimer(t TimerEntry) bool {
 	nd := &s.nodes[t.ID-s.lo]
-	return !nd.done && nd.parked && !nd.queued && nd.gen == t.Gen
+	return !nd.done && nd.gen == t.Gen
 }

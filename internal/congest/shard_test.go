@@ -1,0 +1,114 @@
+package congest
+
+import (
+	"slices"
+	"testing"
+
+	"congestmst/internal/graph"
+)
+
+// scripted is a Fiber that logs each call and parks as plan says for
+// its vertex and round: ParkAwait at round 0 and ParkDone later unless
+// the plan says otherwise.
+type scripted struct {
+	plan  map[int64]map[int]Park
+	calls *[]int
+}
+
+func (f scripted) Start(c Context) Park { return f.Resume(c, nil) }
+
+func (f scripted) Resume(c Context, _ []Inbound) Park {
+	*f.calls = append(*f.calls, c.ID())
+	if p, ok := f.plan[c.Round()][c.ID()]; ok {
+		return p
+	}
+	if c.Round() == 0 {
+		return ParkAwait
+	}
+	return ParkDone
+}
+
+// TestShardWakesInAscendingOrder builds wake sets from mail,
+// next-round parks and calendar releases that arrive out of vertex
+// order: the calendar's deadline-4 and deadline-5 entries are filed
+// over three rounds in descending id order, and round 3's mail reaches
+// 9, 8 and 3 in that order. Vertex 3 is due at round 4 through both
+// its mail and its calendar entry. Every round must call its vertices
+// once each, in ascending order, and Wake must count exactly them.
+func TestShardWakesInAscendingOrder(t *testing.T) {
+	plan := map[int64]map[int]Park{
+		0: {11: ParkUntil(4), 10: ParkUntil(5), 7: ParkUntil(1), 6: ParkUntil(1),
+			5: ParkUntil(3), 1: ParkUntil(3), 3: ParkUntil(2), 2: ParkUntil(2)},
+		1: {7: ParkUntil(4), 6: ParkUntil(5)},
+		2: {3: ParkUntil(4), 2: ParkUntil(5)},
+		3: {5: ParkUntil(4), 1: ParkUntil(4)},
+	}
+	want := map[int64][]int{
+		0: {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11},
+		1: {6, 7},
+		2: {2, 3},
+		3: {1, 5},
+		4: {1, 3, 5, 7, 8, 9, 11},
+		5: {2, 6, 10},
+	}
+	g := graph.Ring(12, graph.GenOptions{Seed: 1})
+	s := NewShard(g.CSR(), 0, g.N(), 1, func(err error) { t.Fatal(err) })
+	var calls []int
+	s.Load(func(int) Fiber { return scripted{plan: plan, calls: &calls} })
+	c := NewClock(0)
+	for played := 0; ; played++ {
+		round := c.Now()
+		calls = calls[:0]
+		n := s.Wake(round)
+		s.Play(round)
+		if !slices.Equal(calls, want[round]) || n != len(calls) {
+			t.Fatalf("round %d: Wake counted %d, calls %v; want calls %v", round, n, calls, want[round])
+		}
+		if round == 3 {
+			mail := []Delivery{{To: 9, Msg: Message{Kind: 1}}, {To: 8, Msg: Message{Kind: 1}}, {To: 3, Msg: Message{Kind: 1}}}
+			s.Receive(&mail)
+		}
+		s.Deliver()
+		next := s.Next(round)
+		if next == Forever {
+			if played != len(want)-1 {
+				t.Fatalf("no work left after round %d, want rounds %v", round, want)
+			}
+			return
+		}
+		if err := c.Advance(next); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// drain yields the set in ascending order across words and summary
+// words, and an early stop leaves exactly the members not yet yielded.
+func TestWakeSetDrainStopsEarly(t *testing.T) {
+	members := []int{100, 101, 163, 164, 4195, 4196, 9000}
+	w := newWakeSet(100, 9100)
+	for _, v := range slices.Backward(members) {
+		w.add(v)
+	}
+	if w.add(4195); w.n != len(members) {
+		t.Fatalf("%d members counted, want %d", w.n, len(members))
+	}
+	for stop := range members {
+		var got []int
+		for v := range w.drain {
+			got = append(got, v)
+			if len(got) == stop+1 {
+				break
+			}
+		}
+		for v := range w.drain {
+			got = append(got, v)
+		}
+		if !slices.Equal(got, members) || w.n != 0 {
+			t.Fatalf("stop after %d: yielded %v with %d left, want %v", stop+1, got, w.n, members)
+		}
+		for _, v := range members {
+			w.add(v)
+		}
+	}
+}

@@ -227,7 +227,7 @@ func (a *asyncRun) execOne(e *Engine, si int) {
 	a.shardMu[si].Lock()
 	s := e.shards[si]
 	now := e.clock.Now()
-	for _, v := range s.Woken() {
+	for v := range s.Woken {
 		s.Step(v, now)
 		a.flush(s)
 	}

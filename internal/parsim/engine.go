@@ -10,9 +10,11 @@
 //
 //   - Sparse activation. A round only touches vertices that have
 //     pending deliveries or an expired park deadline. Each shard keeps
-//     its own ready list and calendar; the coordinator advances the
-//     round to the earliest Next of any shard, so a quiet stretch of
-//     the execution costs a heap peek per shard, not n vertex wakeups.
+//     its own bitmap of the vertices due next round and its own
+//     calendar; the coordinator advances the round to the earliest
+//     Next of any shard, so a quiet stretch of the execution costs a
+//     look at the earliest calendar bucket per shard, not n vertex
+//     wakeups.
 //
 //   - A fixed worker pool over the shards. Vertices are split into
 //     contiguous shards (several per worker, claimed atomically, so a
@@ -387,7 +389,7 @@ func (e *Engine) advance() error {
 }
 
 // wake collects every shard's wake set for the current round; the
-// shards sort them inside the exec phase.
+// shards read them back in ascending order inside the exec phase.
 func (e *Engine) wake() {
 	e.active = 0
 	for i, s := range e.shards {
