@@ -59,12 +59,14 @@ fuzz:
 # Time and allocations per op of whole runs (Elkin on a message-bound
 # and a round-bound graph, the message-bound one on every other engine
 # too, GHS, Pipeline), of the shard round and the two park paths every
-# engine shares (the calendar and a Step-kit window) and of the two
-# fragment-tree operations a Controlled-GHS phase runs most.
+# engine shares (the calendar and a Step-kit window), of the two
+# fragment-tree operations a Controlled-GHS phase runs most and of the
+# pipelined upcast and routed downcast on the BFS tree τ.
 bench-layers:
 	$(GO) test -run '^$$' -bench '^Benchmark(ElkinMST|ElkinMSTLollipop|ElkinMSTEngines|GHSMST|PipelineMST)$$' -benchmem .
 	$(GO) test -run '^$$' -bench '^Benchmark(Calendar|CalendarSharedDeadline|StepWindow|ShardRound)$$' -benchmem ./internal/congest/
 	$(GO) test -run '^$$' -bench '^Benchmark(Convergecast|Broadcast)$$' -benchmem ./internal/fragops/
+	$(GO) test -run '^$$' -bench '^Benchmark(PipelinedUpcast|RouteDown)$$' -benchmem ./internal/bfstree/
 
 bench-tables:
 	$(GO) run ./cmd/mstbench

@@ -207,7 +207,7 @@ func forestRun(g *graph.Graph, k int, bandwidth int) ([]*forest.State, *forest.T
 	states := make([]*forest.State, g.N())
 	trace := forest.NewTrace(g.N(), k)
 	factory := congest.StepFiberFactory(g.N(), func(c congest.Context) congest.Step {
-		return bfstree.BuildStep(c, 0, func(c congest.Context, _ *bfstree.Tree) congest.Step {
+		return bfstree.Build(c, 0, func(c congest.Context, _ *bfstree.Tree) congest.Step {
 			return forest.Program(c, k, trace, func(c congest.Context, st *forest.State) congest.Step {
 				states[c.ID()] = st
 				return congest.Done()

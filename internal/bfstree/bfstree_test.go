@@ -1,7 +1,7 @@
 package bfstree
 
 import (
-	"sort"
+	"slices"
 	"testing"
 
 	"congestmst/internal/congest"
@@ -44,7 +44,7 @@ func runTrees(t *testing.T, g *graph.Graph, root int, cfg congest.Config,
 	trees := make([]*Tree, g.N())
 	e := congest.NewEngine(g, cfg)
 	stats, err := e.Run(congest.StepFiberFactory(g.N(), func(c congest.Context) congest.Step {
-		return BuildStep(c, root, func(c congest.Context, tr *Tree) congest.Step {
+		return Build(c, root, func(c congest.Context, tr *Tree) congest.Step {
 			trees[c.ID()] = tr
 			if body == nil {
 				return congest.Done()
@@ -58,13 +58,28 @@ func runTrees(t *testing.T, g *graph.Graph, root int, cfg congest.Config,
 	return trees, stats
 }
 
-// realign ends a test program with a SyncBroadcastStep, so every vertex
+func retire(congest.Context) congest.Step { return congest.Done() }
+
+// realign ends a test program with a SyncBroadcast, so every vertex
 // retires in the same round.
 func realign(c congest.Context, tr *Tree) congest.Step {
-	return tr.SyncBroadcastStep(c, congest.Message{}, func(congest.Context, congest.Message) congest.Step {
-		return congest.Done()
-	})
+	return tr.SyncBroadcast(c, [3]int64{}, retire)
 }
+
+// minPerGroup is the main algorithm's upcast: it forwards the first,
+// lightest, item of each group. Each call starts a fresh filter.
+func minPerGroup() Upcast {
+	seen := make(map[int64]bool)
+	return Upcast{Kind: KindUp, Done: KindUpDone, Keep: func(it Item) bool {
+		if seen[it.Group] {
+			return false
+		}
+		seen[it.Group] = true
+		return true
+	}}
+}
+
+func itemLess(a, b Item) bool { return compareItems(a, b) < 0 }
 
 func TestBuildDepthsMatchBFS(t *testing.T) {
 	for name, g := range testGraphs(t) {
@@ -204,51 +219,22 @@ func TestSyncBroadcast(t *testing.T) {
 	for name, g := range testGraphs(t) {
 		t.Run(name, func(t *testing.T) {
 			n := g.N()
-			payloads := make([]congest.Message, n)
+			payloads := make([][3]int64, n)
 			returnRounds := make([]int64, n)
 			runTrees(t, g, 0, congest.Config{}, func(c congest.Context, tr *Tree) congest.Step {
-				return tr.SyncBroadcastStep(c, congest.Message{A: 11, B: 22, C: 33},
-					func(c congest.Context, got congest.Message) congest.Step {
-						payloads[c.ID()] = got
-						returnRounds[c.ID()] = c.Round()
-						return congest.Done()
-					})
+				return tr.SyncBroadcast(c, [3]int64{11, 22, 33}, func(c congest.Context) congest.Step {
+					payloads[c.ID()] = tr.Value
+					returnRounds[c.ID()] = c.Round()
+					return congest.Done()
+				})
 			})
 			for v := 0; v < n; v++ {
-				if payloads[v].A != 11 || payloads[v].B != 22 || payloads[v].C != 33 {
+				if payloads[v] != [3]int64{11, 22, 33} {
 					t.Errorf("vertex %d payload %+v", v, payloads[v])
 				}
 				if returnRounds[v] != returnRounds[0] {
 					t.Errorf("vertex %d returned at %d, root at %d: not aligned", v, returnRounds[v], returnRounds[0])
 				}
-			}
-		})
-	}
-}
-
-func TestConverge(t *testing.T) {
-	for name, g := range testGraphs(t) {
-		t.Run(name, func(t *testing.T) {
-			var rootGot [3]int64
-			runTrees(t, g, 0, congest.Config{}, func(c congest.Context, tr *Tree) congest.Step {
-				id := int64(c.ID())
-				combine := func(a, b [3]int64) [3]int64 {
-					return [3]int64{a[0] + b[0], max64(a[1], b[1]), min64(a[2], b[2])}
-				}
-				return tr.ConvergeStep(c, [3]int64{1, id, id}, combine, func(c congest.Context, got [3]int64) congest.Step {
-					if tr.Root {
-						rootGot = got
-					}
-					// Realign so the engine does not see ragged
-					// termination as a protocol anomaly.
-					return realign(c, tr)
-				})
-			})
-			if rootGot[0] != int64(g.N()) {
-				t.Errorf("count = %d, want %d", rootGot[0], g.N())
-			}
-			if rootGot[1] != int64(g.N()-1) || rootGot[2] != 0 {
-				t.Errorf("max/min = %d/%d, want %d/0", rootGot[1], rootGot[2], g.N()-1)
 			}
 		})
 	}
@@ -263,9 +249,9 @@ func TestPipelinedUpcastAllDistinctGroups(t *testing.T) {
 			runTrees(t, g, 0, congest.Config{}, func(c congest.Context, tr *Tree) congest.Step {
 				id := int64(c.ID())
 				items := []Item{{Group: id, W: 1000 - id, U: id, V: 0}}
-				return tr.PipelinedUpcastStep(c, items, func(c congest.Context, res []Item) congest.Step {
+				return tr.PipelinedUpcast(c, minPerGroup(), items, func(c congest.Context) congest.Step {
 					if tr.Root {
-						got = res
+						got = slices.Clone(tr.Results)
 					}
 					return realign(c, tr)
 				})
@@ -311,9 +297,9 @@ func TestPipelinedUpcastMinFiltering(t *testing.T) {
 			}
 			runTrees(t, g, 0, congest.Config{}, func(c congest.Context, tr *Tree) congest.Step {
 				own := append([]Item(nil), contributions[c.ID()]...)
-				return tr.PipelinedUpcastStep(c, own, func(c congest.Context, res []Item) congest.Step {
+				return tr.PipelinedUpcast(c, minPerGroup(), own, func(c congest.Context) congest.Step {
 					if tr.Root {
-						got = res
+						got = slices.Clone(tr.Results)
 					}
 					return realign(c, tr)
 				})
@@ -343,9 +329,9 @@ func TestPipelinedUpcastSharedEdgeTwoGroups(t *testing.T) {
 		case 5:
 			items = []Item{{Group: 2, W: 5, U: 2, V: 3}}
 		}
-		return tr.PipelinedUpcastStep(c, items, func(c congest.Context, res []Item) congest.Step {
+		return tr.PipelinedUpcast(c, minPerGroup(), items, func(c congest.Context) congest.Step {
 			if tr.Root {
-				got = res
+				got = slices.Clone(tr.Results)
 			}
 			return realign(c, tr)
 		})
@@ -364,7 +350,7 @@ func TestPipelinedUpcastRoundBound(t *testing.T) {
 			start = c.Round()
 		}
 		id := int64(c.ID())
-		return tr.PipelinedUpcastStep(c, []Item{{Group: id, W: id, U: id}}, func(c congest.Context, _ []Item) congest.Step {
+		return tr.PipelinedUpcast(c, minPerGroup(), []Item{{Group: id, W: id, U: id}}, func(c congest.Context) congest.Step {
 			if tr.Root {
 				end = c.Round()
 			}
@@ -395,7 +381,7 @@ func TestPipelinedUpcastBandwidthSpeedup(t *testing.T) {
 				{Group: id*4 + 2, W: id + 2000},
 				{Group: id*4 + 3, W: id + 3000},
 			}
-			return tr.PipelinedUpcastStep(c, items, func(c congest.Context, _ []Item) congest.Step {
+			return tr.PipelinedUpcast(c, minPerGroup(), items, func(c congest.Context) congest.Step {
 				if tr.Root {
 					end = c.Round()
 				}
@@ -427,8 +413,8 @@ func TestRouteDown(t *testing.T) {
 						pairs = append(pairs, Routed{Target: l, A: l * 11, B: l * 101})
 					}
 				}
-				return tr.RouteDownStep(c, pairs, func(c congest.Context, mine []Routed) congest.Step {
-					received[c.ID()] = mine
+				return tr.RouteDown(c, pairs, func(c congest.Context) congest.Step {
+					received[c.ID()] = slices.Clone(tr.Mine)
 					return realign(c, tr)
 				})
 			})
@@ -437,7 +423,7 @@ func TestRouteDown(t *testing.T) {
 				if len(received[v]) != 2 {
 					t.Fatalf("vertex %d received %d pairs, want 2", v, len(received[v]))
 				}
-				sort.Slice(received[v], func(i, j int) bool { return received[v][i].A < received[v][j].A })
+				slices.SortFunc(received[v], func(a, b Routed) int { return int(a.A - b.A) })
 				if received[v][0] != (Routed{Target: l, A: l * 10, B: l * 100}) ||
 					received[v][1] != (Routed{Target: l, A: l * 11, B: l * 101}) {
 					t.Errorf("vertex %d got %v", v, received[v])
@@ -450,9 +436,9 @@ func TestRouteDown(t *testing.T) {
 func TestRouteDownEmpty(t *testing.T) {
 	g := graph.Grid(3, 3, graph.GenOptions{})
 	runTrees(t, g, 0, congest.Config{}, func(c congest.Context, tr *Tree) congest.Step {
-		return tr.RouteDownStep(c, nil, func(c congest.Context, got []Routed) congest.Step {
-			if len(got) != 0 {
-				t.Errorf("vertex %d received %v from empty downcast", c.ID(), got)
+		return tr.RouteDown(c, nil, func(c congest.Context) congest.Step {
+			if len(tr.Mine) != 0 {
+				t.Errorf("vertex %d received %v from empty downcast", c.ID(), tr.Mine)
 			}
 			return realign(c, tr)
 		})
@@ -460,47 +446,42 @@ func TestRouteDownEmpty(t *testing.T) {
 }
 
 func TestPrimitiveComposition(t *testing.T) {
-	// A realistic sequence: broadcast, converge, upcast, route, repeated
-	// twice, exercising the alignment discipline between primitives.
+	// A realistic sequence: broadcast, upcast, route, repeated twice,
+	// exercising the alignment discipline between operations and the
+	// re-arming of one record.
 	g, err := graph.RandomConnected(50, 140, graph.GenOptions{Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantSum := int64(g.N()*(g.N()-1)) / 2
 	runTrees(t, g, 0, congest.Config{}, func(c congest.Context, tr *Tree) congest.Step {
 		var iter func(c congest.Context, i int) congest.Step
 		iter = func(c congest.Context, i int) congest.Step {
 			if i == 2 {
 				return congest.Done()
 			}
-			return tr.SyncBroadcastStep(c, congest.Message{A: int64(i)}, func(c congest.Context, m congest.Message) congest.Step {
-				if m.A != int64(i) {
-					t.Errorf("broadcast payload %d, want %d", m.A, i)
+			return tr.SyncBroadcast(c, [3]int64{int64(i)}, func(c congest.Context) congest.Step {
+				if tr.Value[0] != int64(i) {
+					t.Errorf("broadcast payload %d, want %d", tr.Value[0], i)
 				}
-				sum := func(a, b [3]int64) [3]int64 { return [3]int64{a[0] + b[0], 0, 0} }
-				return tr.ConvergeStep(c, [3]int64{int64(c.ID()), 0, 0}, sum, func(c congest.Context, total [3]int64) congest.Step {
-					if tr.Root && total[0] != wantSum {
-						t.Errorf("converge sum %d, want %d", total[0], wantSum)
+				own := []Item{{Group: int64(c.ID()), W: int64(c.ID())}}
+				return tr.PipelinedUpcast(c, minPerGroup(), own, func(c congest.Context) congest.Step {
+					var pairs []Routed
+					if tr.Root {
+						if len(tr.Results) != g.N() {
+							t.Errorf("upcast returned %d, want %d", len(tr.Results), g.N())
+						}
+						pairs = []Routed{{Target: tr.N, A: 7}}
 					}
-					return tr.SyncBroadcastStep(c, congest.Message{}, func(c congest.Context, _ congest.Message) congest.Step {
-						own := []Item{{Group: int64(c.ID()), W: int64(c.ID())}}
-						return tr.PipelinedUpcastStep(c, own, func(c congest.Context, res []Item) congest.Step {
-							var pairs []Routed
-							if tr.Root {
-								if len(res) != g.N() {
-									t.Errorf("upcast returned %d, want %d", len(res), g.N())
-								}
-								pairs = []Routed{{Target: tr.N, A: 7}}
+					return tr.SyncBroadcast(c, [3]int64{}, func(c congest.Context) congest.Step {
+						if len(tr.Results) != 0 {
+							t.Errorf("broadcast left %d upcast results in the record", len(tr.Results))
+						}
+						return tr.RouteDown(c, pairs, func(c congest.Context) congest.Step {
+							if got := tr.Mine; tr.Lo == tr.N && (len(got) != 1 || got[0].A != 7) {
+								t.Errorf("deep vertex got %v", got)
 							}
-							return tr.SyncBroadcastStep(c, congest.Message{}, func(c congest.Context, _ congest.Message) congest.Step {
-								return tr.RouteDownStep(c, pairs, func(c congest.Context, got []Routed) congest.Step {
-									if tr.Lo == tr.N && (len(got) != 1 || got[0].A != 7) {
-										t.Errorf("deep vertex got %v", got)
-									}
-									return tr.SyncBroadcastStep(c, congest.Message{}, func(c congest.Context, _ congest.Message) congest.Step {
-										return iter(c, i+1)
-									})
-								})
+							return tr.SyncBroadcast(c, [3]int64{}, func(c congest.Context) congest.Step {
+								return iter(c, i+1)
 							})
 						})
 					})
@@ -511,16 +492,30 @@ func TestPrimitiveComposition(t *testing.T) {
 	})
 }
 
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
+// TestPipelinedUpcastCallerKindsAndFilter runs the upcast with another
+// protocol's message kinds and a filter that keeps every item: the
+// stream is counted under those kinds only, and the root keeps all n
+// items.
+func TestPipelinedUpcastCallerKindsAndFilter(t *testing.T) {
+	g := graph.Grid(4, 5, graph.GenOptions{})
+	up := Upcast{Kind: 100, Done: 101, Keep: func(Item) bool { return true }}
+	var got int
+	_, stats := runTrees(t, g, 0, congest.Config{}, func(c congest.Context, tr *Tree) congest.Step {
+		id := int64(c.ID())
+		return tr.PipelinedUpcast(c, up, []Item{{Group: 0, W: id}}, func(c congest.Context) congest.Step {
+			if tr.Root {
+				got = len(tr.Results)
+			}
+			return realign(c, tr)
+		})
+	})
+	if got != g.N() {
+		t.Errorf("root kept %d items, want %d", got, g.N())
 	}
-	return b
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
+	if stats.ByKind[KindUp] != 0 || stats.ByKind[KindUpDone] != 0 {
+		t.Errorf("upcast sent %d items and %d markers under bfstree's kinds", stats.ByKind[KindUp], stats.ByKind[KindUpDone])
 	}
-	return b
+	if stats.ByKind[101] != int64(g.N()-1) {
+		t.Errorf("%d end markers under kind 101, want %d", stats.ByKind[101], g.N()-1)
+	}
 }

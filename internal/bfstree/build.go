@@ -1,11 +1,16 @@
 package bfstree
 
-import "congestmst/internal/congest"
+import (
+	"slices"
 
-// BuildStep constructs the BFS tree rooted at the designated vertex.
-// Every vertex enters BuildStep at round 0 and continues with then at
-// the common round T0, handed its Tree. Cost: O(D) rounds, O(m)
-// messages.
+	"congestmst/internal/congest"
+)
+
+// Build constructs the BFS tree rooted at the designated vertex. Every
+// vertex enters Build at round 0 and continues with then at the common
+// round T0, handed its Tree. Cost: O(D) rounds, O(m) messages. Build
+// runs once per vertex, so its continuations are closures; the
+// operations on the Tree it returns allocate nothing.
 //
 // The construction is the textbook synchronous BFS with ack/nack child
 // discovery, followed by a convergecast of (subtree size, max depth), a
@@ -13,9 +18,9 @@ import "congestmst/internal/congest"
 // assignment (Section 3): the root takes [1, n]; every vertex keeps the
 // low endpoint of its interval as its label and hands its children
 // disjoint subintervals sized by their subtree sizes.
-func BuildStep(c congest.Context, root int, then func(c congest.Context, t *Tree) congest.Step) congest.Step {
-	t := &Tree{ParentPort: -1}
-	t.Root = c.ID() == root
+func Build(c congest.Context, root int, then func(c congest.Context, t *Tree) congest.Step) congest.Step {
+	t := &Tree{ParentPort: -1, Root: c.ID() == root}
+	t.wake = t.resume
 	deg := c.Degree()
 
 	if t.Root {
@@ -65,14 +70,15 @@ func buildCollect(c congest.Context, t *Tree, pending int, then func(c congest.C
 				// A same-depth cross edge; never a child.
 				c.Send(in.Port, congest.Message{Kind: KindNack})
 			case KindAck:
-				t.ChildPorts = append(t.ChildPorts, in.Port)
-				t.ChildSizes = append(t.ChildSizes, 0)
+				// ACKs can span rounds: keep the children in port order.
+				i, _ := slices.BinarySearch(t.ChildPorts, in.Port)
+				t.ChildPorts = slices.Insert(t.ChildPorts, i, in.Port)
+				t.ChildSizes = slices.Insert(t.ChildSizes, i, 0)
 				pending--
 			case KindNack:
 				pending--
 			case KindDone:
-				idx := t.childIndex(c, in.Port)
-				t.ChildSizes[idx] = in.Msg.A
+				t.ChildSizes[t.childAt(c, in.Port)] = in.Msg.A
 				t.Size += in.Msg.A
 				if in.Msg.B > maxDepth {
 					maxDepth = in.Msg.B
@@ -91,7 +97,10 @@ func buildCollect(c congest.Context, t *Tree, pending int, then func(c congest.C
 }
 
 func buildFinish(c congest.Context, t *Tree, maxDepth int64, then func(c congest.Context, t *Tree) congest.Step) congest.Step {
-	sortChildren(t)
+	released := func(c congest.Context) congest.Step {
+		t.state = nil // and with it Build's closures
+		return then(c, t)
+	}
 
 	if t.Root {
 		t.N = t.Size
@@ -108,14 +117,10 @@ func buildFinish(c congest.Context, t *Tree, maxDepth int64, then func(c congest
 					protocolf("root received %d stray messages before intervals", len(got))
 				}
 				t.assignChildIntervals(c)
-				return waitQuietStep(c, t.T0, func(c congest.Context) congest.Step {
-					return then(c, t)
-				})
+				return t.Quiet(c, t.T0, released)
 			})
 		}
-		return waitQuietStep(c, t.T0, func(c congest.Context) congest.Step {
-			return then(c, t)
-		})
+		return t.Quiet(c, t.T0, released)
 	}
 
 	// Step away from the round in which we may have ACKed on the parent
@@ -127,20 +132,26 @@ func buildFinish(c congest.Context, t *Tree, maxDepth int64, then func(c congest
 		c.Send(t.ParentPort, congest.Message{Kind: KindDone, A: t.Size, B: maxDepth})
 
 		// INIT then INTERVAL arrive from the parent, one round apart.
-		return recvOneStep(c, KindInit, t.ParentPort, func(c congest.Context, init congest.Message) congest.Step {
-			t.N, t.Height, t.T0 = init.A, init.B, init.C
+		return t.receive(KindInit, func(c congest.Context) congest.Step {
+			t.N, t.Height, t.T0 = t.Value[0], t.Value[1], t.Value[2]
 			for _, p := range t.ChildPorts {
 				c.Send(p, congest.Message{Kind: KindInit, A: t.N, B: t.Height, C: t.T0})
 			}
-			return recvOneStep(c, KindInterval, t.ParentPort, func(c congest.Context, iv congest.Message) congest.Step {
-				t.Lo, t.Hi = iv.A, iv.B
+			return t.receive(KindInterval, func(c congest.Context) congest.Step {
+				t.Lo, t.Hi = t.Value[0], t.Value[1]
 				t.assignChildIntervals(c)
-				return waitQuietStep(c, t.T0, func(c congest.Context) congest.Step {
-					return then(c, t)
-				})
+				return t.Quiet(c, t.T0, released)
 			})
 		})
 	})
+}
+
+// receive parks until a single message of the given kind arrives from
+// the parent, leaves its A, B, C in Value and continues with then.
+func (t *Tree) receive(kind uint8, then func(c congest.Context) congest.Step) congest.Step {
+	t.arm(opRecv, then)
+	t.kind = kind
+	return congest.Await(t.wake)
 }
 
 // assignChildIntervals gives child i the subinterval of size
@@ -158,68 +169,4 @@ func (t *Tree) assignChildIntervals(c congest.Context) {
 	if next != t.Hi+1 {
 		protocolf("vertex %d interval arithmetic: next=%d hi=%d", c.ID(), next, t.Hi)
 	}
-}
-
-func (t *Tree) childIndex(c congest.Context, port int) int {
-	for i, p := range t.ChildPorts {
-		if p == port {
-			return i
-		}
-	}
-	protocolf("vertex %d: port %d is not a child", c.ID(), port)
-	return -1
-}
-
-func sortChildren(t *Tree) {
-	// ChildPorts were appended in arrival order; re-sort by port with
-	// sizes kept parallel. Arrival order is already sorted per round,
-	// but ACKs can span rounds.
-	idx := make([]int, len(t.ChildPorts))
-	for i := range idx {
-		idx[i] = i
-	}
-	ports := append([]int(nil), t.ChildPorts...)
-	sizes := append([]int64(nil), t.ChildSizes...)
-	for i := range idx {
-		best := i
-		for j := i + 1; j < len(ports); j++ {
-			if ports[j] < ports[best] {
-				best = j
-			}
-		}
-		ports[i], ports[best] = ports[best], ports[i]
-		sizes[i], sizes[best] = sizes[best], sizes[i]
-	}
-	t.ChildPorts, t.ChildSizes = ports, sizes
-}
-
-// recvOneStep parks until a single message of the given kind arrives
-// from the given port and hands it to then.
-func recvOneStep(c congest.Context, kind uint8, port int, then func(c congest.Context, m congest.Message) congest.Step) congest.Step {
-	return congest.Await(func(c congest.Context, msgs []congest.Inbound) congest.Step {
-		if len(msgs) != 1 || msgs[0].Msg.Kind != kind || msgs[0].Port != port {
-			protocolf("vertex %d expected single kind-%d from port %d, got %v", c.ID(), kind, port, msgs)
-		}
-		return then(c, msgs[0].Msg)
-	})
-}
-
-// waitQuietStep parks until the common round t0, asserting no stray
-// traffic, then continues.
-func waitQuietStep(c congest.Context, t0 int64, then func(c congest.Context) congest.Step) congest.Step {
-	if c.Round() > t0 {
-		protocolf("vertex %d at round %d is past the alignment round %d", c.ID(), c.Round(), t0)
-	}
-	var loop congest.Resume
-	loop = func(c congest.Context, msgs []congest.Inbound) congest.Step {
-		if len(msgs) != 0 {
-			protocolf("vertex %d received %d stray messages at round %d before round %d: %v",
-				c.ID(), len(msgs), c.Round(), t0, msgs)
-		}
-		if c.Round() < t0 {
-			return congest.Until(t0, loop)
-		}
-		return then(c)
-	}
-	return loop(c, nil)
 }

@@ -1,78 +1,34 @@
 package bfstree
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"congestmst/internal/congest"
 )
 
-// Each tree primitive is written in the Step form of
-// internal/congest/task.go: it takes the live Context and hands its
-// result to a continuation.
-
-// SyncBroadcastStep distributes a payload from the root to every vertex
-// and realigns the whole network: every vertex continues with then at
-// the same round (root send round + Height + 1), handed the broadcast
-// message. Only the root's m is used; its A, B, C fields are the
-// payload (D is reserved for the send round). Cost: O(Height) rounds,
-// n-1 messages.
+// SyncBroadcast distributes a 3-word payload from the root to every
+// vertex and realigns the whole network: every vertex continues with
+// then at the same round (root send round + Height + 1), with the
+// payload in Value. Only the root's payload is used. Cost: O(Height)
+// rounds, n-1 messages.
 //
-// All vertices must enter SyncBroadcastStep aligned (as BuildStep and
-// the other primitives guarantee at the root's initiation points).
-func (t *Tree) SyncBroadcastStep(c congest.Context, m congest.Message,
-	then func(c congest.Context, got congest.Message) congest.Step) congest.Step {
-	if t.Root {
-		m.Kind = KindBcast
-		m.D = c.Round()
-		for _, p := range t.ChildPorts {
-			c.Send(p, m)
-		}
-		return waitQuietStep(c, m.D+t.Height+1, func(c congest.Context) congest.Step {
-			return then(c, m)
-		})
+// All vertices must enter SyncBroadcast aligned (as Build and the
+// other operations guarantee at the root's initiation points).
+func (t *Tree) SyncBroadcast(c congest.Context, payload [3]int64, then func(c congest.Context) congest.Step) congest.Step {
+	t.arm(opBcast, then)
+	if !t.Root {
+		t.kind = KindBcast
+		return congest.Await(t.wake)
 	}
-	return recvOneStep(c, KindBcast, t.ParentPort, func(c congest.Context, got congest.Message) congest.Step {
-		for _, p := range t.ChildPorts {
-			c.Send(p, got)
-		}
-		return waitQuietStep(c, got.D+t.Height+1, func(c congest.Context) congest.Step {
-			return then(c, got)
-		})
-	})
+	t.Value = payload
+	for _, p := range t.ChildPorts {
+		c.Send(p, congest.Message{Kind: KindBcast, A: payload[0], B: payload[1], C: payload[2], D: c.Round()})
+	}
+	return t.quiet(c, c.Round()+t.Height+1)
 }
 
-// ConvergeStep aggregates a 3-word value up the tree with the supplied
-// associative, commutative combiner. The root's then receives the
-// combined value over all vertices; every other vertex continues with
-// the zero value as soon as it has reported upward (an initiation by
-// the root, typically a SyncBroadcastStep, must follow before the tree
-// is reused). Cost: O(Height) rounds, n-1 messages.
-func (t *Tree) ConvergeStep(c congest.Context, v [3]int64, combine func(a, b [3]int64) [3]int64,
-	then func(c congest.Context, acc [3]int64) congest.Step) congest.Step {
-	acc := v
-	seen := 0
-	var loop congest.Resume
-	loop = func(c congest.Context, msgs []congest.Inbound) congest.Step {
-		for _, in := range msgs {
-			if in.Msg.Kind != KindConv {
-				protocolf("vertex %d: kind %d during Converge", c.ID(), in.Msg.Kind)
-			}
-			acc = combine(acc, [3]int64{in.Msg.A, in.Msg.B, in.Msg.C})
-			seen++
-		}
-		if seen < len(t.ChildPorts) {
-			return congest.Await(loop)
-		}
-		if t.Root {
-			return then(c, acc)
-		}
-		c.Send(t.ParentPort, congest.Message{Kind: KindConv, A: acc[0], B: acc[1], C: acc[2]})
-		return then(c, [3]int64{})
-	}
-	return loop(c, nil)
-}
-
-// Item is one unit of a pipelined min-upcast: an arbitrary group key and
+// Item is one unit of a pipelined upcast: an arbitrary group key and
 // a (W, U, V) weight key compared lexicographically (the unique edge
 // order of the input graph, when items are edges).
 type Item struct {
@@ -80,158 +36,134 @@ type Item struct {
 	W, U, V int64
 }
 
-func itemLess(a, b Item) bool {
-	if a.W != b.W {
-		return a.W < b.W
-	}
-	if a.U != b.U {
-		return a.U < b.U
-	}
-	if a.V != b.V {
-		return a.V < b.V
-	}
-	// Two groups may legitimately share one edge as their minimum (an
-	// edge crossing both); the group id breaks the tie so that child
-	// streams stay strictly increasing.
-	return a.Group < b.Group
+// compareItems orders items by weight key. Two groups may
+// legitimately share one edge as their minimum (an edge crossing
+// both); the group id breaks the tie so that child streams stay
+// strictly increasing.
+func compareItems(a, b Item) int {
+	return cmp.Or(cmp.Compare(a.W, b.W), cmp.Compare(a.U, b.U), cmp.Compare(a.V, b.V), cmp.Compare(a.Group, b.Group))
 }
 
-// PipelinedUpcastStep performs the pipelined convergecast of Section 3:
-// every vertex contributes items, every intermediate vertex forwards,
-// per group, only the lightest item seen in its subtree, and the root's
-// then receives the per-group minima sorted by weight key. Other
-// vertices continue with nil after their subtree's stream is exhausted.
-//
-// With K distinct groups the upcast takes O(Height + K/b) rounds and
-// O(Height·K) messages (each vertex forwards at most one item per group
-// plus one end-of-stream marker). This is the classical upcast of Peleg
-// Ch. 3 used twice by the paper: to register base fragments and to lift
-// per-base-fragment MWOE candidates.
-func (t *Tree) PipelinedUpcastStep(c congest.Context, own []Item,
-	then func(c congest.Context, results []Item) congest.Step) congest.Step {
-	b := c.Bandwidth()
+// Upcast configures a PipelinedUpcast: the message kinds of a
+// forwarded item (A=Group, B=W, C=U, D=V) and of the end-of-stream
+// marker, and Keep, the filter. Keep is offered every item of a
+// vertex's merged stream once, in ascending order, and reports whether
+// the vertex forwards it, so it may keep state across the calls of one
+// upcast: the set of groups already forwarded, or a union-find.
+type Upcast struct {
+	Kind, Done uint8
+	Keep       func(it Item) bool
+}
 
-	sort.Slice(own, func(i, j int) bool { return itemLess(own[i], own[j]) })
-	ownIdx := 0
-	// Per-child sorted streams, buffered in arrival order.
-	bufs := make([][]Item, len(t.ChildPorts))
-	heads := make([]int, len(t.ChildPorts))
-	done := make([]bool, len(t.ChildPorts))
-	doneCount := 0
-	childIdx := make(map[int]int, len(t.ChildPorts))
-	for i, p := range t.ChildPorts {
-		childIdx[p] = i
-	}
-	emitted := make(map[int64]bool)
-	var results []Item
+// PipelinedUpcast performs the pipelined convergecast of Section 3:
+// every vertex contributes its own items, every vertex merges its
+// children's ascending streams with them and forwards what up.Keep
+// keeps, and the root continues with the items it kept in Results,
+// ascending. Other vertices continue after their subtree's stream is
+// exhausted. Keeping the first item of each group forwards, per group,
+// only the lightest item seen in the subtree: with K groups the upcast
+// then takes O(Height + K/b) rounds and O(Height·K) messages (each
+// vertex forwards at most one item per group plus one end marker).
+// This is the classical upcast of Peleg Ch. 3 the paper uses twice: to
+// register base fragments and to lift per-base-fragment MWOE
+// candidates.
+func (t *Tree) PipelinedUpcast(c congest.Context, up Upcast, own []Item, then func(c congest.Context) congest.Step) congest.Step {
+	t.arm(opUp, then)
+	t.up = up
+	t.own, t.ownHead = append(t.own[:0], own...), 0
+	slices.SortFunc(t.own, compareItems)
+	t.rearmKids()
+	return t.pump(c)
+}
 
-	// next reports the overall minimum unconsumed item across all
-	// sorted sources, or ok=false if some child stream is stalled
-	// (empty but not done) or everything is consumed.
-	next := func() (Item, bool, bool) { // item, available, exhausted
-		exhausted := true
-		var best Item
-		have := false
-		if ownIdx < len(own) {
-			best, have = own[ownIdx], true
-			exhausted = false
+// take buffers one message of a child's stream.
+func (t *Tree) take(c congest.Context, in congest.Inbound) {
+	k := &t.kids[t.childAt(c, in.Port)]
+	switch in.Msg.Kind {
+	case t.up.Kind:
+		it := Item{Group: in.Msg.A, W: in.Msg.B, U: in.Msg.C, V: in.Msg.D}
+		if n := len(k.items); n > 0 && compareItems(k.items[n-1], it) >= 0 {
+			protocolf("vertex %d: child stream not sorted", c.ID())
 		}
-		for i := range bufs {
-			if heads[i] < len(bufs[i]) {
-				it := bufs[i][heads[i]]
-				if !have || itemLess(it, best) {
-					best, have = it, true
-				}
-				exhausted = false
-			} else if !done[i] {
-				return Item{}, false, false // stalled on child i
-			}
+		k.items = append(k.items, it)
+	case t.up.Done:
+		if k.done {
+			protocolf("vertex %d: duplicate end marker from port %d", c.ID(), in.Port)
 		}
-		return best, have, exhausted
+		k.done = true
+	default:
+		protocolf("vertex %d: kind %d during upcast", c.ID(), in.Msg.Kind)
 	}
-	consume := func(c congest.Context, it Item) {
-		if ownIdx < len(own) && own[ownIdx] == it {
-			ownIdx++
-			return
-		}
-		for i := range bufs {
-			if heads[i] < len(bufs[i]) && bufs[i][heads[i]] == it {
-				heads[i]++
-				return
-			}
-		}
-		protocolf("vertex %d: consumed item not found", c.ID())
-	}
+}
 
-	var iterate func(c congest.Context) congest.Step
-	wake := func(c congest.Context, msgs []congest.Inbound) congest.Step {
-		for _, in := range msgs {
-			i, isChild := childIdx[in.Port]
-			if !isChild {
-				protocolf("vertex %d: upcast message from non-child port %d", c.ID(), in.Port)
-			}
-			switch in.Msg.Kind {
-			case KindUp:
-				it := Item{Group: in.Msg.A, W: in.Msg.B, U: in.Msg.C, V: in.Msg.D}
-				if n := len(bufs[i]); n > 0 && !itemLess(bufs[i][n-1], it) {
-					protocolf("vertex %d: child stream not sorted", c.ID())
-				}
-				bufs[i] = append(bufs[i], it)
-			case KindUpDone:
-				if done[i] {
-					protocolf("vertex %d: duplicate UpDone from port %d", c.ID(), in.Port)
-				}
-				done[i] = true
-				doneCount++
-			default:
-				protocolf("vertex %d: kind %d during upcast", c.ID(), in.Msg.Kind)
-			}
-		}
-		return iterate(c)
+// least finds the least unconsumed item over the vertex's own and its
+// children's: src is -1 for its own, else the child index. ok is false
+// when a child stream is stalled (empty but not ended) or everything
+// is consumed; exhausted tells the two apart.
+func (t *Tree) least() (src int, ok, exhausted bool) {
+	var best Item
+	if t.ownHead < len(t.own) {
+		best, src, ok = t.own[t.ownHead], -1, true
 	}
-	iterate = func(c congest.Context) congest.Step {
-		sent := 0
-		for sent < b {
-			it, ok, _ := next()
-			if !ok {
-				break
+	for i := range t.kids {
+		k := &t.kids[i]
+		switch {
+		case k.head < len(k.items):
+			if it := k.items[k.head]; !ok || compareItems(it, best) < 0 {
+				best, src, ok = it, i, true
 			}
-			consume(c, it)
-			if emitted[it.Group] {
-				continue // a heavier duplicate for an emitted group
-			}
-			emitted[it.Group] = true
-			if t.Root {
-				results = append(results, it)
-				continue // root-side recording is free
-			}
-			c.Send(t.ParentPort, congest.Message{Kind: KindUp, A: it.Group, B: it.W, C: it.U, D: it.V})
-			sent++
+		case !k.done:
+			return 0, false, false
 		}
-		_, pending, exhausted := next()
-		if exhausted && doneCount == len(t.ChildPorts) {
-			if t.Root {
-				return then(c, results)
-			}
-			if sent >= b {
-				// Bandwidth refresh before the marker; anything that
-				// round delivers is dropped.
-				return congest.Quiesce(func(c congest.Context, _ []congest.Inbound) congest.Step {
-					c.Send(t.ParentPort, congest.Message{Kind: KindUpDone})
-					return then(c, nil)
-				})
-			}
-			c.Send(t.ParentPort, congest.Message{Kind: KindUpDone})
-			return then(c, nil)
-		}
-		// Block for more input if nothing is pending locally; otherwise
-		// just let the next round start so bandwidth refreshes.
-		if pending {
-			return congest.Quiesce(wake)
-		}
-		return congest.Await(wake)
 	}
-	return iterate(c)
+	return src, ok, !ok
+}
+
+// pump forwards up to one bandwidth's worth of kept items, then ends
+// the upcast or parks for more input.
+func (t *Tree) pump(c congest.Context) congest.Step {
+	b, sent := c.Bandwidth(), 0
+	for sent < b {
+		src, ok, _ := t.least()
+		if !ok {
+			break
+		}
+		var it Item
+		if src < 0 {
+			it = t.own[t.ownHead]
+			t.ownHead++
+		} else {
+			k := &t.kids[src]
+			it = k.items[k.head]
+			k.head++
+		}
+		if !t.up.Keep(it) {
+			continue
+		}
+		if t.Root {
+			t.Results = append(t.Results, it) // root-side recording is free
+			continue
+		}
+		c.Send(t.ParentPort, congest.Message{Kind: t.up.Kind, A: it.Group, B: it.W, C: it.U, D: it.V})
+		sent++
+	}
+	_, pending, exhausted := t.least()
+	switch {
+	case exhausted && t.Root:
+		return t.then(c)
+	case exhausted && sent >= b:
+		// Bandwidth refresh before the marker; anything that round
+		// delivers is dropped.
+		t.op = opUpEnd
+		return congest.Quiesce(t.wake)
+	case exhausted:
+		c.Send(t.ParentPort, congest.Message{Kind: t.up.Done})
+		return t.then(c)
+	case pending:
+		// Let the next round start so bandwidth refreshes.
+		return congest.Quiesce(t.wake)
+	}
+	return congest.Await(t.wake)
 }
 
 // Routed is one payload of a routed downcast, addressed by the routing
@@ -241,97 +173,91 @@ type Routed struct {
 	A, B   int64
 }
 
-// RouteDownStep pipelines the root's pairs down the tree along interval
+// RouteDown pipelines the root's pairs down the tree along interval
 // routes (the paper's downcast of (F, F-hat') relabel messages): each
 // vertex forwards a message to the unique child whose interval contains
 // the target label. Termination is by a FLUSH marker broadcast behind
 // the last payload on every tree edge; the marker carries a global
-// completion deadline, at which every vertex continues simultaneously
-// (self-aligning). Every vertex's then receives the pairs addressed to
-// it.
-// Cost: O(Height + |pairs|/b) rounds and O(Height·|pairs| + n) messages.
-// Only the root's argument is consulted. All vertices must enter
-// RouteDownStep aligned.
-func (t *Tree) RouteDownStep(c congest.Context, pairs []Routed,
-	then func(c congest.Context, mine []Routed) congest.Step) congest.Step {
-	b := int64(c.Bandwidth())
-	queues := make([][]congest.Message, len(t.ChildPorts))
-	qHead := make([]int, len(t.ChildPorts))
-	var mine []Routed
-
-	enqueue := func(c congest.Context, r Routed) {
-		if r.Target == t.Lo {
-			mine = append(mine, r)
-			return
-		}
-		i := t.childFor(r.Target)
-		if i < 0 {
-			protocolf("vertex %d: no route to label %d", c.ID(), r.Target)
-		}
-		queues[i] = append(queues[i], congest.Message{Kind: KindRoute, A: r.Target, B: r.A, C: r.B})
-	}
-
-	var deadline int64
-	flushed := t.Root
+// completion deadline, at which every vertex continues with then
+// simultaneously (self-aligning), the pairs addressed to it in Mine.
+// Cost: O(Height + |pairs|/b) rounds and O(Height·|pairs| + n)
+// messages. Only the root's pairs are consulted, and only during the
+// call. All vertices must enter RouteDown aligned.
+func (t *Tree) RouteDown(c congest.Context, pairs []Routed, then func(c congest.Context) congest.Step) congest.Step {
+	t.arm(opRoute, then)
+	t.rearmKids()
+	t.flushed = t.Root
 	if t.Root {
 		for _, r := range pairs {
-			enqueue(c, r)
+			t.enqueue(c, r)
 		}
 		// Store-and-forward pipelining on a tree: every packet is
 		// delayed by at most Height hops plus the queueing of the
 		// other packets and the marker, ceil((|pairs|+1)/b) rounds.
-		deadline = c.Round() + t.Height + (int64(len(pairs))+b)/b + 2
-		for i := range queues {
-			queues[i] = append(queues[i], congest.Message{Kind: KindRouteFlush, A: deadline})
-		}
+		b := int64(c.Bandwidth())
+		t.end = c.Round() + t.Height + (int64(len(pairs))+b)/b + 2
 	}
+	return t.forward(c)
+}
 
-	var iterate func(c congest.Context) congest.Step
-	wake := func(c congest.Context, msgs []congest.Inbound) congest.Step {
-		for _, in := range msgs {
-			if in.Port != t.ParentPort {
-				protocolf("vertex %d: downcast message from non-parent port %d", c.ID(), in.Port)
-			}
-			switch in.Msg.Kind {
-			case KindRoute:
-				enqueue(c, Routed{Target: in.Msg.A, A: in.Msg.B, B: in.Msg.C})
-			case KindRouteFlush:
-				if flushed {
-					protocolf("vertex %d: duplicate flush", c.ID())
-				}
-				flushed = true
-				deadline = in.Msg.A
-				for i := range queues {
-					queues[i] = append(queues[i], congest.Message{Kind: KindRouteFlush, A: deadline})
-				}
-			default:
-				protocolf("vertex %d: kind %d during downcast", c.ID(), in.Msg.Kind)
-			}
-		}
-		return iterate(c)
+// route handles one message from the parent.
+func (t *Tree) route(c congest.Context, in congest.Inbound) {
+	if in.Port != t.ParentPort {
+		protocolf("vertex %d: downcast message from non-parent port %d", c.ID(), in.Port)
 	}
-	iterate = func(c congest.Context) congest.Step {
-		backlog := false
-		for i, p := range t.ChildPorts {
-			var sent int64
-			for qHead[i] < len(queues[i]) && sent < b {
-				c.Send(p, queues[i][qHead[i]])
-				qHead[i]++
-				sent++
-			}
-			if qHead[i] < len(queues[i]) {
-				backlog = true
-			}
+	switch in.Msg.Kind {
+	case KindRoute:
+		t.enqueue(c, Routed{Target: in.Msg.A, A: in.Msg.B, B: in.Msg.C})
+	case KindRouteFlush:
+		if t.flushed {
+			protocolf("vertex %d: duplicate flush", c.ID())
 		}
-		if flushed && !backlog {
-			return waitQuietStep(c, deadline, func(c congest.Context) congest.Step {
-				return then(c, mine)
-			})
-		}
-		if backlog {
-			return congest.Quiesce(wake)
-		}
-		return congest.Await(wake)
+		t.flushed, t.end = true, in.Msg.A
+	default:
+		protocolf("vertex %d: kind %d during downcast", c.ID(), in.Msg.Kind)
 	}
-	return iterate(c)
+}
+
+// enqueue keeps a pair addressed here and queues any other for the
+// child whose interval holds its target.
+func (t *Tree) enqueue(c congest.Context, r Routed) {
+	if r.Target == t.Lo {
+		t.Mine = append(t.Mine, r)
+		return
+	}
+	i := t.childFor(r.Target)
+	if i < 0 {
+		protocolf("vertex %d: no route to label %d", c.ID(), r.Target)
+	}
+	t.kids[i].queue = append(t.kids[i].queue, r)
+}
+
+// forward sends each child up to one bandwidth's worth of its queued
+// pairs and, once the end marker has arrived here, the marker behind
+// the last of them; then it waits for the completion round or parks
+// for more input.
+func (t *Tree) forward(c congest.Context) congest.Step {
+	b := c.Bandwidth()
+	backlog := false
+	for i, p := range t.ChildPorts {
+		k := &t.kids[i]
+		sent := 0
+		for ; k.head < len(k.queue) && sent < b; sent++ {
+			r := k.queue[k.head]
+			c.Send(p, congest.Message{Kind: KindRoute, A: r.Target, B: r.A, C: r.B})
+			k.head++
+		}
+		if t.flushed && !k.done && k.head == len(k.queue) && sent < b {
+			c.Send(p, congest.Message{Kind: KindRouteFlush, A: t.end})
+			k.done = true
+		}
+		backlog = backlog || k.head < len(k.queue) || (t.flushed && !k.done)
+	}
+	switch {
+	case backlog:
+		return congest.Quiesce(t.wake)
+	case t.flushed:
+		return t.quiet(c, t.end)
+	}
+	return congest.Await(t.wake)
 }

@@ -44,7 +44,7 @@ func (c *Clock) Advance(next int64) error {
 
 // TimerEntry is one parked deadline in a calendar: vertex ID wakes at
 // Round unless its Gen no longer matches (the vertex woke early and
-// re-parked, so this entry is stale).
+// parked elsewhere, so this entry is stale).
 type TimerEntry struct {
 	Round int64
 	ID    int
@@ -58,7 +58,7 @@ type TimerEntry struct {
 // fragments to a few shared deadlines, so a calendar holds few buckets,
 // and releasing one hands over its entries without ordering work per
 // entry. Entries are invalidated, not removed: a stale entry (the
-// vertex woke early and re-parked, bumping its Gen) is dropped when it
+// vertex woke early and parked elsewhere, bumping its Gen) is dropped when it
 // is reached, by the live check its owner passes to Next and Release. A
 // bucket keeps a cursor past the stale prefix Next dropped, so Next
 // checks no entry twice. A drained bucket's array is kept for the next

@@ -89,6 +89,7 @@ type vertex struct {
 	fib   Fiber     // nil once done
 	inbox []Inbound // the mail of the next call
 	gen   int64     // invalidates stale calendar entries
+	timer int64     // deadline of the live calendar entry, 0 when none
 	// cnt counts this round's deliveries and at is the next arena slot
 	// of the vertex while Deliver scatters them.
 	cnt, at int32
@@ -261,12 +262,19 @@ func (s *Shard) Step(v int, round int64) {
 		s.retire(nd)
 		return
 	}
+	if target == nd.timer && target > round+1 {
+		// Mail woke the vertex inside a window, and it parked again to
+		// the deadline its live calendar entry already holds.
+		return
+	}
 	nd.gen++
+	nd.timer = 0
 	switch {
 	case target == round+1:
 		s.due.add(v)
 	case target < Forever:
 		s.cal.Schedule(TimerEntry{Round: target, ID: v, Gen: nd.gen})
+		nd.timer = target
 	}
 }
 
@@ -391,8 +399,9 @@ func (s *Shard) Next(round int64) int64 {
 func (s *Shard) release(t TimerEntry) { s.woken.add(t.ID) }
 
 // liveTimer reports whether a calendar entry still represents a parked
-// vertex: a call bumps gen at every park, so an entry from before the
-// vertex's last call is stale.
+// vertex: a call bumps gen at every park except one to the deadline of
+// the vertex's live entry, so any other entry from before its last
+// call is stale.
 func (s *Shard) liveTimer(t TimerEntry) bool {
 	nd := &s.nodes[t.ID-s.lo]
 	return !nd.done && nd.gen == t.Gen

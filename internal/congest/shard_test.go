@@ -82,6 +82,54 @@ func TestShardWakesInAscendingOrder(t *testing.T) {
 	}
 }
 
+// TestWindowReparkKeepsItsEntry: a vertex in a Window to round 10 that
+// mail wakes at rounds 1, 2 and 3 parks again each time to the deadline
+// its calendar entry already holds. The calendar must keep that one
+// entry, not file a second and strand the first, and the vertex must
+// still wake exactly at round 10.
+func TestWindowReparkKeepsItsEntry(t *testing.T) {
+	g := graph.Path(2, graph.GenOptions{})
+	s := NewShard(g.CSR(), 0, g.N(), 1, func(err error) { t.Fatal(err) })
+	heard, woke := 0, []int64(nil)
+	s.Load(StepFiberFactory(g.N(), func(c Context) Step {
+		if c.ID() == 1 {
+			return Done()
+		}
+		return Window(c, 10, func(Context, Inbound) { heard++ }, func(c Context) Step {
+			woke = append(woke, c.Round())
+			return Done()
+		})
+	}))
+	c := NewClock(0)
+	for {
+		round := c.Now()
+		s.Wake(round)
+		s.Play(round)
+		if round < 3 {
+			mail := []Delivery{{To: 0, Msg: Message{Kind: 1}}}
+			s.Receive(&mail)
+		}
+		s.Deliver()
+		entries := 0
+		for _, b := range s.cal.buckets {
+			entries += len(b.items) - b.head
+		}
+		if want := min(1, 10-int(round)); entries != want {
+			t.Fatalf("round %d: %d calendar entries, want %d", round, entries, want)
+		}
+		next := s.Next(round)
+		if next == Forever {
+			break
+		}
+		if err := c.Advance(next); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if heard != 3 || !slices.Equal(woke, []int64{10}) {
+		t.Errorf("heard %d messages and ended the window at rounds %v, want 3 and [10]", heard, woke)
+	}
+}
+
 // drain yields the set in ascending order across words and summary
 // words, and an early stop leaves exactly the members not yet yielded.
 func TestWakeSetDrainStopsEarly(t *testing.T) {

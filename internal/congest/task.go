@@ -36,10 +36,13 @@ package congest
 // close over it, which is the shortest to write, but every escaping
 // closure (and every method value written at a call site) is a heap
 // allocation each time the Step is built. A program that runs many
-// windows instead keeps its state in a per-vertex record it re-arms,
-// and hands Window method values bound once when the record was built;
-// then a window costs nothing. fragops.Tree and the Controlled-GHS
-// runner in internal/forest are written that way.
+// windows or parks instead keeps its state in a per-vertex record it
+// re-arms, and hands Window and Await/Until/Quiesce method values
+// bound once when the record was built; then a window or park costs
+// nothing. The tree-operation records fragops.Tree (fragment trees)
+// and bfstree.Tree (the BFS tree τ), and the stage machines of
+// Controlled-GHS (internal/forest) and of the Boruvka-over-τ stage
+// (internal/core) are written that way.
 
 // Resume is one continuation of a resumable program: it is handed the
 // live Context and the messages that woke the program (nil on a bare

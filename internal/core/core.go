@@ -26,12 +26,19 @@
 //
 // The whole algorithm is one Step program (Program); FiberFactory
 // drives it on every vertex, so every engine executes identical
-// handlers and reports bit-identical statistics.
+// handlers and reports bit-identical statistics. Steps 4 and 5 run as
+// a stage machine over one record per vertex, as Controlled-GHS does in
+// internal/forest: a stage enum says which step is under way, one step
+// method ends a stage and enters the next, and every tree operation
+// runs on the vertex's bfstree.Tree (τ) or fragops.Tree (its base
+// fragment), so a Boruvka phase allocates nothing at a vertex other
+// than the τ root.
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"congestmst/internal/bfstree"
 	"congestmst/internal/congest"
@@ -69,12 +76,14 @@ type Config struct {
 }
 
 // Metrics is the τ-root's account of where rounds went (Equation (1)).
+// Each stage's rounds run from the previous stage boundary (round 0
+// for the first) to its own, the Round of its PhaseEvent.
 type Metrics struct {
 	N, Height      int64
 	K              int
 	BuildRounds    int64   // BFS tree + intervals
 	ForestRounds   int64   // Controlled-GHS base forest
-	RegisterRounds int64   // fragment registration upcast
+	RegisterRounds int64   // base-fragment measure, registration upcast and H_F broadcast
 	PhaseRounds    []int64 // per Boruvka phase
 	PhaseFragments []int   // |F̂_j| at the start of each phase
 	BaseFragments  int     // |F|
@@ -83,7 +92,8 @@ type Metrics struct {
 
 // Result is one vertex's view of the computed MST.
 type Result struct {
-	// MSTPorts lists the ports of this vertex's incident MST edges.
+	// MSTPorts lists the ports of this vertex's incident MST edges,
+	// ascending.
 	MSTPorts []int
 	// FragID is the final coarse fragment identity (one per connected
 	// component; a single value on connected graphs).
@@ -111,60 +121,19 @@ func FiberFactory(n int, cfg Config, report func(id int, res *Result)) func(id i
 // internal/congest/task.go), handing the completed Result to then.
 func Program(c congest.Context, cfg Config,
 	then func(c congest.Context, res *Result) congest.Step) congest.Step {
-	return bfstree.BuildStep(c, cfg.Root, func(c congest.Context, tau *bfstree.Tree) congest.Step {
-		n := tau.N
-		b := int64(c.Bandwidth())
-
-		k := chooseK(n, tau.Height, b, cfg.FixedK)
-		if cfg.Metrics != nil && tau.Root {
-			cfg.Metrics.N, cfg.Metrics.Height, cfg.Metrics.K = n, tau.Height, k
-			cfg.Metrics.BuildRounds = c.Round()
+	return bfstree.Build(c, cfg.Root, func(c congest.Context, tau *bfstree.Tree) congest.Step {
+		k := chooseK(tau.N, tau.Height, int64(c.Bandwidth()), cfg.FixedK)
+		var root *rootBook
+		if tau.Root {
+			root = &rootBook{m: cfg.Metrics, o: cfg.Observer, tau: tau, k: k}
+			if root.m == nil {
+				root.m = new(Metrics)
+			}
 		}
-		if o := cfg.Observer; o != nil && tau.Root {
-			o.OnPhase(congest.PhaseEvent{Round: c.Round(), Name: "bfs-build", K: k})
-		}
-
+		root.boundary(c, "bfs-build")
 		return forest.Program(c, k, cfg.ForestTrace, func(c congest.Context, st *forest.State) congest.Step {
-			forestEnd := c.Round()
-			if cfg.Metrics != nil && tau.Root {
-				cfg.Metrics.ForestRounds = forestEnd - cfg.Metrics.BuildRounds
-			}
-			if o := cfg.Observer; o != nil && tau.Root {
-				o.OnPhase(congest.PhaseEvent{Round: forestEnd, Name: "base-forest", K: k})
-			}
-
-			r := &boruvka{
-				tau:       tau,
-				st:        st,
-				cfg:       cfg,
-				k:         k,
-				coarse:    st.FragID,
-				tree:      fragops.NewTree(st.ParentPort, st.ChildPorts),
-				nbrCoarse: make([]int64, c.Degree()),
-				mstPorts:  make(map[int]bool),
-			}
-			if st.ParentPort >= 0 {
-				r.mstPorts[st.ParentPort] = true
-			}
-			for _, p := range st.ChildPorts {
-				r.mstPorts[p] = true
-			}
-
-			return r.register(c, k, func(c congest.Context) congest.Step {
-				return r.loop(c, 0, func(c congest.Context, phases int) congest.Step {
-					ports := make([]int, 0, len(r.mstPorts))
-					for p := range r.mstPorts {
-						ports = append(ports, p)
-					}
-					sortInts(ports)
-					return then(c, &Result{
-						MSTPorts:      ports,
-						FragID:        r.coarse,
-						K:             k,
-						BoruvkaPhases: phases,
-					})
-				})
-			})
+			r := &boruvka{tau: tau, st: st, root: root, k: k, done: then}
+			return r.start(c)
 		})
 	})
 }
@@ -187,208 +156,307 @@ func chooseK(n, height, b int64, fixed int) int {
 	return int(k)
 }
 
-// boruvka is the per-vertex state of the Boruvka-over-τ stage. It is
-// plain data shared by every stage continuation; the live Context is
-// always a parameter, never a field (engines re-point a shared
-// per-shard Context between wakes).
+// stage names the part of the Boruvka-over-τ program a vertex is in;
+// the comment gives the step and the operation or window that runs.
+type stage uint8
+
+const (
+	stMeasure   stage = iota // register: base-fragment size and height convergecast
+	stRegister               // register: (id, label, height) upcast over τ
+	stHeight                 // register: broadcast of the height bound H_F
+	stNbrUpdate              // (1) neighbor-update window
+	stArgmin                 // (2) base-fragment MWOE argmin
+	stUpcast                 // (3) min-filtered MWOE upcast over τ
+	stDecide                 // (4) STOP/CONTINUE broadcast
+	stRoute                  // (5) routed relabel downcast
+	stRelabel                // (6) base-fragment relabel broadcast
+	stMark                   // (7) MST-mark window
+)
+
+// boruvka is one vertex's record for the Boruvka-over-τ stage: plain
+// data plus the stage it is in. Its only continuation and window
+// handler are r.step and r.recv, bound once into next and handle by
+// start; the live Context is always a parameter, never a field
+// (engines re-point a shared per-shard Context between wakes). It is
+// built when the base forest is done, so that it is not live through
+// Controlled-GHS beside the forest's own records.
 type boruvka struct {
 	tau  *bfstree.Tree
 	st   *forest.State
 	tree *fragops.Tree // the base fragment's tree-operation record
-	cfg  Config
+	root *rootBook     // the τ root's bookkeeping; nil at every other vertex
 	k    int
+	done func(c congest.Context, res *Result) congest.Step
 
-	coarse     int64
-	phaseFrags int // |F̂_j| of the last merged phase (τ root only)
-	nbrCoarse  []int64
-	mstPorts   map[int]bool
-	fragWin    int64 // window length for base-fragment tree operations
-	winner     int   // argmin winner pointer
+	stage     stage
+	phases    int // Boruvka phases merged so far
+	heard     int // neighbor updates heard this phase
+	coarse    int64
+	nbrCoarse []int64
+	mst       []bool // port-indexed: the edge joined the MST
+	fragWin   int64  // window length for base-fragment tree operations
+	winner    int    // argmin winner pointer
 
-	// τ-root bookkeeping (empty elsewhere).
-	fragLabel  map[int64]int64 // base fragment id -> routing label of its root
-	fragCoarse map[int64]int64 // base fragment id -> current coarse id
+	// emitted holds the groups this vertex forwarded in the current τ
+	// upcast, whose filter is keep.
+	emitted map[int64]struct{}
+
+	// next, handle and keep are r.step, r.recv and r.firstOfGroup,
+	// bound once by start.
+	next   func(c congest.Context) congest.Step
+	handle func(c congest.Context, in congest.Inbound)
+	keep   func(it bfstree.Item) bool
 }
 
-// register measures every base fragment, reports (id, label, height) to
-// the τ root via a pipelined upcast, and distributes the global
-// fragment-height bound H_F used to size later windows. Cost:
-// O(k + D + |F|/b) rounds, O(n + D·|F|) messages — the paper's
-// "upcast of |F_0| identities" step.
-func (r *boruvka) register(c congest.Context, k int, then func(c congest.Context) congest.Step) congest.Step {
+// rootBook is the τ root's part of the algorithm, allocated at the
+// root alone: the stage boundaries it reports and the base fragments
+// whose graph it merges. It keeps its account in m, the run's Metrics
+// or its own when the run asked for none.
+type rootBook struct {
+	m     *Metrics
+	o     congest.Observer
+	tau   *bfstree.Tree
+	k     int
+	last  int64            // round of the last stage boundary
+	frags []baseFrag       // every base fragment, ascending id
+	pairs []bfstree.Routed // the relabel pairs of the current phase
+}
+
+// baseFrag is the τ root's record of one registered base fragment.
+type baseFrag struct {
+	id, label, coarse int64 // identity, routing label of its root, current coarse id
+}
+
+// boundary ends a stage. The stage took the rounds since the previous
+// boundary (round 0 for the first), which go to Metrics, and the
+// Observer gets the stage's PhaseEvent. On a nil book, at every vertex
+// but the τ root, it does nothing.
+func (b *rootBook) boundary(c congest.Context, name string) {
+	if b == nil {
+		return
+	}
+	rounds := c.Round() - b.last
+	b.last = c.Round()
+	ev := congest.PhaseEvent{Round: c.Round(), Name: name, K: b.k}
+	switch m := b.m; name {
+	case "bfs-build":
+		m.N, m.Height, m.K, m.BuildRounds = b.tau.N, b.tau.Height, b.k, rounds
+	case "base-forest":
+		m.ForestRounds = rounds
+	case "register":
+		m.RegisterRounds, ev.Fragments = rounds, m.BaseFragments
+	default:
+		m.PhaseRounds = append(m.PhaseRounds, rounds)
+		ev.Fragments = m.PhaseFragments[len(m.PhaseFragments)-1]
+	}
+	if b.o != nil {
+		b.o.OnPhase(ev)
+	}
+}
+
+// start takes over from the base forest: it arms the record on the
+// base fragment tree and begins registration, which measures every
+// base fragment, reports (id, label, height) to the τ root via a
+// pipelined upcast, and distributes the global fragment-height bound
+// H_F used to size later windows. Cost: O(k + D + |F|/b) rounds,
+// O(n + D·|F|) messages — the paper's "upcast of |F_0| identities"
+// step.
+func (r *boruvka) start(c congest.Context) congest.Step {
+	r.root.boundary(c, "base-forest")
+	deg, st := c.Degree(), r.st
+	r.coarse = st.FragID
+	r.tree = fragops.NewTree(st.ParentPort, st.ChildPorts)
+	r.nbrCoarse = make([]int64, deg)
+	r.mst = make([]bool, deg)
+	if st.ParentPort >= 0 {
+		r.mst[st.ParentPort] = true
+	}
+	for _, p := range st.ChildPorts {
+		r.mst[p] = true
+	}
+	r.next, r.handle, r.keep = r.step, r.recv, r.firstOfGroup
+
 	// 12k+4 bounds the base fragment height: Controlled-GHS guarantees
 	// strong diameter at most 6·2^ceil(log k) <= 12k (Theorem 4.3).
-	return r.tree.Converge(c, c.Round()+int64(12*k+6), true, [3]int64{1, 0, 0}, fragops.SizeHeight,
-		func(c congest.Context) congest.Step {
-			var items []bfstree.Item
-			if r.tree.Root {
-				items = []bfstree.Item{{Group: r.st.FragID, W: r.tree.Value[1], U: r.tau.Lo, V: 0}}
-			}
-			regStart := c.Round()
-			return r.tau.PipelinedUpcastStep(c, items, func(c congest.Context, regs []bfstree.Item) congest.Step {
-				var maxH int64
-				if r.tau.Root {
-					r.fragLabel = make(map[int64]int64, len(regs))
-					r.fragCoarse = make(map[int64]int64, len(regs))
-					for _, it := range regs {
-						r.fragLabel[it.Group] = it.U
-						r.fragCoarse[it.Group] = it.Group
-						if it.W > maxH {
-							maxH = it.W
-						}
-					}
-					if m := r.cfg.Metrics; m != nil {
-						m.BaseFragments = len(regs)
-						m.MaxFragHeight = maxH
-					}
-				}
-				return r.tau.SyncBroadcastStep(c, congest.Message{A: maxH},
-					func(c congest.Context, got congest.Message) congest.Step {
-						r.fragWin = got.A + 2
-						if m := r.cfg.Metrics; m != nil && r.tau.Root {
-							m.RegisterRounds = c.Round() - regStart
-						}
-						if o := r.cfg.Observer; o != nil && r.tau.Root {
-							o.OnPhase(congest.PhaseEvent{
-								Round: c.Round(), Name: "register",
-								Fragments: len(r.fragLabel), K: r.k,
-							})
-						}
-						return then(c)
-					})
-			})
-		})
+	r.stage = stMeasure
+	return r.tree.Converge(c, c.Round()+int64(12*r.k+6), true, [3]int64{1, 0, 0}, fragops.SizeHeight, r.next)
 }
 
-// loop runs Boruvka phases until the τ root announces completion, then
-// hands the number of executed phases to then.
-func (r *boruvka) loop(c congest.Context, phases int,
-	then func(c congest.Context, phases int) congest.Step) congest.Step {
-	start := c.Round()
-	return r.phase(c, func(c congest.Context, done bool) congest.Step {
-		if m := r.cfg.Metrics; m != nil && r.tau.Root && !done {
-			m.PhaseRounds = append(m.PhaseRounds, c.Round()-start)
-		}
-		if o := r.cfg.Observer; o != nil && r.tau.Root && !done {
-			o.OnPhase(congest.PhaseEvent{
-				Round: c.Round(), Name: "boruvka",
-				Fragments: r.phaseFrags, K: r.k,
-			})
-		}
-		if done {
-			return then(c, phases)
-		}
-		if phases+1 > 64 {
-			panic("core: Boruvka did not halve (more than 64 phases)")
-		}
-		return r.loop(c, phases+1, then)
-	})
-}
-
-// phase executes one Boruvka phase; it hands then true when the root
-// announced completion (in which case the phase did no merging).
-func (r *boruvka) phase(c congest.Context,
-	then func(c congest.Context, done bool) congest.Step) congest.Step {
-	// (1) Neighbor update: O(1) rounds, O(m) messages.
-	deg := c.Degree()
-	for p := 0; p < deg; p++ {
+// phase starts a Boruvka phase with (1) the neighbor update: O(1)
+// rounds, O(m) messages.
+func (r *boruvka) phase(c congest.Context) congest.Step {
+	for p := 0; p < c.Degree(); p++ {
 		c.Send(p, congest.Message{Kind: KindNbrCoarse, A: r.coarse})
 	}
-	got := 0
-	return congest.Window(c, c.Round()+2, func(c congest.Context, in congest.Inbound) {
+	r.heard = 0
+	r.stage = stNbrUpdate
+	return congest.Window(c, c.Round()+2, r.handle, r.next)
+}
+
+// step ends the current stage and enters the next one. It is bound
+// once into r.next, the continuation of every operation and window.
+func (r *boruvka) step(c congest.Context) congest.Step {
+	switch r.stage {
+	case stMeasure:
+		r.stage = stRegister
+		if !r.tree.Root {
+			return r.upcast(c)
+		}
+		return r.upcast(c, bfstree.Item{Group: r.st.FragID, W: r.tree.Value[1], U: r.tau.Lo})
+
+	case stRegister:
+		var maxH int64
+		if r.root != nil {
+			maxH = r.root.register(r.tau.Results)
+		}
+		r.stage = stHeight
+		return r.tau.SyncBroadcast(c, [3]int64{maxH}, r.next)
+
+	case stHeight:
+		r.fragWin = r.tau.Value[0] + 2
+		r.root.boundary(c, "register")
+		return r.phase(c)
+
+	case stNbrUpdate:
+		if r.heard != c.Degree() {
+			panic(fmt.Sprintf("core: vertex %d heard %d of %d neighbors", c.ID(), r.heard, c.Degree()))
+		}
+		// (2) Each base fragment finds its lightest edge leaving the
+		// coarse fragment: O(k) rounds, O(n) messages.
+		r.stage = stArgmin
+		return r.tree.Argmin(c, c.Round()+r.fragWin, true, r.localCandidate(c), &r.winner, r.next)
+
+	case stArgmin:
+		// (3) Pipelined min-filtering upcast over τ: the root learns the
+		// MWOE of every coarse fragment.
+		r.stage = stUpcast
+		if best := r.tree.Value; r.tree.Root && best != fragops.Sentinel {
+			return r.upcast(c, bfstree.Item{Group: r.coarse, W: best[0], U: best[1], V: best[2]})
+		}
+		return r.upcast(c)
+
+	case stUpcast:
+		// (4) Root-side merge of the fragment graph, then the
+		// STOP/CONTINUE decision.
+		stop := int64(0)
+		if r.root != nil {
+			if len(r.tau.Results) == 0 {
+				stop = 1
+			} else {
+				r.root.merge(r.tau.Results)
+			}
+		}
+		r.stage = stDecide
+		return r.tau.SyncBroadcast(c, [3]int64{stop}, r.next)
+
+	case stDecide:
+		if r.tau.Value[0] == 1 {
+			return r.finish(c)
+		}
+		// (5) Interval-routed downcast of (F -> new coarse id, chosen
+		// edge) to every base fragment root.
+		var pairs []bfstree.Routed
+		if r.root != nil {
+			pairs = r.root.pairs
+		}
+		r.stage = stRoute
+		return r.tau.RouteDown(c, pairs, r.next)
+
+	case stRoute:
+		// r.tree still holds step (2)'s argmin, whose Root marks the
+		// base fragment root.
+		var payload [3]int64
+		if mine := r.tau.Mine; r.tree.Root {
+			if len(mine) != 1 {
+				panic(fmt.Sprintf("core: fragment root %d received %d routed pairs", c.ID(), len(mine)))
+			}
+			payload = [3]int64{mine[0].A, mine[0].B, 0}
+		} else if len(mine) != 0 {
+			panic(fmt.Sprintf("core: non-root vertex %d received routed pairs", c.ID()))
+		}
+		// (6) Broadcast the new identity (and the chosen MWOE) through
+		// each base fragment.
+		r.stage = stRelabel
+		return r.tree.Broadcast(c, c.Round()+r.fragWin, true, payload, r.next)
+
+	case stRelabel:
+		pay := r.tree.Value
+		oldCoarse := r.coarse
+		r.coarse = pay[0]
+		// (7) The endpoint of the chosen MWOE inside the old coarse
+		// fragment marks the edge and tells the far endpoint.
+		if a, b, ok := decodeEdge(pay[1]); ok {
+			other := int64(-1)
+			switch int64(c.ID()) {
+			case a:
+				other = b
+			case b:
+				other = a
+			}
+			if other >= 0 {
+				if p := r.portTo(other); p >= 0 && r.nbrCoarse[p] != oldCoarse {
+					r.mst[p] = true
+					c.Send(p, congest.Message{Kind: KindMSTMark})
+				}
+			}
+		}
+		r.stage = stMark
+		return congest.Window(c, c.Round()+2, r.handle, r.next)
+
+	default: // stMark
+		r.root.boundary(c, "boruvka")
+		if r.phases++; r.phases > 64 {
+			panic("core: Boruvka did not halve (more than 64 phases)")
+		}
+		return r.phase(c)
+	}
+}
+
+// recv is the handler of the phase's two windows.
+func (r *boruvka) recv(c congest.Context, in congest.Inbound) {
+	if r.stage == stNbrUpdate {
 		if in.Msg.Kind != KindNbrCoarse {
 			panic(fmt.Sprintf("core: vertex %d: kind %d during neighbor update", c.ID(), in.Msg.Kind))
 		}
 		r.nbrCoarse[in.Port] = in.Msg.A
-		got++
-	}, func(c congest.Context) congest.Step {
-		if got != deg {
-			panic(fmt.Sprintf("core: vertex %d heard %d of %d neighbors", c.ID(), got, deg))
+		r.heard++
+		return
+	}
+	if in.Msg.Kind != KindMSTMark {
+		panic(fmt.Sprintf("core: vertex %d: kind %d during MST marking", c.ID(), in.Msg.Kind))
+	}
+	r.mst[in.Port] = true
+}
+
+// upcast starts a min-filtered upcast over τ of this vertex's items.
+func (r *boruvka) upcast(c congest.Context, own ...bfstree.Item) congest.Step {
+	clear(r.emitted)
+	return r.tau.PipelinedUpcast(c, bfstree.Upcast{Kind: bfstree.KindUp, Done: bfstree.KindUpDone, Keep: r.keep}, own, r.next)
+}
+
+// firstOfGroup is the filter of both τ upcasts: a vertex's stream
+// arrives in ascending order, so the first item of a group is the
+// lightest in its subtree, and every later one is dropped.
+func (r *boruvka) firstOfGroup(it bfstree.Item) bool {
+	if _, dup := r.emitted[it.Group]; dup {
+		return false
+	}
+	if r.emitted == nil {
+		r.emitted = make(map[int64]struct{})
+	}
+	r.emitted[it.Group] = struct{}{}
+	return true
+}
+
+// finish hands this vertex's Result to the program's continuation.
+func (r *boruvka) finish(c congest.Context) congest.Step {
+	ports := []int{}
+	for p, in := range r.mst {
+		if in {
+			ports = append(ports, p)
 		}
-
-		// (2) Each base fragment finds its lightest edge leaving the
-		// coarse fragment: O(k) rounds, O(n) messages.
-		return r.tree.Argmin(c, c.Round()+r.fragWin, true, r.localCandidate(c), &r.winner,
-			func(c congest.Context) congest.Step {
-				isFragRoot, best := r.tree.Root, r.tree.Value
-				// (3) Pipelined min-filtering upcast over τ: the root
-				// learns the MWOE of every coarse fragment.
-				var items []bfstree.Item
-				if isFragRoot && best != fragops.Sentinel {
-					items = []bfstree.Item{{Group: r.coarse, W: best[0], U: best[1], V: best[2]}}
-				}
-				return r.tau.PipelinedUpcastStep(c, items, func(c congest.Context, mins []bfstree.Item) congest.Step {
-					// (4) Root-side merge of the fragment graph, then the
-					// STOP/CONTINUE decision.
-					var pairs []bfstree.Routed
-					stop := int64(0)
-					if r.tau.Root {
-						if len(mins) == 0 {
-							stop = 1
-						} else {
-							pairs = r.mergeAtRoot(mins)
-						}
-					}
-					return r.tau.SyncBroadcastStep(c, congest.Message{A: stop},
-						func(c congest.Context, dec congest.Message) congest.Step {
-							if dec.A == 1 {
-								return then(c, true)
-							}
-
-							// (5) Interval-routed downcast of (F -> new
-							// coarse id, chosen edge) to every base
-							// fragment root.
-							return r.tau.RouteDownStep(c, pairs, func(c congest.Context, mine []bfstree.Routed) congest.Step {
-								var payload [3]int64
-								if isFragRoot {
-									if len(mine) != 1 {
-										panic(fmt.Sprintf("core: fragment root %d received %d routed pairs", c.ID(), len(mine)))
-									}
-									payload = [3]int64{mine[0].A, mine[0].B, 0}
-								} else if len(mine) != 0 {
-									panic(fmt.Sprintf("core: non-root vertex %d received routed pairs", c.ID()))
-								}
-
-								// (6) Broadcast the new identity (and the
-								// chosen MWOE) through each base fragment.
-								return r.tree.Broadcast(c, c.Round()+r.fragWin, true, payload,
-									func(c congest.Context) congest.Step {
-										pay := r.tree.Value
-										oldCoarse := r.coarse
-										r.coarse = pay[0]
-
-										// (7) The endpoint of the chosen MWOE
-										// inside the old coarse fragment marks
-										// the edge and tells the far endpoint.
-										if a, bb, ok := decodeEdge(pay[1]); ok {
-											other := int64(-1)
-											switch int64(c.ID()) {
-											case a:
-												other = bb
-											case bb:
-												other = a
-											}
-											if other >= 0 {
-												if p := r.portTo(other); p >= 0 && r.nbrCoarse[p] != oldCoarse {
-													r.mstPorts[p] = true
-													c.Send(p, congest.Message{Kind: KindMSTMark})
-												}
-											}
-										}
-										return congest.Window(c, c.Round()+2, func(c congest.Context, in congest.Inbound) {
-											if in.Msg.Kind != KindMSTMark {
-												panic(fmt.Sprintf("core: vertex %d: kind %d during MST marking", c.ID(), in.Msg.Kind))
-											}
-											r.mstPorts[in.Port] = true
-										}, func(c congest.Context) congest.Step {
-											return then(c, false)
-										})
-									})
-							})
-						})
-				})
-			})
-	})
+	}
+	return r.done(c, &Result{MSTPorts: ports, FragID: r.coarse, K: r.k, BoruvkaPhases: r.phases})
 }
 
 // localCandidate returns this vertex's lightest edge leaving its coarse
@@ -408,56 +476,58 @@ func (r *boruvka) localCandidate(c congest.Context) [3]int64 {
 	return best
 }
 
-// mergeAtRoot merges the coarse fragment graph along the received
-// MWOEs (Boruvka), relabels every component by its minimum member id,
-// and produces the routed relabel pairs for all base fragments.
-func (r *boruvka) mergeAtRoot(mins []bfstree.Item) []bfstree.Routed {
-	uf := graph.NewUnionFind(int(r.tau.N))
+// register records the base fragments the registration upcast
+// brought, (id, height, label) each, and returns H_F, the largest
+// height.
+func (b *rootBook) register(regs []bfstree.Item) int64 {
+	var maxH int64
+	for _, it := range regs {
+		b.frags = append(b.frags, baseFrag{id: it.Group, label: it.U, coarse: it.Group})
+		maxH = max(maxH, it.W)
+	}
+	slices.SortFunc(b.frags, func(x, y baseFrag) int { return cmp.Compare(x.id, y.id) })
+	b.m.BaseFragments, b.m.MaxFragHeight = len(b.frags), maxH
+	return maxH
+}
+
+// merge merges the coarse fragment graph along the received MWOEs
+// (Boruvka), relabels every component by its minimum member id, and
+// leaves the routed relabel pairs for all base fragments in b.pairs.
+// It walks the base fragments in ascending id, never map order: the
+// pair order feeds bfstree's message streams, so map iteration here
+// would leak schedule nondeterminism into the cross-engine
+// Rounds/Messages/ByKind guarantee.
+func (b *rootBook) merge(mins []bfstree.Item) {
+	uf := graph.NewUnionFind(int(b.tau.N))
 	chosen := make(map[int64]int64, len(mins)) // old coarse id -> packed MWOE
 	for _, it := range mins {
 		uf.Union(int(it.Group), int(it.V))
 		chosen[it.Group] = it.U
 	}
-	// Iterate the base fragments in sorted order, never map order: the
-	// routed-pair order below feeds bfstree's message streams, so map
-	// iteration here would leak schedule nondeterminism into the
-	// cross-engine Rounds/Messages/ByKind guarantee.
-	frags := make([]int64, 0, len(r.fragCoarse))
-	for f := range r.fragCoarse {
-		frags = append(frags, f)
+	count := make(map[int64]bool, len(b.frags))
+	for _, f := range b.frags {
+		count[f.coarse] = true
 	}
-	sortInt64s(frags)
-	if m, o := r.cfg.Metrics, r.cfg.Observer; m != nil || o != nil {
-		count := make(map[int64]bool, len(r.fragCoarse))
-		for _, f := range frags {
-			count[r.fragCoarse[f]] = true
-		}
-		r.phaseFrags = len(count)
-		if m != nil {
-			m.PhaseFragments = append(m.PhaseFragments, len(count))
-		}
-	}
+	b.m.PhaseFragments = append(b.m.PhaseFragments, len(count))
 	// New identity of a component: the minimum old coarse id inside it.
 	newID := make(map[int]int64)
-	for _, f := range frags {
-		c := r.fragCoarse[f]
-		root := uf.Find(int(c))
-		if cur, ok := newID[root]; !ok || c < cur {
-			newID[root] = c
+	for _, f := range b.frags {
+		root := uf.Find(int(f.coarse))
+		if cur, ok := newID[root]; !ok || f.coarse < cur {
+			newID[root] = f.coarse
 		}
 	}
-	pairs := make([]bfstree.Routed, 0, len(r.fragCoarse))
-	for _, f := range frags {
-		c := r.fragCoarse[f]
-		edge, hasEdge := chosen[c]
+	b.pairs = b.pairs[:0]
+	for i := range b.frags {
+		f := &b.frags[i]
+		edge, hasEdge := chosen[f.coarse]
 		if !hasEdge {
 			edge = -1
 		}
-		next := newID[uf.Find(int(c))]
-		pairs = append(pairs, bfstree.Routed{Target: r.fragLabel[f], A: next, B: edge})
-		r.fragCoarse[f] = next
+		next := newID[uf.Find(int(f.coarse))]
+		b.pairs = append(b.pairs, bfstree.Routed{Target: f.label, A: next, B: edge})
+		f.coarse = next
 	}
-	return pairs
 }
 
 // portTo returns the port leading to the neighbor with the given vertex
@@ -483,19 +553,4 @@ func decodeEdge(e int64) (a, b int64, ok bool) {
 		return 0, 0, false
 	}
 	return e >> 32, e & 0xffffffff, true
-}
-
-func sortInts(s []int) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
-}
-
-// sortInt64s sorts the τ-root's base-fragment id list; unlike the
-// port lists sortInts handles (length ≤ degree), this can be every
-// base fragment in the graph, so it needs an O(n log n) sort.
-func sortInt64s(s []int64) {
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
 }

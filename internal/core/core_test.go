@@ -242,14 +242,20 @@ func TestBoruvkaHalving(t *testing.T) {
 	}
 }
 
+// phaseLog is an Observer that keeps the phase events of a run.
+type phaseLog struct{ events []congest.PhaseEvent }
+
+func (l *phaseLog) OnRound(congest.RoundEvent)    {}
+func (l *phaseLog) OnPhase(ev congest.PhaseEvent) { l.events = append(l.events, ev) }
+
 func TestMetricsDecomposition(t *testing.T) {
 	// The Equation (1) decomposition must account for the whole run.
 	g, err := graph.RandomConnected(100, 300, graph.GenOptions{Seed: 49})
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := &Metrics{}
-	_, stats := runMST(t, g, Config{Metrics: m}, congest.Config{})
+	m, phases := &Metrics{}, &phaseLog{}
+	_, stats := runMST(t, g, Config{Metrics: m, Observer: phases}, congest.Config{})
 	if m.N != 100 {
 		t.Errorf("Metrics.N = %d", m.N)
 	}
@@ -265,6 +271,19 @@ func TestMetricsDecomposition(t *testing.T) {
 	}
 	if sum < stats.Rounds/2 {
 		t.Errorf("decomposition %d accounts for less than half of %d rounds", sum, stats.Rounds)
+	}
+	// Each stage runs from the previous stage's PhaseEvent (round 0
+	// for the first) to its own.
+	stages := append([]int64{m.BuildRounds, m.ForestRounds, m.RegisterRounds}, m.PhaseRounds...)
+	if len(phases.events) != len(stages) {
+		t.Fatalf("%d phase events for %d stages in Metrics", len(phases.events), len(stages))
+	}
+	var prev int64
+	for i, ev := range phases.events {
+		if ev.Round-prev != stages[i] {
+			t.Errorf("event %d (%s): %d rounds since the previous one, Metrics says %d", i, ev.Name, ev.Round-prev, stages[i])
+		}
+		prev = ev.Round
 	}
 }
 

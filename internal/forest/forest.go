@@ -15,7 +15,7 @@
 // Both are asserted by the test suite from Trace snapshots.
 //
 // All vertices must enter Program in the same round (as arranged by
-// bfstree.BuildStep); they all continue in the same round.
+// bfstree.Build); they all continue in the same round.
 //
 // Each vertex runs the phases as a stage machine over one record, the
 // runner (runner.go): the stage enum says which step of the phase is
