@@ -7,18 +7,20 @@ import (
 )
 
 // elkinLollipopAllocBudget caps the allocations of one lockstep Elkin
-// run on Lollipop(16, 128), which makes 7,453, and
+// run on Lollipop(16, 128), which makes 6,598, and
 // pipelineLollipopAllocBudget those of one Pipeline-MST run on the same
-// graph, which makes 10,630. Every tree operation runs on a re-armed
-// per-vertex record and allocates nothing, so what is left is each
-// vertex's one-time setup: a -memprofile of the Elkin run puts 34 % of
-// its allocations in building τ (bfstree), 25 % in the Boruvka records
-// and their port slices (core), 22 % in the Controlled-GHS runners
-// (forest) and 14 % in the fragops.Tree records of both. The Lockstep
-// engine itself allocates almost nothing per round.
+// graph, which makes 10,227. Every tree operation runs on a re-armed
+// per-vertex record and allocates nothing, and the next stage continues
+// on the records Controlled-GHS hands over, so what is left is each
+// vertex's one-time setup: a -memprofile of the Elkin run puts 39 % of
+// its allocations in building τ (bfstree), 27 % in the Controlled-GHS
+// runners and their hand-over (forest), 22 % in the Boruvka records,
+// their bound continuations and upcast filters (core) and 8 % in the
+// one fragops.Tree per vertex. The Lockstep engine itself allocates
+// almost nothing per round.
 const (
-	elkinLollipopAllocBudget    = 9_000
-	pipelineLollipopAllocBudget = 12_000
+	elkinLollipopAllocBudget    = 8_000
+	pipelineLollipopAllocBudget = 11_500
 )
 
 func testRunAllocationBudget(t *testing.T, alg congestmst.Algorithm, budget int) {

@@ -23,17 +23,15 @@ import (
 	"fmt"
 	"strings"
 
+	"congestmst/internal/algo"
 	"congestmst/internal/cluster"
 	"congestmst/internal/congest"
 	"congestmst/internal/core"
 	"congestmst/internal/dynamic"
 	"congestmst/internal/forest"
-	"congestmst/internal/ghs"
 	"congestmst/internal/graph"
-	"congestmst/internal/mathx"
 	"congestmst/internal/nettrans"
 	"congestmst/internal/parsim"
-	"congestmst/internal/pipeline"
 	"congestmst/internal/verify"
 )
 
@@ -531,10 +529,23 @@ func RunContext(ctx context.Context, g *Graph, opts Options) (*Result, error) {
 	ports := make([][]int, g.N())
 	res := &Result{PortsByVertex: ports}
 
-	switch opts.Algorithm {
-	case Elkin, ElkinFixedK, GHS, Pipeline:
-	default:
-		return nil, fmt.Errorf("congestmst: unknown algorithm %v", opts.Algorithm)
+	// Every engine runs this vertex program but a distributed Cluster
+	// run, whose workers build their own.
+	var program func(id int) congest.Fiber
+	if opts.Cluster == nil {
+		var err error
+		program, err = algo.Program(algo.Spec{
+			Name:        opts.Algorithm.String(),
+			N:           g.N(),
+			Root:        opts.Root,
+			FixedK:      opts.FixedK,
+			Metrics:     opts.Metrics,
+			ForestTrace: opts.ForestTrace,
+			Observer:    opts.Observer,
+		}, ports, func(k, phases int) { res.K, res.BoruvkaPhases = k, phases })
+		if err != nil {
+			return nil, fmt.Errorf("congestmst: %w", err)
+		}
 	}
 
 	var stats *Stats
@@ -546,13 +557,13 @@ func RunContext(ctx context.Context, g *Graph, opts Options) (*Result, error) {
 			MaxRounds: opts.MaxRounds,
 			Observer:  opts.Observer,
 		})
-		stats, err = engine.RunContext(ctx, program(opts, g.N(), ports, res))
+		stats, err = engine.RunContext(ctx, program)
 	case Parallel, Fiber:
 		engine := parsim.NewEngine(g, parsimConfig(opts))
-		stats, err = engine.RunContext(ctx, program(opts, g.N(), ports, res))
+		stats, err = engine.RunContext(ctx, program)
 	case Async:
 		engine := parsim.NewEngine(g, parsimConfig(opts))
-		stats, err = engine.RunAsync(ctx, program(opts, g.N(), ports, res), opts.AsyncSeed)
+		stats, err = engine.RunAsync(ctx, program, opts.AsyncSeed)
 	case Cluster:
 		if opts.Cluster != nil {
 			// Distributed mode: the workers run the program; the driver
@@ -580,7 +591,7 @@ func RunContext(ctx context.Context, g *Graph, opts Options) (*Result, error) {
 				MaxRounds: opts.MaxRounds,
 				Shards:    opts.Shards,
 				Observer:  opts.Observer,
-			}, program(opts, g.N(), ports, res))
+			}, program)
 		}
 	default:
 		return nil, fmt.Errorf("congestmst: unknown engine %v", opts.Engine)
@@ -612,32 +623,6 @@ func RunContext(ctx context.Context, g *Graph, opts Options) (*Result, error) {
 	return res, nil
 }
 
-// program returns the fiber factory of the selected algorithm, writing
-// each vertex's MST ports into ports (and the root vertex's run
-// parameters into res) on completion. RunContext has already rejected
-// unknown algorithms, so the Elkin variants are the remaining case.
-func program(opts Options, n int, ports [][]int, res *Result) func(id int) congest.Fiber {
-	switch opts.Algorithm {
-	case GHS:
-		return ghs.FiberFactory(n, func(id int, mstPorts []int) { ports[id] = mstPorts })
-	case Pipeline:
-		return pipeline.FiberFactory(n, opts.Root, func(id int, r *pipeline.Result) {
-			ports[id] = r.MSTPorts
-			if id == opts.Root {
-				res.K = r.K
-			}
-		})
-	default:
-		return core.FiberFactory(n, elkinConfig(opts, n), func(id int, r *core.Result) {
-			ports[id] = r.MSTPorts
-			if id == opts.Root {
-				res.K = r.K
-				res.BoruvkaPhases = r.BoruvkaPhases
-			}
-		})
-	}
-}
-
 // parsimConfig is the parsim.Config of the Parallel, Fiber and Async
 // engines.
 func parsimConfig(opts Options) parsim.Config {
@@ -647,24 +632,6 @@ func parsimConfig(opts Options) parsim.Config {
 		Workers:   opts.Workers,
 		Observer:  opts.Observer,
 	}
-}
-
-// elkinConfig builds the core.Config for an Elkin-variant run,
-// resolving FixedK.
-func elkinConfig(opts Options, n int) core.Config {
-	cfg := core.Config{
-		Root:        opts.Root,
-		Metrics:     opts.Metrics,
-		ForestTrace: opts.ForestTrace,
-		Observer:    opts.Observer,
-	}
-	if opts.Algorithm == ElkinFixedK {
-		cfg.FixedK = opts.FixedK
-		if cfg.FixedK == 0 {
-			cfg.FixedK = mathx.Max(1, mathx.ISqrtCeil(n))
-		}
-	}
-	return cfg
 }
 
 // MST computes the unique MST of g with the paper's algorithm under

@@ -34,7 +34,7 @@ func E1BaseForest(full bool) (*Table, error) {
 		frag := make([]int64, n)
 		parent := make([]int, n)
 		for v, st := range states {
-			frag[v], parent[v] = st.FragID, st.ParentPort
+			frag[v], parent[v] = st.FragID, st.Tree.Parent
 		}
 		count, _, maxDiam := fragStats(g, frag, parent)
 		lgK, lgS := log2c(k), logStar(n)

@@ -81,7 +81,7 @@ func upcastLoop() (congest.Fiber, func(f congest.Fiber, c *stubCtx) error) {
 		{Port: 1, Msg: congest.Message{Kind: KindUpDone}},
 	}
 	return f, func(f congest.Fiber, c *stubCtx) error {
-		if err := wake(f, c, 1, in, congest.ParkQuiesce); err != nil {
+		if err := wake(f, c, 1, in, congest.ParkUntil(c.round+2)); err != nil { // the round after the wake
 			return err
 		}
 		return wake(f, c, 1, nil, congest.ParkAwait)
@@ -108,7 +108,7 @@ func routeLoop() (congest.Fiber, func(f congest.Fiber, c *stubCtx) error) {
 	return f, func(f congest.Fiber, c *stubCtx) error {
 		end := c.round + 4
 		in[2].Msg.A = end
-		if err := wake(f, c, 1, in, congest.ParkQuiesce); err != nil {
+		if err := wake(f, c, 1, in, congest.ParkUntil(c.round+2)); err != nil { // the round after the wake
 			return err
 		}
 		if err := wake(f, c, 1, nil, congest.ParkUntil(end)); err != nil {

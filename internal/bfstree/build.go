@@ -112,7 +112,7 @@ func buildFinish(c congest.Context, t *Tree, maxDepth int64, then func(c congest
 			c.Send(p, congest.Message{Kind: KindInit, A: t.N, B: t.Height, C: t.T0})
 		}
 		if len(t.ChildPorts) > 0 {
-			return congest.Quiesce(func(c congest.Context, got []congest.Inbound) congest.Step {
+			return congest.Until(c.Round()+1, func(c congest.Context, got []congest.Inbound) congest.Step {
 				if len(got) != 0 {
 					protocolf("root received %d stray messages before intervals", len(got))
 				}
@@ -125,7 +125,7 @@ func buildFinish(c congest.Context, t *Tree, maxDepth int64, then func(c congest
 
 	// Step away from the round in which we may have ACKed on the parent
 	// port, then report our completed subtree.
-	return congest.Quiesce(func(c congest.Context, got []congest.Inbound) congest.Step {
+	return congest.Until(c.Round()+1, func(c congest.Context, got []congest.Inbound) congest.Step {
 		if len(got) != 0 {
 			protocolf("vertex %d received %d messages while completing", c.ID(), len(got))
 		}

@@ -155,13 +155,13 @@ func (t *Tree) pump(c congest.Context) congest.Step {
 		// Bandwidth refresh before the marker; anything that round
 		// delivers is dropped.
 		t.op = opUpEnd
-		return congest.Quiesce(t.wake)
+		return congest.Until(c.Round()+1, t.wake)
 	case exhausted:
 		c.Send(t.ParentPort, congest.Message{Kind: t.up.Done})
 		return t.then(c)
 	case pending:
 		// Let the next round start so bandwidth refreshes.
-		return congest.Quiesce(t.wake)
+		return congest.Until(c.Round()+1, t.wake)
 	}
 	return congest.Await(t.wake)
 }
@@ -255,7 +255,7 @@ func (t *Tree) forward(c congest.Context) congest.Step {
 	}
 	switch {
 	case backlog:
-		return congest.Quiesce(t.wake)
+		return congest.Until(c.Round()+1, t.wake)
 	case t.flushed:
 		return t.quiet(c, t.end)
 	}

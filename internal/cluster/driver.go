@@ -19,7 +19,8 @@ import (
 // DispatchOptions parameterizes one distributed run.
 type DispatchOptions struct {
 	// Algorithm names the vertex program: "elkin", "elkin-fixed-k",
-	// "ghs" or "pipeline" (matching congestmst.ParseAlgorithm names).
+	// "ghs" or "pipeline" (matching congestmst.ParseAlgorithm names;
+	// each worker resolves it with algo.Program).
 	Algorithm string
 	// Root, FixedK, Bandwidth and MaxRounds have their congestmst
 	// meanings and are forwarded to every worker.

@@ -9,12 +9,9 @@ import (
 	"sync"
 	"time"
 
+	"congestmst/internal/algo"
 	"congestmst/internal/congest"
-	"congestmst/internal/core"
-	"congestmst/internal/ghs"
-	"congestmst/internal/mathx"
 	"congestmst/internal/nettrans"
-	"congestmst/internal/pipeline"
 )
 
 // helloWait bounds how long an inbound mesh connection may wait for
@@ -207,9 +204,14 @@ func (w *Worker) runJob(payload []byte) jobResult {
 	rootRes := struct {
 		k, phases int
 	}{}
-	program, err := buildProgram(h, ports, &rootMu, &rootRes.k, &rootRes.phases)
+	program, err := algo.Program(algo.Spec{Name: h.Algorithm, N: h.N, Root: h.Root, FixedK: h.FixedK}, ports,
+		func(k, phases int) {
+			rootMu.Lock()
+			rootRes.k, rootRes.phases = k, phases
+			rootMu.Unlock()
+		})
 	if err != nil {
-		return failedJob(err)
+		return failedJob(fmt.Errorf("cluster: %w", err))
 	}
 
 	samples := &sampleCollector{}
@@ -281,46 +283,6 @@ func (w *Worker) runJob(payload []byte) jobResult {
 	w.logf("mstshard: run %#x done: rounds=%d messages=%d reconnects=%d",
 		h.RunID, stats.Rounds, stats.Messages, res.header.Net.Reconnects)
 	return res
-}
-
-// buildProgram mirrors the facade's algorithm dispatch (congestmst
-// cannot be imported here — it imports this package), including the
-// ElkinFixedK sqrt(n) default, so a remote run executes exactly the
-// fibers the in-process engines run. It returns the fiber factory; the
-// root vertex reports its k (and Boruvka phase count) through k and
-// phases, under rootMu.
-func buildProgram(h jobHeader, ports [][]int, rootMu *sync.Mutex, k, phases *int) (func(id int) congest.Fiber, error) {
-	switch h.Algorithm {
-	case "elkin", "elkin-fixed-k":
-		cfg := core.Config{Root: h.Root}
-		if h.Algorithm == "elkin-fixed-k" {
-			cfg.FixedK = h.FixedK
-			if cfg.FixedK == 0 {
-				cfg.FixedK = mathx.Max(1, mathx.ISqrtCeil(h.N))
-			}
-		}
-		return core.FiberFactory(h.N, cfg, func(id int, r *core.Result) {
-			ports[id] = r.MSTPorts
-			if id == h.Root {
-				rootMu.Lock()
-				*k, *phases = r.K, r.BoruvkaPhases
-				rootMu.Unlock()
-			}
-		}), nil
-	case "ghs":
-		return ghs.FiberFactory(h.N, func(id int, mstPorts []int) { ports[id] = mstPorts }), nil
-	case "pipeline":
-		return pipeline.FiberFactory(h.N, h.Root, func(id int, r *pipeline.Result) {
-			ports[id] = r.MSTPorts
-			if id == h.Root {
-				rootMu.Lock()
-				*k = r.K
-				rootMu.Unlock()
-			}
-		}), nil
-	default:
-		return nil, fmt.Errorf("cluster: unknown algorithm %q", h.Algorithm)
-	}
 }
 
 // sampleCollector captures the per-shard workload samples of a run.

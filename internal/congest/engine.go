@@ -37,7 +37,7 @@
 // message allocates nothing on any barrier engine. Clock is the round
 // counter with the MaxRounds and deadlock checks, and SortInbox the
 // one inbox order. The Step kit (task.go) writes a Fiber as
-// continuations: Await, Until, Quiesce, Done, and Window, a
+// continuations: Await, Until, Done, and Window, a
 // fixed-length window that drains deliveries into a handler until an
 // absolute end round while StepFiber re-parks to that end itself.
 package congest

@@ -60,14 +60,6 @@ const (
 	ParkDone Park = -1
 	// ParkAwait parks until some future round delivers a message.
 	ParkAwait Park = -2
-	// ParkQuiesce parks until the synchronizer next advances past a
-	// quiescent point: on the Async engine, the close of the current
-	// delivery window (all shards idle, no messages in flight); on the
-	// round-clock engines, exactly ParkUntil(Round()+1). It is the
-	// async-native spelling of "next round" — a fiber that parks
-	// Quiesce wakes with whatever the closed window delivered, possibly
-	// nothing.
-	ParkQuiesce Park = -3
 )
 
 // ParkUntil parks until round r, or until the first earlier round that
@@ -75,16 +67,13 @@ const (
 // ParkUntil(Round()+1) wakes in the next round.
 func ParkUntil(r int64) Park { return Park(r) }
 
-// Deadline returns the absolute round a fiber that parked p in round
-// now wakes at, absent an earlier delivery: Forever for ParkAwait,
-// now+1 for ParkQuiesce on a round-clock engine, r for ParkUntil(r).
-// ParkDone has no deadline and returns ParkDone's own value.
-func (p Park) Deadline(now int64) int64 {
-	switch p {
-	case ParkAwait:
+// Deadline returns the absolute round a fiber that parked p wakes at,
+// absent an earlier delivery: Forever for ParkAwait, r for
+// ParkUntil(r). ParkDone has no deadline and returns ParkDone's own
+// value.
+func (p Park) Deadline() int64 {
+	if p == ParkAwait {
 		return Forever
-	case ParkQuiesce:
-		return now + 1
 	}
 	return int64(p)
 }

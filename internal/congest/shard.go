@@ -256,7 +256,7 @@ func (s *Shard) Step(v int, round int64) {
 		s.retire(nd)
 		return
 	}
-	target := park.Deadline(round)
+	target := park.Deadline()
 	if target <= round {
 		s.fail(fmt.Errorf("congest: processor %d parked for round %d at round %d", v, target, round))
 		s.retire(nd)

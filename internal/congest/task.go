@@ -37,12 +37,15 @@ package congest
 // closure (and every method value written at a call site) is a heap
 // allocation each time the Step is built. A program that runs many
 // windows or parks instead keeps its state in a per-vertex record it
-// re-arms, and hands Window and Await/Until/Quiesce method values
-// bound once when the record was built; then a window or park costs
-// nothing. The tree-operation records fragops.Tree (fragment trees)
-// and bfstree.Tree (the BFS tree τ), and the stage machines of
+// re-arms, and hands Window and Await/Until method values bound once
+// when the record was built; then a window or park costs nothing. The
+// tree-operation records fragops.Tree (fragment trees) and
+// bfstree.Tree (the BFS tree τ), and the stage machines of
 // Controlled-GHS (internal/forest) and of the Boruvka-over-τ stage
-// (internal/core) are written that way.
+// (internal/core) are written that way. A record can outlive the stage
+// that built it: Controlled-GHS hands each vertex's fragops.Tree and
+// port tables on to the next stage (forest.State), which continues on
+// them instead of building its own.
 
 // Resume is one continuation of a resumable program: it is handed the
 // live Context and the messages that woke the program (nil on a bare
@@ -51,7 +54,7 @@ type Resume func(c Context, msgs []Inbound) Step
 
 // Step is a park decision paired with the continuation to run when the
 // program next wakes. The zero Step is invalid; construct one with
-// Done, Await, Until, Quiesce or Window.
+// Done, Await, Until or Window.
 type Step struct {
 	park Park
 	next Resume
@@ -69,15 +72,10 @@ func Await(next Resume) Step { return Step{park: ParkAwait, next: next} }
 
 // Until parks until round r, or until the first earlier round that
 // delivers a message. r must exceed the current round;
-// Until(c.Round()+1, k) wakes in the next round.
+// Until(c.Round()+1, k) wakes in the next round, which on the Async
+// engine is the next delivery window, with whatever the closed one
+// delivered.
 func Until(r int64, next Resume) Step { return Step{park: ParkUntil(r), next: next} }
-
-// Quiesce parks until the synchronizer next advances past a quiescent
-// point (ParkQuiesce): the close of the current delivery window on the
-// Async engine, the next round on every round-clock engine. It is the
-// engine-neutral spelling of "one tick" for programs that do not need
-// an absolute deadline.
-func Quiesce(next Resume) Step { return Step{park: ParkQuiesce, next: next} }
 
 // Window drains deliveries until the absolute round end, handing each
 // inbound message to handle, and then continues with then in round
@@ -101,7 +99,7 @@ type StepFiber struct {
 	// its first park) until Start runs it; afterwards, the
 	// continuation of the Window the program is in.
 	then func(c Context) Step
-	// next is the continuation of an Await, Until or Quiesce park.
+	// next is the continuation of an Await or Until park.
 	next Resume
 	// handle and end are the current Window's message handler and end
 	// round; handle is nil outside a window.

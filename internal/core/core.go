@@ -30,9 +30,11 @@
 // a stage machine over one record per vertex, as Controlled-GHS does in
 // internal/forest: a stage enum says which step is under way, one step
 // method ends a stage and enters the next, and every tree operation
-// runs on the vertex's bfstree.Tree (τ) or fragops.Tree (its base
-// fragment), so a Boruvka phase allocates nothing at a vertex other
-// than the τ root.
+// runs on the vertex's bfstree.Tree (τ) or on the fragops.Tree of its
+// base fragment. That tree, the neighbor tables and the MST mask are
+// the forest.State that Controlled-GHS hands over, continued in place,
+// so a Boruvka phase allocates nothing at a vertex other than the τ
+// root.
 package core
 
 import (
@@ -50,7 +52,7 @@ import (
 
 // Message kinds used by the Boruvka-over-τ stage (range 50-79).
 const (
-	KindNbrCoarse uint8 = 50 // neighbor update: A = coarse fragment id
+	KindNbrCoarse uint8 = 50 // neighbor update: A = coarse fragment id, B = vertex id
 	KindMSTMark   uint8 = 51 // "the edge between us joined the MST"
 )
 
@@ -178,24 +180,22 @@ const (
 // handler are r.step and r.recv, bound once into next and handle by
 // start; the live Context is always a parameter, never a field
 // (engines re-point a shared per-shard Context between wakes). It is
-// built when the base forest is done, so that it is not live through
-// Controlled-GHS beside the forest's own records.
+// built when the base forest is done, on the State the forest handed
+// over: base-fragment operations run on st.Tree, the neighbor update
+// refreshes st.NbrFrag to coarse ids and MST marks extend st.MST.
 type boruvka struct {
 	tau  *bfstree.Tree
 	st   *forest.State
-	tree *fragops.Tree // the base fragment's tree-operation record
-	root *rootBook     // the τ root's bookkeeping; nil at every other vertex
+	root *rootBook // the τ root's bookkeeping; nil at every other vertex
 	k    int
 	done func(c congest.Context, res *Result) congest.Step
 
-	stage     stage
-	phases    int // Boruvka phases merged so far
-	heard     int // neighbor updates heard this phase
-	coarse    int64
-	nbrCoarse []int64
-	mst       []bool // port-indexed: the edge joined the MST
-	fragWin   int64  // window length for base-fragment tree operations
-	winner    int    // argmin winner pointer
+	stage   stage
+	phases  int // Boruvka phases merged so far
+	heard   int // neighbor updates heard this phase
+	coarse  int64
+	fragWin int64 // window length for base-fragment tree operations
+	winner  int   // argmin winner pointer
 
 	// emitted holds the groups this vertex forwarded in the current τ
 	// upcast, whose filter is keep.
@@ -254,39 +254,31 @@ func (b *rootBook) boundary(c congest.Context, name string) {
 	}
 }
 
-// start takes over from the base forest: it arms the record on the
-// base fragment tree and begins registration, which measures every
-// base fragment, reports (id, label, height) to the τ root via a
-// pipelined upcast, and distributes the global fragment-height bound
-// H_F used to size later windows. Cost: O(k + D + |F|/b) rounds,
+// start takes over from the base forest and begins registration on
+// the base fragment tree it left. Registration measures every base
+// fragment, reports (id, label, height) to the τ root via a pipelined
+// upcast, and distributes the global fragment-height bound H_F used to
+// size later windows. Cost: O(k + D + |F|/b) rounds,
 // O(n + D·|F|) messages — the paper's "upcast of |F_0| identities"
 // step.
 func (r *boruvka) start(c congest.Context) congest.Step {
 	r.root.boundary(c, "base-forest")
-	deg, st := c.Degree(), r.st
-	r.coarse = st.FragID
-	r.tree = fragops.NewTree(st.ParentPort, st.ChildPorts)
-	r.nbrCoarse = make([]int64, deg)
-	r.mst = make([]bool, deg)
-	if st.ParentPort >= 0 {
-		r.mst[st.ParentPort] = true
-	}
-	for _, p := range st.ChildPorts {
-		r.mst[p] = true
-	}
+	r.coarse = r.st.FragID
 	r.next, r.handle, r.keep = r.step, r.recv, r.firstOfGroup
 
 	// 12k+4 bounds the base fragment height: Controlled-GHS guarantees
 	// strong diameter at most 6·2^ceil(log k) <= 12k (Theorem 4.3).
 	r.stage = stMeasure
-	return r.tree.Converge(c, c.Round()+int64(12*r.k+6), true, [3]int64{1, 0, 0}, fragops.SizeHeight, r.next)
+	return r.st.Tree.Converge(c, c.Round()+int64(12*r.k+6), true, [3]int64{1, 0, 0}, fragops.SizeHeight, r.next)
 }
 
 // phase starts a Boruvka phase with (1) the neighbor update: O(1)
-// rounds, O(m) messages.
+// rounds, O(m) messages. It carries the vertex identity too, which a
+// forest of singletons (k < 2, no Controlled-GHS phase) hands over
+// unlearned.
 func (r *boruvka) phase(c congest.Context) congest.Step {
 	for p := 0; p < c.Degree(); p++ {
-		c.Send(p, congest.Message{Kind: KindNbrCoarse, A: r.coarse})
+		c.Send(p, congest.Message{Kind: KindNbrCoarse, A: r.coarse, B: int64(c.ID())})
 	}
 	r.heard = 0
 	r.stage = stNbrUpdate
@@ -296,13 +288,14 @@ func (r *boruvka) phase(c congest.Context) congest.Step {
 // step ends the current stage and enters the next one. It is bound
 // once into r.next, the continuation of every operation and window.
 func (r *boruvka) step(c congest.Context) congest.Step {
+	t := r.st.Tree
 	switch r.stage {
 	case stMeasure:
 		r.stage = stRegister
-		if !r.tree.Root {
+		if !t.Root {
 			return r.upcast(c)
 		}
-		return r.upcast(c, bfstree.Item{Group: r.st.FragID, W: r.tree.Value[1], U: r.tau.Lo})
+		return r.upcast(c, bfstree.Item{Group: r.st.FragID, W: t.Value[1], U: r.tau.Lo})
 
 	case stRegister:
 		var maxH int64
@@ -324,13 +317,13 @@ func (r *boruvka) step(c congest.Context) congest.Step {
 		// (2) Each base fragment finds its lightest edge leaving the
 		// coarse fragment: O(k) rounds, O(n) messages.
 		r.stage = stArgmin
-		return r.tree.Argmin(c, c.Round()+r.fragWin, true, r.localCandidate(c), &r.winner, r.next)
+		return t.Argmin(c, c.Round()+r.fragWin, true, r.localCandidate(c), &r.winner, r.next)
 
 	case stArgmin:
 		// (3) Pipelined min-filtering upcast over τ: the root learns the
 		// MWOE of every coarse fragment.
 		r.stage = stUpcast
-		if best := r.tree.Value; r.tree.Root && best != fragops.Sentinel {
+		if best := t.Value; t.Root && best != fragops.Sentinel {
 			return r.upcast(c, bfstree.Item{Group: r.coarse, W: best[0], U: best[1], V: best[2]})
 		}
 		return r.upcast(c)
@@ -363,10 +356,10 @@ func (r *boruvka) step(c congest.Context) congest.Step {
 		return r.tau.RouteDown(c, pairs, r.next)
 
 	case stRoute:
-		// r.tree still holds step (2)'s argmin, whose Root marks the
-		// base fragment root.
+		// t still holds step (2)'s argmin, whose Root marks the base
+		// fragment root.
 		var payload [3]int64
-		if mine := r.tau.Mine; r.tree.Root {
+		if mine := r.tau.Mine; t.Root {
 			if len(mine) != 1 {
 				panic(fmt.Sprintf("core: fragment root %d received %d routed pairs", c.ID(), len(mine)))
 			}
@@ -377,28 +370,16 @@ func (r *boruvka) step(c congest.Context) congest.Step {
 		// (6) Broadcast the new identity (and the chosen MWOE) through
 		// each base fragment.
 		r.stage = stRelabel
-		return r.tree.Broadcast(c, c.Round()+r.fragWin, true, payload, r.next)
+		return t.Broadcast(c, c.Round()+r.fragWin, true, payload, r.next)
 
 	case stRelabel:
-		pay := r.tree.Value
 		oldCoarse := r.coarse
-		r.coarse = pay[0]
+		r.coarse = t.Value[0]
 		// (7) The endpoint of the chosen MWOE inside the old coarse
 		// fragment marks the edge and tells the far endpoint.
-		if a, b, ok := decodeEdge(pay[1]); ok {
-			other := int64(-1)
-			switch int64(c.ID()) {
-			case a:
-				other = b
-			case b:
-				other = a
-			}
-			if other >= 0 {
-				if p := r.portTo(other); p >= 0 && r.nbrCoarse[p] != oldCoarse {
-					r.mst[p] = true
-					c.Send(p, congest.Message{Kind: KindMSTMark})
-				}
-			}
+		if p := r.st.PortOf(int64(c.ID()), t.Value[1]); p >= 0 && r.st.NbrFrag[p] != oldCoarse {
+			r.st.MST[p] = true
+			c.Send(p, congest.Message{Kind: KindMSTMark})
 		}
 		r.stage = stMark
 		return congest.Window(c, c.Round()+2, r.handle, r.next)
@@ -418,14 +399,14 @@ func (r *boruvka) recv(c congest.Context, in congest.Inbound) {
 		if in.Msg.Kind != KindNbrCoarse {
 			panic(fmt.Sprintf("core: vertex %d: kind %d during neighbor update", c.ID(), in.Msg.Kind))
 		}
-		r.nbrCoarse[in.Port] = in.Msg.A
+		r.st.NbrFrag[in.Port], r.st.NbrVertexID[in.Port] = in.Msg.A, in.Msg.B
 		r.heard++
 		return
 	}
 	if in.Msg.Kind != KindMSTMark {
 		panic(fmt.Sprintf("core: vertex %d: kind %d during MST marking", c.ID(), in.Msg.Kind))
 	}
-	r.mst[in.Port] = true
+	r.st.MST[in.Port] = true
 }
 
 // upcast starts a min-filtered upcast over τ of this vertex's items.
@@ -450,13 +431,7 @@ func (r *boruvka) firstOfGroup(it bfstree.Item) bool {
 
 // finish hands this vertex's Result to the program's continuation.
 func (r *boruvka) finish(c congest.Context) congest.Step {
-	ports := []int{}
-	for p, in := range r.mst {
-		if in {
-			ports = append(ports, p)
-		}
-	}
-	return r.done(c, &Result{MSTPorts: ports, FragID: r.coarse, K: r.k, BoruvkaPhases: r.phases})
+	return r.done(c, &Result{MSTPorts: r.st.MSTPorts(), FragID: r.coarse, K: r.k, BoruvkaPhases: r.phases})
 }
 
 // localCandidate returns this vertex's lightest edge leaving its coarse
@@ -464,11 +439,11 @@ func (r *boruvka) finish(c congest.Context) congest.Step {
 // sentinel.
 func (r *boruvka) localCandidate(c congest.Context) [3]int64 {
 	best := fragops.Sentinel
-	for p := 0; p < c.Degree(); p++ {
-		if r.nbrCoarse[p] == r.coarse {
+	for p, nbr := range r.st.NbrFrag {
+		if nbr == r.coarse {
 			continue
 		}
-		key := [3]int64{c.Weight(p), encodeEdge(int64(c.ID()), r.st.NbrVertexID[p]), r.nbrCoarse[p]}
+		key := [3]int64{c.Weight(p), forest.PackEdge(int64(c.ID()), r.st.NbrVertexID[p]), nbr}
 		if fragops.KeyLess(key, best) {
 			best = key
 		}
@@ -528,29 +503,4 @@ func (b *rootBook) merge(mins []bfstree.Item) {
 		b.pairs = append(b.pairs, bfstree.Routed{Target: f.label, A: next, B: edge})
 		f.coarse = next
 	}
-}
-
-// portTo returns the port leading to the neighbor with the given vertex
-// id, or -1.
-func (r *boruvka) portTo(id int64) int {
-	for p, v := range r.st.NbrVertexID {
-		if v == id {
-			return p
-		}
-	}
-	return -1
-}
-
-func encodeEdge(a, b int64) int64 {
-	if a > b {
-		a, b = b, a
-	}
-	return a<<32 | b
-}
-
-func decodeEdge(e int64) (a, b int64, ok bool) {
-	if e < 0 {
-		return 0, 0, false
-	}
-	return e >> 32, e & 0xffffffff, true
 }

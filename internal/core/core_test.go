@@ -186,6 +186,23 @@ func TestMSTAblationFixedK(t *testing.T) {
 	}
 }
 
+// TestMSTSingletonBaseForest covers k = 1, where Controlled-GHS runs
+// no phase and hands over a forest of singletons whose neighbor
+// identities it never learned: pinned k = 1, and the paper's rule on
+// graphs with n <= b and height 1.
+func TestMSTSingletonBaseForest(t *testing.T) {
+	ring := graph.Ring(16, graph.GenOptions{Seed: 45})
+	results, _ := runMST(t, ring, Config{FixedK: 1}, congest.Config{})
+	checkMST(t, ring, results)
+
+	complete := graph.Complete(4, graph.GenOptions{Seed: 46})
+	results, _ = runMST(t, complete, Config{}, congest.Config{Bandwidth: 4})
+	checkMST(t, complete, results)
+	if results[0].K != 1 {
+		t.Errorf("K = %d on Complete(4) with b = 4, want 1", results[0].K)
+	}
+}
+
 // tauTraffic sums the messages that travel over the BFS tree τ during
 // the Boruvka stage: the pipelined upcast and the interval-routed
 // downcast. This is exactly the term the paper's Section 1.2 analyses:

@@ -24,12 +24,22 @@
 // Per-port phase state is held in port-indexed slices, so every loop
 // over ports runs in port order. A phase allocates only when the
 // re-rooting step outgrows a port-list buffer.
+//
+// After the last phase the runner hands over, not copies: the State
+// it gives the next stage (Borůvka over τ in internal/core, or
+// Pipeline-MST) is its own fragment tree, its port-indexed neighbor
+// ids and fragment ids, and one of its port slices reused as the MST
+// mask. The runner itself is then garbage. PackEdge, State.PortOf and
+// State.MSTPorts are the one way the next stages pack an edge into a
+// message word, find its port and list the MST ports.
 package forest
 
 import (
 	"fmt"
+	"slices"
 
 	"congestmst/internal/congest"
+	"congestmst/internal/fragops"
 	"congestmst/internal/mathx"
 )
 
@@ -45,30 +55,67 @@ const (
 	KindNewFrag   uint8 = 30 // re-rooting broadcast: A=new fragment id
 )
 
-// State is one vertex's knowledge of the constructed base forest.
+// State is the record Controlled-GHS hands to the next stage: one
+// vertex's place in the base forest, as the phases left it. Nothing in
+// it is a copy, and the runner that built it is released on hand-over,
+// so the stage that continues on it owns it outright.
 type State struct {
 	// FragID is the identity of the fragment, defined as the identity
 	// of its root vertex (Id(F) = Id(rt_F), Section 2).
 	FragID int64
-	// ParentPort is the port of the fragment-tree parent, -1 at the
-	// fragment root.
-	ParentPort int
-	// ChildPorts are the fragment-tree child ports, ascending.
-	ChildPorts []int
-	// Phases is the number of Controlled-GHS phases executed.
-	Phases int
+	// Tree is the vertex's record on its fragment tree, on which every
+	// phase ran its argmin and relabel broadcast: Tree.Parent is the
+	// parent port, -1 at the fragment root, and Tree.Children the child
+	// ports, in no particular order. The next stage runs its own
+	// fragment-tree operations on it.
+	Tree *fragops.Tree
 	// NbrVertexID maps each port to the neighbor's vertex identity,
-	// learned during the neighbor-update steps.
+	// learned during the neighbor-update steps (-1 if no phase ran).
 	NbrVertexID []int64
+	// NbrFrag maps each port to the neighbor's fragment identity as of
+	// the last phase's neighbor update, stale wherever the last merge
+	// moved the neighbor. The next stage refreshes it in place.
+	NbrFrag []int64
+	// MST marks each port whose edge is in the MST: the fragment-tree
+	// ports on hand-over. The next stage extends it.
+	MST []bool
 }
 
-// TreeDegree returns the number of fragment-tree edges at this vertex.
-func (s *State) TreeDegree() int {
-	d := len(s.ChildPorts)
-	if s.ParentPort >= 0 {
-		d++
+// PackEdge packs the edge {a, b} into one message word, lower identity
+// in the high half. Vertex identities fit in 32 bits.
+func PackEdge(a, b int64) int64 {
+	if a > b {
+		a, b = b, a
 	}
-	return d
+	return a<<32 | b
+}
+
+// PortOf returns the port of vertex self on the packed edge e, or -1
+// if e is negative (no edge) or has no endpoint at self.
+func (s *State) PortOf(self, e int64) int {
+	if e < 0 {
+		return -1
+	}
+	switch lo, hi := e>>32, e&0xffffffff; self {
+	case lo:
+		return slices.Index(s.NbrVertexID, hi)
+	case hi:
+		return slices.Index(s.NbrVertexID, lo)
+	}
+	return -1
+}
+
+// MSTPorts returns the ports MST marks, ascending: the vertex's part
+// of the output ("every vertex knows which of its edges are in the
+// MST", Section 2).
+func (s *State) MSTPorts() []int {
+	ports := []int{}
+	for p, in := range s.MST {
+		if in {
+			ports = append(ports, p)
+		}
+	}
+	return ports
 }
 
 // Trace captures per-phase snapshots for offline invariant checking

@@ -129,10 +129,10 @@ func TestForestEdgesAreMSTEdges(t *testing.T) {
 			states, _, _ := runForest(t, g, 8, congest.Config{})
 			mst := mstEdgeSet(t, g)
 			for v, st := range states {
-				if st.ParentPort < 0 {
+				if st.Tree.Parent < 0 {
 					continue
 				}
-				ei := g.Adj(v)[st.ParentPort].Edge
+				ei := g.Adj(v)[st.Tree.Parent].Edge
 				if !mst[ei] {
 					t.Errorf("vertex %d: fragment edge %v is not an MST edge", v, g.Edge(ei))
 				}
@@ -146,19 +146,19 @@ func TestForestParentChildConsistency(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			states, _, _ := runForest(t, g, 8, congest.Config{})
 			for v, st := range states {
-				if st.ParentPort < 0 {
+				if st.Tree.Parent < 0 {
 					if st.FragID != int64(v) {
 						t.Errorf("fragment root %d has FragID %d", v, st.FragID)
 					}
 					continue
 				}
-				u := g.Adj(v)[st.ParentPort].To
+				u := g.Adj(v)[st.Tree.Parent].To
 				if states[u].FragID != st.FragID {
 					t.Errorf("vertex %d (frag %d) has parent %d in frag %d", v, st.FragID, u, states[u].FragID)
 				}
 				// v must appear among u's children.
 				found := false
-				for _, cp := range states[u].ChildPorts {
+				for _, cp := range states[u].Tree.Children {
 					if g.Adj(u)[cp].To == v {
 						found = true
 					}
@@ -172,7 +172,7 @@ func TestForestParentChildConsistency(t *testing.T) {
 			for id, members := range frags {
 				roots := 0
 				for _, v := range members {
-					if states[v].ParentPort < 0 {
+					if states[v].Tree.Parent < 0 {
 						roots++
 						if int64(v) != id {
 							t.Errorf("fragment %d rooted at %d", id, v)
@@ -198,7 +198,7 @@ func fragIDs(states []*State) []int64 {
 func parentPorts(states []*State) []int {
 	pp := make([]int, len(states))
 	for v, st := range states {
-		pp[v] = st.ParentPort
+		pp[v] = st.Tree.Parent
 	}
 	return pp
 }
@@ -419,7 +419,7 @@ func TestForestComplexityBounds(t *testing.T) {
 func TestForestSingletonAndTinyGraphs(t *testing.T) {
 	single := graph.Path(1, graph.GenOptions{})
 	states, _, _ := runForest(t, single, 4, congest.Config{})
-	if states[0].FragID != 0 || states[0].ParentPort != -1 {
+	if states[0].FragID != 0 || states[0].Tree.Parent != -1 {
 		t.Errorf("singleton state: %+v", states[0])
 	}
 
@@ -435,7 +435,7 @@ func TestForestKOne(t *testing.T) {
 	g := graph.Ring(8, graph.GenOptions{})
 	states, _, _ := runForest(t, g, 1, congest.Config{})
 	for v, st := range states {
-		if st.FragID != int64(v) || st.ParentPort != -1 || len(st.ChildPorts) != 0 {
+		if st.FragID != int64(v) || st.Tree.Parent != -1 || len(st.Tree.Children) != 0 {
 			t.Errorf("vertex %d not a singleton: %+v", v, st)
 		}
 	}
@@ -453,8 +453,8 @@ func TestForestWholeGraphMerged(t *testing.T) {
 	mst := mstEdgeSet(t, g)
 	edges := 0
 	for v, st := range states {
-		if st.ParentPort >= 0 {
-			ei := g.Adj(v)[st.ParentPort].Edge
+		if st.Tree.Parent >= 0 {
+			ei := g.Adj(v)[st.Tree.Parent].Edge
 			if !mst[ei] {
 				t.Errorf("edge %v not in MST", g.Edge(ei))
 			}
@@ -508,8 +508,8 @@ func TestUnitWeightsTieBreaking(t *testing.T) {
 	states, _, _ := runForest(t, g, 8, congest.Config{})
 	mst := mstEdgeSet(t, g)
 	for v, st := range states {
-		if st.ParentPort >= 0 {
-			ei := g.Adj(v)[st.ParentPort].Edge
+		if st.Tree.Parent >= 0 {
+			ei := g.Adj(v)[st.Tree.Parent].Edge
 			if !mst[ei] {
 				t.Errorf("vertex %d fragment edge %v not in tie-broken MST", v, g.Edge(ei))
 			}

@@ -49,13 +49,7 @@ const (
 func (r *runner) startPhase(c congest.Context) congest.Step {
 	i := r.phase
 	if i >= r.t {
-		return r.done(c, &State{
-			FragID:      r.fragID,
-			ParentPort:  r.tree.Parent,
-			ChildPorts:  append([]int(nil), r.tree.Children...),
-			Phases:      r.t,
-			NbrVertexID: r.nbrVid,
-		})
+		return r.handOver(c)
 	}
 	r.h = heightBound(i)
 	r.resetPhase()
@@ -67,6 +61,24 @@ func (r *runner) startPhase(c congest.Context) congest.Step {
 	// height, validating the Lemma 4.1 window budget as a side effect.
 	r.stage = stMeasure
 	return r.tree.Converge(c, c.Round()+r.h, true, [3]int64{1, 0, 0}, fragops.SizeHeight, r.next)
+}
+
+// handOver gives the finished forest to done as a State made of the
+// runner's own records: the tree, the neighbor tables and, as the MST
+// mask, the re-rooting step's treeCross. Nothing in them points back
+// at the runner (a finished fragops operation drops its continuation
+// and winner pointer), so the runner and its other port slices are
+// garbage once done returns.
+func (r *runner) handOver(c congest.Context) congest.Step {
+	t, mst := r.tree, r.treeCross
+	clear(mst)
+	if t.Parent >= 0 {
+		mst[t.Parent] = true
+	}
+	for _, p := range t.Children {
+		mst[p] = true
+	}
+	return r.done(c, &State{FragID: r.fragID, Tree: t, NbrVertexID: r.nbrVid, NbrFrag: r.nbrFrag, MST: mst})
 }
 
 // step ends the current stage and enters the next one. It is bound

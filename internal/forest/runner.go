@@ -13,7 +13,9 @@ var sentinel = fragops.Sentinel
 // plain data plus the stage it is in. Its only continuation and window
 // handler are r.step and r.recv (phase.go), bound once into next and
 // handle by newRunner, and its fragment-tree operations run on one
-// fragops.Tree record, so entering a stage allocates nothing.
+// fragops.Tree record, so entering a stage allocates nothing. After
+// the last phase its tree, nbrVid, nbrFrag and treeCross become the
+// State it hands over (handOver).
 type runner struct {
 	t     int // phases to run: Phases(k)
 	trace *Trace

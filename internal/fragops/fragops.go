@@ -17,7 +17,10 @@
 // values NewTree bound once, so running an operation allocates nothing.
 // At round end the operation continues with then, and its results stay
 // in the record (Value, Root, Received, Target) until the next
-// operation re-arms it. Handlers and continuations take the live
+// operation re-arms it. then and the winner pointer are dropped, so the
+// record keeps nothing of the program that last used it alive: the
+// Controlled-GHS runner hands each vertex's Tree on to the stage after
+// it (forest.State). Handlers and continuations take the live
 // Context as a parameter and never keep one across parks (engines
 // re-point a shared Context between wakes).
 package fragops
@@ -298,7 +301,9 @@ func (t *Tree) recv(c congest.Context, in congest.Inbound) {
 }
 
 // done is the finish step of every operation: it checks the window
-// was long enough and continues with then.
+// was long enough and continues with then. It drops the operation's
+// references into its caller first, so a record handed to another
+// owner does not keep the last caller alive.
 func (t *Tree) done(c congest.Context) congest.Step {
 	switch t.op {
 	case opConverge:
@@ -314,7 +319,9 @@ func (t *Tree) done(c congest.Context) congest.Step {
 			failf("vertex %d: broadcast never arrived", c.ID())
 		}
 	}
-	return t.then(c)
+	then := t.then
+	t.then, t.winner = nil, nil
+	return then(c)
 }
 
 func (t *Tree) isChild(p int) bool {

@@ -10,9 +10,10 @@
 package graph
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 )
 
@@ -123,7 +124,7 @@ func FromEdges(n int, edges []Edge) (*Graph, error) {
 	// duplicate edge shows up as two equal neighbors side by side.
 	for v := 0; v < g.n; v++ {
 		seg := g.arcs[g.off[v]:g.off[v+1]]
-		sort.Slice(seg, func(i, j int) bool { return seg[i].To < seg[j].To })
+		slices.SortFunc(seg, func(a, b Arc) int { return cmp.Compare(a.To, b.To) })
 		for i := 1; i < len(seg); i++ {
 			if seg[i].To == seg[i-1].To {
 				return nil, fmt.Errorf("graph: duplicate edge (%d,%d)", min(v, seg[i].To), max(v, seg[i].To))

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -59,6 +60,29 @@ func TestAdjacencySortedAndConsistent(t *testing.T) {
 	}
 	if degSum != 2*g.M() {
 		t.Errorf("sum of degrees = %d, want %d", degSum, 2*g.M())
+	}
+}
+
+// TestFromEdgesAllocationsIndependentOfN: FromEdges allocates the graph
+// and its adjacency arrays, a fixed count whatever n is, because
+// sorting each vertex's adjacency allocates nothing. The average is
+// over ten runs, so a stray allocation of the runtime's own rounds
+// away.
+func TestFromEdgesAllocationsIndependentOfN(t *testing.T) {
+	allocs := func(n, m int) float64 {
+		g, err := RandomConnected(n, m, GenOptions{Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		edges := slices.Clone(g.Edges())
+		return testing.AllocsPerRun(10, func() {
+			if _, err := FromEdges(n, edges); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if small, large := allocs(1024, 4096), allocs(4096, 16384); small != large {
+		t.Errorf("FromEdges makes %.0f allocations at n = 1024 and %.0f at n = 4096", small, large)
 	}
 }
 

@@ -21,6 +21,7 @@ const congestPath = "congestmst/internal/congest"
 // noclock fire only inside these; the other three analyzers apply
 // repo-wide.
 var DeterministicPackages = []string{
+	"congestmst/internal/algo",
 	"congestmst/internal/congest",
 	"congestmst/internal/parsim",
 	"congestmst/internal/nettrans",

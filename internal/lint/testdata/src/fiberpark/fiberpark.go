@@ -101,10 +101,10 @@ func conforming(c congest.Context) congest.Step {
 	})
 }
 
-// quiesceConforming is the legal quiesce-park shape.
+// quiesceConforming is the legal next-round park shape.
 func quiesceConforming(c congest.Context) congest.Step {
 	start := c.Round()
-	return congest.Quiesce(func(c congest.Context, msgs []congest.Inbound) congest.Step {
+	return congest.Until(c.Round()+1, func(c congest.Context, msgs []congest.Inbound) congest.Step {
 		for _, in := range msgs {
 			c.Send(in.Port, in.Msg)
 		}

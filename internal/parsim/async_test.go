@@ -14,9 +14,9 @@ import (
 )
 
 // quiesceFiber is floodFiber rewritten against the async contract: it
-// parks with ParkQuiesce instead of a computed round target, which on
-// the windowed path means "wake when the current delivery window
-// closes" and on the barrier engines degrades to ParkUntil(Round()+1).
+// parks for the next round, ParkUntil(Round()+1), instead of a computed
+// round target, which on the windowed path means "wake when the
+// current delivery window closes".
 type quiesceFiber struct {
 	rounds int
 	best   int64
@@ -36,7 +36,7 @@ func (f *quiesceFiber) begin(c congest.Context) congest.Park {
 			c.Send(p, congest.Message{Kind: byte(p % 5), A: f.best})
 		}
 	}
-	return congest.ParkQuiesce
+	return congest.ParkUntil(c.Round() + 1)
 }
 
 func (f *quiesceFiber) Resume(c congest.Context, msgs []congest.Inbound) congest.Park {
@@ -210,9 +210,9 @@ func TestAsyncObserverAccounting(t *testing.T) {
 	}
 }
 
-// quiesceParkFiber pins ParkQuiesce's wake semantics on the windowed
-// path: a send in window T must arrive exactly when the T+1 window
-// opens, observable through the logical clock.
+// quiesceParkFiber pins the next-round park's wake semantics on the
+// windowed path: a send in window T must arrive exactly when the T+1
+// window opens, observable through the logical clock.
 type quiesceParkFiber struct {
 	wokeAt  *int64
 	gotMsgs *[]congest.Inbound
@@ -223,7 +223,7 @@ func (f *quiesceParkFiber) Start(c congest.Context) congest.Park {
 	if f.send {
 		c.Send(0, congest.Message{A: 9})
 	}
-	return congest.ParkQuiesce
+	return congest.ParkUntil(c.Round() + 1)
 }
 
 func (f *quiesceParkFiber) Resume(c congest.Context, msgs []congest.Inbound) congest.Park {

@@ -16,7 +16,11 @@
 //
 // The algorithm is one Step program (Program); FiberFactory drives it
 // on every vertex, so every engine executes identical handlers and
-// reports bit-identical statistics.
+// reports bit-identical statistics. Phase 2 continues on the
+// forest.State that Controlled-GHS hands over: it refreshes NbrFrag in
+// place, builds its candidates from NbrVertexID and extends the MST
+// mask with the flooded winners, and drops the fragment tree, on which
+// it runs no operation.
 package pipeline
 
 import (
@@ -63,18 +67,13 @@ func Program(c congest.Context, root int,
 	return bfstree.Build(c, root, func(c congest.Context, tau *bfstree.Tree) congest.Step {
 		k := mathx.Max(1, mathx.ISqrtCeil(int(tau.N)))
 		return forest.Program(c, k, nil, func(c congest.Context, st *forest.State) congest.Step {
-			deg := c.Degree()
-			mst := make([]bool, deg) // port-indexed: the edge is in the MST
-			if st.ParentPort >= 0 {
-				mst[st.ParentPort] = true
-			}
-			for _, p := range st.ChildPorts {
-				mst[p] = true
-			}
+			// Pipeline runs no fragment-tree operation: let the tree go
+			// rather than hold it through the upcast and flood.
+			st.Tree = nil
 
 			// Refresh neighbor fragment ids (the forest's last phase
 			// left them stale).
-			nbrFrag := make([]int64, deg)
+			deg := c.Degree()
 			for p := 0; p < deg; p++ {
 				c.Send(p, congest.Message{Kind: KindNbrUpdate, A: st.FragID})
 			}
@@ -83,7 +82,7 @@ func Program(c congest.Context, root int,
 				if in.Msg.Kind != KindNbrUpdate {
 					panic(fmt.Sprintf("pipeline: vertex %d: kind %d during neighbor update", c.ID(), in.Msg.Kind))
 				}
-				nbrFrag[in.Port] = in.Msg.A
+				st.NbrFrag[in.Port] = in.Msg.A
 				got++
 			}, func(c congest.Context) congest.Step {
 				if got != deg {
@@ -95,12 +94,12 @@ func Program(c congest.Context, root int,
 				// duplicates. Ascending (w, packed(a,b)) is the unique
 				// edge order.
 				var own []bfstree.Item
-				for p := 0; p < deg; p++ {
-					if nbrFrag[p] == st.FragID || st.NbrVertexID[p] < int64(c.ID()) {
+				for p, nbr := range st.NbrFrag {
+					if nbr == st.FragID || st.NbrVertexID[p] < int64(c.ID()) {
 						continue
 					}
-					ab := int64(c.ID())<<32 | st.NbrVertexID[p]
-					own = append(own, bfstree.Item{Group: st.FragID, W: c.Weight(p), U: ab, V: nbrFrag[p]})
+					ab := forest.PackEdge(int64(c.ID()), st.NbrVertexID[p])
+					own = append(own, bfstree.Item{Group: st.FragID, W: c.Weight(p), U: ab, V: nbr})
 				}
 
 				// Pipeline every candidate edge to the τ root through
@@ -111,30 +110,11 @@ func Program(c congest.Context, root int,
 					return flood(c, tau, tau.Results, func(c congest.Context, chosen []int64) congest.Step {
 						// Mark local MST ports among the flooded winners.
 						for _, ab := range chosen {
-							a, b := ab>>32, ab&0xffffffff
-							var other int64 = -1
-							switch int64(c.ID()) {
-							case a:
-								other = b
-							case b:
-								other = a
-							}
-							if other < 0 {
-								continue
-							}
-							for p := 0; p < deg; p++ {
-								if st.NbrVertexID[p] == other {
-									mst[p] = true
-								}
+							if p := st.PortOf(int64(c.ID()), ab); p >= 0 {
+								st.MST[p] = true
 							}
 						}
-						ports := []int{}
-						for p, in := range mst {
-							if in {
-								ports = append(ports, p)
-							}
-						}
-						return then(c, &Result{MSTPorts: ports, K: k})
+						return then(c, &Result{MSTPorts: st.MSTPorts(), K: k})
 					})
 				})
 			})
@@ -198,7 +178,7 @@ func flood(c congest.Context, tau *bfstree.Tree, winners []bfstree.Item,
 			})
 		}
 		if qHead < len(queue) {
-			return congest.Quiesce(wake)
+			return congest.Until(c.Round()+1, wake)
 		}
 		return congest.Await(wake)
 	}
