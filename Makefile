@@ -43,14 +43,15 @@ race:
 # Coverage-guided fuzzing of NDJSON edge lists through graph.Builder →
 # Run against a Kruskal oracle (FUZZTIME, which matches the CI budget;
 # crank it locally, `make fuzz FUZZTIME=10m`, for a deeper hunt), then
-# 15 s each of the cluster mesh's batch decoder (internal/nettrans), the
-# worker's job decoder, the driver's result decoder and the cluster
-# config parser (internal/cluster), and the edge-update stream parser
-# (internal/dynamic).
+# 15 s each of the cluster mesh's batch decoder and hello reader
+# (internal/nettrans), the worker's job decoder, the driver's result
+# decoder and the cluster config parser (internal/cluster), and the
+# edge-update stream parser (internal/dynamic).
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzBuildAndRun -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz FuzzDecodeBatch -fuzztime 15s ./internal/nettrans/
+	$(GO) test -run '^$$' -fuzz FuzzReadMeshHello -fuzztime 15s ./internal/nettrans/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeJob -fuzztime 15s ./internal/cluster/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeResult -fuzztime 15s ./internal/cluster/
 	$(GO) test -run '^$$' -fuzz FuzzParseConfig -fuzztime 15s ./internal/cluster/
@@ -58,7 +59,8 @@ fuzz:
 
 # Time and allocations per op of whole runs (Elkin on a message-bound
 # and a round-bound graph, the message-bound one on every other engine
-# too, GHS, Pipeline), of the shard round and the two park paths every
+# too and the round-bound one on Cluster with its synchronizer batches
+# per op, GHS, Pipeline), of the shard round and the two park paths every
 # engine shares (the calendar and a Step-kit window), of the two
 # fragment-tree operations a Controlled-GHS phase runs most and of the
 # pipelined upcast and routed downcast on the BFS tree τ.

@@ -7,9 +7,9 @@ import (
 )
 
 // elkinLollipopAllocBudget caps the allocations of one lockstep Elkin
-// run on Lollipop(16, 128), which makes 6,598, and
+// run on Lollipop(16, 128), which makes 6,458, and
 // pipelineLollipopAllocBudget those of one Pipeline-MST run on the same
-// graph, which makes 10,227. Every tree operation runs on a re-armed
+// graph, which makes 10,087. Every tree operation runs on a re-armed
 // per-vertex record and allocates nothing, and the next stage continues
 // on the records Controlled-GHS hands over, so what is left is each
 // vertex's one-time setup: a -memprofile of the Elkin run puts 39 % of
@@ -19,8 +19,8 @@ import (
 // one fragops.Tree per vertex. The Lockstep engine itself allocates
 // almost nothing per round.
 const (
-	elkinLollipopAllocBudget    = 8_000
-	pipelineLollipopAllocBudget = 11_500
+	elkinLollipopAllocBudget    = 7_800
+	pipelineLollipopAllocBudget = 11_300
 )
 
 func testRunAllocationBudget(t *testing.T, alg congestmst.Algorithm, budget int) {

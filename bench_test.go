@@ -86,7 +86,9 @@ func BenchmarkElkinMST(b *testing.B) {
 }
 
 // BenchmarkElkinMSTEngines is BenchmarkElkinMST on each engine besides
-// Lockstep, so every engine's executor has an exact allocation count.
+// Lockstep, so every engine's executor has an exact allocation count,
+// plus the Cluster engine on BenchmarkElkinMSTLollipop's round-bound
+// graph, where it reports the synchronizer batches it wrote per run.
 func BenchmarkElkinMSTEngines(b *testing.B) {
 	g, err := congestmst.RandomConnected(512, 2048, congestmst.GenOptions{Seed: 1})
 	if err != nil {
@@ -99,7 +101,21 @@ func BenchmarkElkinMSTEngines(b *testing.B) {
 	} {
 		b.Run(opts.Engine.String(), func(b *testing.B) { benchElkin(b, g, opts) })
 	}
+	b.Run("cluster-lollipop", func(b *testing.B) {
+		nc := &batchCounter{}
+		benchElkin(b, congestmst.Lollipop(32, 512, congestmst.GenOptions{Seed: 1}),
+			congestmst.Options{Engine: congestmst.Cluster, Shards: 4, Observer: nc})
+		b.ReportMetric(float64(nc.batches), "batches/op")
+	})
 }
+
+// batchCounter is a NetObserver that keeps the batch count of the last
+// run's transport account.
+type batchCounter struct{ batches int64 }
+
+func (o *batchCounter) OnRound(congestmst.RoundEvent) {}
+func (o *batchCounter) OnPhase(congestmst.PhaseEvent) {}
+func (o *batchCounter) OnNet(ns congestmst.NetSample) { o.batches = ns.Batches }
 
 // BenchmarkElkinMSTLollipop is the round-bound twin of
 // BenchmarkElkinMST: Lollipop(32, 512) takes about 160k rounds at

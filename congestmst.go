@@ -98,10 +98,10 @@ const (
 	// Cluster is the TCP engine of internal/nettrans: vertices are
 	// partitioned into shards (Options.Shards), each shard pair shares
 	// one loopback connection carrying length-prefixed frame batches,
-	// and idle rounds are skipped by each shard's calendar
-	// announcement. Use it to exercise the algorithms over a real
-	// network transport; the socket count is Shards·(Shards-1)/2,
-	// independent of the number of edges.
+	// and shards exchange batches only at the rounds at which a frame
+	// can cross, playing the rounds between alone. Use it to exercise
+	// the algorithms over a real network transport; the socket count
+	// is Shards·(Shards-1)/2, independent of the number of edges.
 	Cluster
 	// Fiber is another name for Parallel: the same engine, the same
 	// code path. It is kept so existing callers and the "fiber" engine

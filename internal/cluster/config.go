@@ -4,8 +4,8 @@
 // process, and Dispatch partitions a graph exactly like the in-process
 // Cluster engine, ships each worker its shard assignment, and merges
 // the results — Rounds, Messages and ByKind stay bit-identical to the
-// in-process engines because every worker plays the same agreed round
-// sequence over the same mesh protocol.
+// in-process engines because every worker plays the same rounds and
+// agrees on the same sync rounds over the same mesh protocol.
 package cluster
 
 import (

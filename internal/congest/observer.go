@@ -40,11 +40,15 @@ type Observer interface {
 type RoundEvent struct {
 	// Round is the round index just played (starting at 0). Idle
 	// rounds skipped by calendar fast-forward produce no event, so
-	// consecutive events may jump.
+	// consecutive events may jump. The Cluster engine emits one event
+	// per sync round instead, the rounds at which its shards exchange
+	// batches, and names no round past the last one a fiber of the
+	// process ran.
 	Round int64
 	// Active is the number of vertices resumed in this round. For the
-	// Cluster engine this is a best-effort global sample (shards
-	// accumulate it concurrently).
+	// Cluster engine it is a best-effort global sample of the vertices
+	// resumed since the previous sync round (shards play those rounds
+	// and accumulate it concurrently).
 	Active int
 	// Messages is the cumulative count of messages injected up to and
 	// including this round — monotone non-decreasing across events and
@@ -157,9 +161,10 @@ type NetSample struct {
 	// at its reading endpoint).
 	BytesOut, BytesIn   int64
 	FramesOut, FramesIn int64
-	// Batches counts the synchronizer batches written, one per peer in
-	// each agreed round where the writing shard was busy or owed a
-	// heartbeat. Replays after a reconnect are not counted again.
+	// Batches counts the synchronizer batches written, one per peer at
+	// each sync round where the writing shard played a round since its
+	// last batch, was sent frames, or owed a heartbeat. Replays after a
+	// reconnect are not counted again.
 	Batches int64
 	// Dials counts connection attempts while the mesh was established;
 	// DialRetries counts the attempts that failed transiently and were

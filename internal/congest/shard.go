@@ -394,6 +394,33 @@ func (s *Shard) Next(round int64) int64 {
 	return s.cal.Next(s.liveFn)
 }
 
+// Reach returns the earliest round after round at which a wake of the
+// shard can reach a vertex at distance 0, given each vertex's hop
+// distance dist[v-lo] inside the shard to the nearest such vertex
+// (negative when none is reachable): the minimum, over the vertices due
+// at round+1 and the live calendar entries, of the wake round plus the
+// vertex's distance, or Forever. Mail moves one hop a round and a
+// ParkAwait vertex wakes only to mail, so until mail arrives from
+// outside the shard no vertex at distance 0 runs before Reach. It is
+// never below Next(round) and allocates nothing.
+func (s *Shard) Reach(round int64, dist []int32) int64 {
+	best := Forever
+	if d := s.due.nearest(dist); d >= 0 {
+		best = round + 1 + int64(d)
+	}
+	// The earliest bucket is last; a bucket at or past best cannot
+	// lower it, and neither can any later one.
+	for i := len(s.cal.buckets) - 1; i >= 0 && s.cal.buckets[i].round < best; i-- {
+		b := &s.cal.buckets[i]
+		for _, t := range b.items[b.head:] {
+			if d := dist[t.ID-s.lo]; d >= 0 && s.liveTimer(t) {
+				best = min(best, b.round+int64(d))
+			}
+		}
+	}
+	return best
+}
+
 // release adds a due calendar entry's vertex to the wake set; a
 // vertex already in it, through mail or a next-round park, stays once.
 func (s *Shard) release(t TimerEntry) { s.woken.add(t.ID) }

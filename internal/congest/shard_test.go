@@ -160,3 +160,44 @@ func TestWakeSetDrainStopsEarly(t *testing.T) {
 		}
 	}
 }
+
+// TestShardReach files wakes one at a time and checks the send bound
+// after each: due vertices count from round+1, calendar entries from
+// their deadline, vertices with a negative distance never, and an entry
+// whose vertex woke early and parked elsewhere (a stale entry) or
+// retired no longer counts. The bound never falls below Next, and
+// computing it allocates nothing.
+func TestShardReach(t *testing.T) {
+	g := graph.Path(8, graph.GenOptions{})
+	s := NewShard(g.CSR(), 0, g.N(), 1, func(err error) { t.Fatal(err) })
+	dist := []int32{-1, 4, 2, -1, 0, 3, 1, -1}
+	const round = 10
+	for _, step := range []struct {
+		name string
+		file func()
+		want int64
+	}{
+		{"empty", func() {}, Forever},
+		{"due-unreachable", func() { s.due.add(3) }, Forever},
+		{"due", func() { s.due.add(1) }, 11 + 4},
+		{"due-nearer", func() { s.due.add(2) }, 11 + 2},
+		{"entry-later", func() { s.cal.Schedule(TimerEntry{Round: 14, ID: 6}) }, 13},
+		{"entry-unreachable", func() { s.cal.Schedule(TimerEntry{Round: 11, ID: 0}) }, 13},
+		{"entry", func() { s.cal.Schedule(TimerEntry{Round: 12, ID: 4}) }, 12},
+		{"entry-stale", func() { s.nodes[4].gen++ }, 13},
+		{"entry-farther", func() { s.cal.Schedule(TimerEntry{Round: 11, ID: 5}) }, 13},
+		{"due-played", func() { s.due = newWakeSet(0, 8) }, 11 + 3},
+		{"entry-retired", func() { s.nodes[5].done = true }, 14 + 1},
+	} {
+		step.file()
+		if got := s.Reach(round, dist); got != step.want {
+			t.Errorf("%s: Reach = %d, want %d", step.name, got, step.want)
+		}
+		if got, next := s.Reach(round, dist), s.Next(round); got < next {
+			t.Errorf("%s: Reach = %d below Next = %d", step.name, got, next)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { s.Reach(round, dist) }); allocs != 0 {
+		t.Errorf("Reach: %v allocations, want 0", allocs)
+	}
+}

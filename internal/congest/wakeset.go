@@ -55,3 +55,24 @@ func (w *wakeSet) drain(yield func(int) bool) {
 		w.sum[si] = 0
 	}
 }
+
+// nearest returns the least non-negative dist[v-lo] over the members,
+// or -1 when no member has one. It leaves the set as it is.
+func (w *wakeSet) nearest(dist []int32) int32 {
+	best := int32(-1)
+	for si, s := range w.sum {
+		for ; s != 0; s &= s - 1 {
+			i := si<<6 | bits.TrailingZeros64(s)
+			for word := w.words[i]; word != 0; word &= word - 1 {
+				d := dist[i<<6|bits.TrailingZeros64(word)]
+				if d == 0 {
+					return 0
+				}
+				if d > 0 && (best < 0 || d < best) {
+					best = d
+				}
+			}
+		}
+	}
+	return best
+}

@@ -109,7 +109,13 @@ func (s *State) PortOf(self, e int64) int {
 // of the output ("every vertex knows which of its edges are in the
 // MST", Section 2).
 func (s *State) MSTPorts() []int {
-	ports := []int{}
+	n := 0
+	for _, in := range s.MST {
+		if in {
+			n++
+		}
+	}
+	ports := make([]int, 0, n)
 	for p, in := range s.MST {
 		if in {
 			ports = append(ports, p)

@@ -50,7 +50,7 @@ func awaitGoroutines(t *testing.T, baseline int) {
 
 // TestRunContextCancelReleasesSockets cancels an endlessly stepping
 // cluster run mid-flight: every shard loop observes the dropped mesh
-// within one agreed round, the error wraps context.Canceled, and both
+// within one round, the error wraps context.Canceled, and both
 // the goroutine and the fd counts return to their pre-run baselines
 // (all Shards·(Shards-1)/2 sockets closed).
 func TestRunContextCancelReleasesSockets(t *testing.T) {

@@ -10,17 +10,21 @@ import (
 	"congestmst/internal/congest"
 )
 
-// Wire format: a shard writes one length-prefixed batch to every peer in
-// each agreed round where it is busy (or owes a heartbeat); see the
-// package doc for which rounds those are.
+// Wire format: a shard writes one length-prefixed batch to every peer at
+// each sync round where it has played a round since it last wrote, was
+// sent frames, or owes a heartbeat; see the package doc for which rounds
+// are sync rounds.
 //
 //	u32  payload length
-//	u64  round   — the agreed round the sender just executed
-//	i64  next    — the sender's own calendar: the earliest round it can
-//	               be busy on its own account (Forever = idle)
+//	u64  round   — the sync round the sender just reached
+//	i64  next    — the sender's own calendar: the earliest round it has
+//	               work on its own account (Forever = idle)
+//	i64  send    — the earliest round at which the sender can next put
+//	               a frame on the wire, at least next (Forever = never,
+//	               until a frame reaches it)
 //	u32  live    — the sender's local programs still running
-//	u32  ndest   — destination shards the sender sent frames to this
-//	               round (to any peer, not only this batch's reader)
+//	u32  ndest   — destination shards the sender sent frames to at this
+//	               sync (to any peer, not only this batch's reader)
 //	u32  count   — message frames that follow the destination set
 //	ndest × u32  destination shard ids, strictly ascending
 //	count × frame
@@ -36,7 +40,7 @@ import (
 //	u8   kind
 //	4×i64 payload words A..D
 const (
-	batchHeaderSize = 8 + 8 + 4 + 4 + 4
+	batchHeaderSize = 8 + 8 + 8 + 4 + 4 + 4
 	destSize        = 4
 	frameSize       = 4 + 4 + 1 + 4*8
 
@@ -60,6 +64,7 @@ type wireMsg struct {
 type batch struct {
 	round int64
 	next  int64
+	send  int64
 	live  uint32
 	dests []int32
 	msgs  []wireMsg
@@ -68,11 +73,12 @@ type batch struct {
 
 // appendBatch encodes one batch onto buf (reusing its capacity) and
 // returns the extended slice, length prefix included.
-func appendBatch(buf []byte, round, next int64, live uint32, dests []int32, msgs []wireMsg) []byte {
+func appendBatch(buf []byte, round, next, send int64, live uint32, dests []int32, msgs []wireMsg) []byte {
 	payload := batchHeaderSize + len(dests)*destSize + len(msgs)*frameSize
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(payload))
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(round))
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(next))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(send))
 	buf = binary.LittleEndian.AppendUint32(buf, live)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(dests)))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(msgs)))
@@ -146,10 +152,11 @@ func decodeBatch(buf []byte, nshards, from int) (*batch, error) {
 	b := &batch{
 		round: int64(binary.LittleEndian.Uint64(buf[0:])),
 		next:  int64(binary.LittleEndian.Uint64(buf[8:])),
-		live:  binary.LittleEndian.Uint32(buf[16:]),
+		send:  int64(binary.LittleEndian.Uint64(buf[16:])),
+		live:  binary.LittleEndian.Uint32(buf[24:]),
 	}
-	ndest := int(binary.LittleEndian.Uint32(buf[20:]))
-	count := int(binary.LittleEndian.Uint32(buf[24:]))
+	ndest := int(binary.LittleEndian.Uint32(buf[28:]))
+	count := int(binary.LittleEndian.Uint32(buf[32:]))
 	if batchHeaderSize+ndest*destSize+count*frameSize != len(buf) {
 		return nil, fmt.Errorf("nettrans: batch with %d destinations and %d frames does not match payload size %d",
 			ndest, count, len(buf))

@@ -18,16 +18,16 @@ import (
 // format end to end.
 func TestBatchRoundTrip(t *testing.T) {
 	cases := []struct {
-		round, next int64
-		live        uint32
-		dests       []int32
-		msgs        []wireMsg
+		round, next, send int64
+		live              uint32
+		dests             []int32
+		msgs              []wireMsg
 	}{
-		{0, 1, 3, nil, nil},
-		{1, congest.Forever, 0, nil, nil},
-		{7, 12, 2, []int32{0}, []wireMsg{{src: 0, port: 0, msg: congest.Message{Kind: 1, A: 42}}}},
-		{9, 10, 1, []int32{0, 2, 3}, nil},
-		{1 << 40, math.MaxInt64, 1 << 20, []int32{0}, []wireMsg{
+		{0, 1, 1, 3, nil, nil},
+		{1, congest.Forever, congest.Forever, 0, nil, nil},
+		{7, 12, 40, 2, []int32{0}, []wireMsg{{src: 0, port: 0, msg: congest.Message{Kind: 1, A: 42}}}},
+		{9, 10, congest.Forever, 1, []int32{0, 2, 3}, nil},
+		{1 << 40, 1<<40 + 1, math.MaxInt64, 1 << 20, []int32{0}, []wireMsg{
 			{src: math.MaxInt32, port: 0, msg: congest.Message{Kind: 255, A: math.MaxInt64, B: math.MinInt64, C: -1, D: 1}},
 			{src: 3, port: 9, msg: congest.Message{Kind: 7, A: -42, C: math.MaxInt64 - 1, D: math.MinInt64 + 1}},
 			{src: 5, port: 2, msg: congest.Message{}},
@@ -35,7 +35,7 @@ func TestBatchRoundTrip(t *testing.T) {
 	}
 	var wire bytes.Buffer
 	for _, c := range cases {
-		wire.Write(appendBatch(nil, c.round, c.next, c.live, c.dests, c.msgs))
+		wire.Write(appendBatch(nil, c.round, c.next, c.send, c.live, c.dests, c.msgs))
 	}
 	br := newBatchReader(&wire, 4, 1)
 	for i, c := range cases {
@@ -43,9 +43,9 @@ func TestBatchRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("case %d: read: %v", i, err)
 		}
-		if b.round != c.round || b.next != c.next || b.live != c.live {
-			t.Errorf("case %d: header (%d,%d,%d), want (%d,%d,%d)",
-				i, b.round, b.next, b.live, c.round, c.next, c.live)
+		if b.round != c.round || b.next != c.next || b.send != c.send || b.live != c.live {
+			t.Errorf("case %d: header (%d,%d,%d,%d), want (%d,%d,%d,%d)",
+				i, b.round, b.next, b.send, b.live, c.round, c.next, c.send, c.live)
 		}
 		if !slices.Equal(b.dests, c.dests) {
 			t.Errorf("case %d: destinations %v, want %v", i, b.dests, c.dests)
@@ -61,18 +61,19 @@ func TestBatchRoundTrip(t *testing.T) {
 	}
 }
 
-// TestBatchSizes pins the wire layout: a 32-byte batch header, 4 bytes
-// per destination shard, and 41-byte frames tagged (src, port).
+// TestBatchSizes pins the wire layout: a 4-byte length prefix, a
+// 36-byte batch header, 4 bytes per destination shard, and 41-byte
+// frames tagged (src, port).
 func TestBatchSizes(t *testing.T) {
-	if batchHeaderSize != 8+8+4+4+4 {
-		t.Errorf("batchHeaderSize = %d, want %d", batchHeaderSize, 8+8+4+4+4)
+	if batchHeaderSize != 36 {
+		t.Errorf("batchHeaderSize = %d, want 36 (round, next, send, live, ndest, count)", batchHeaderSize)
 	}
 	if frameSize != 4+4+1+4*8 {
 		t.Errorf("frameSize = %d, want %d", frameSize, 4+4+1+4*8)
 	}
 	msgs := []wireMsg{{src: 1, port: 2, msg: congest.Message{Kind: 3}}}
-	buf := appendBatch(nil, 0, 1, 1, []int32{0}, msgs)
-	if want := 4 + batchHeaderSize + destSize + frameSize; len(buf) != want {
+	buf := appendBatch(nil, 0, 1, 2, 1, []int32{0}, msgs)
+	if want := 4 + 36 + destSize + frameSize; len(buf) != want {
 		t.Errorf("encoded batch is %d bytes, want %d", len(buf), want)
 	}
 	if got := binary.LittleEndian.Uint32(buf); int(got) != batchHeaderSize+destSize+frameSize {
@@ -95,9 +96,9 @@ func TestBatchReaderRejectsMalformed(t *testing.T) {
 	}
 
 	// Count field disagreeing with the payload size.
-	good := appendBatch(nil, 0, 1, 1, []int32{0}, []wireMsg{{src: 1}})
+	good := appendBatch(nil, 0, 1, 1, 1, []int32{0}, []wireMsg{{src: 1}})
 	bad := bytes.Clone(good)
-	binary.LittleEndian.PutUint32(bad[4+24:], 2) // claim two frames, carry one
+	binary.LittleEndian.PutUint32(bad[4+32:], 2) // claim two frames, carry one
 	if _, err := newBatchReader(bytes.NewReader(bad), 4, 1).read(); err == nil {
 		t.Error("count/payload mismatch accepted")
 	}
@@ -111,7 +112,7 @@ func TestBatchReaderRejectsMalformed(t *testing.T) {
 	// Destination sets naming a shard out of range, the sender itself,
 	// or the same shard twice.
 	for _, dests := range [][]int32{{4}, {-1}, {1}, {0, 0}, {2, 0}} {
-		buf := appendBatch(nil, 0, 1, 1, dests, nil)
+		buf := appendBatch(nil, 0, 1, 1, 1, dests, nil)
 		if _, err := newBatchReader(bytes.NewReader(buf), 4, 1).read(); err == nil {
 			t.Errorf("destination set %v from shard 1 of 4 accepted", dests)
 		}
@@ -151,7 +152,7 @@ func FuzzDecodeBatch(f *testing.F) {
 		if err != nil {
 			return
 		}
-		wire := appendBatch(nil, b.round, b.next, b.live, b.dests, b.msgs)
+		wire := appendBatch(nil, b.round, b.next, b.send, b.live, b.dests, b.msgs)
 		if !bytes.HasPrefix(data, wire) {
 			t.Fatalf("accepted batch re-encodes to %x, read from %x", wire, data[:min(len(data), len(wire))])
 		}

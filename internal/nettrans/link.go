@@ -39,17 +39,18 @@ var errMeshClosed = errors.New("mesh closed")
 
 // Mesh hello wire format, exchanged once per established connection:
 //
-//	4 bytes  magic "MSH2"
+//	4 bytes  magic "MSH3"
 //	u32      from  — the dialing shard
 //	u32      to    — the shard being connected to
 //	u64      run   — the run identifier both endpoints must agree on
 //
 // The accepting endpoint answers with a single ack byte after routing
 // the connection, which is what the dialer's RTT gauge times. The magic
-// names the batch format too (MSH2 batches carry a destination set), so
-// a fleet mixing binaries of different formats fails at the hello
-// instead of mis-framing.
-var MeshMagic = [4]byte{'M', 'S', 'H', '2'}
+// names the batch format and the sync rule too (MSH3 batch headers carry
+// the sender's send bound next to its calendar, and batches flow only at
+// sync rounds), so a fleet mixing binaries of different formats fails at
+// the hello instead of mis-framing or desyncing.
+var MeshMagic = [4]byte{'M', 'S', 'H', '3'}
 
 const (
 	meshHelloBodySize = 4 + 4 + 8
@@ -118,13 +119,13 @@ type link struct {
 
 	// The replay log: every batch written since the last batch read
 	// from the peer, back to back in logBuf, oldest first, with one
-	// logEntry per batch. Reading the peer's batch for round G proves
-	// the peer consumed all of ours for rounds before G (it had to, to
+	// logEntry per batch. Reading the peer's batch for sync G proves
+	// the peer consumed all of ours for syncs before G (it had to, to
 	// reach G), so ack drops exactly those; the rest may still die in a
-	// broken connection's buffers. A busy shard can run ahead of a quiet
-	// peer until it needs the peer's next heartbeat, so the log holds
-	// at most heartbeatEvery+2 batches. The receiver deduplicates by
-	// round, so replaying all of it is safe.
+	// broken connection's buffers. A writing shard can run ahead of a
+	// quiet peer until it needs the peer's next heartbeat, so the log
+	// holds at most heartbeatEvery+2 batches. The receiver deduplicates
+	// by round, so replaying all of it is safe.
 	logBuf []byte
 	log    []logEntry
 
@@ -145,8 +146,8 @@ func newLink(c *cluster, self, peer int) *link {
 		c:    c,
 		self: self,
 		peer: peer,
-		// A busy peer runs at most heartbeatEvery agreed rounds ahead
-		// of our ingestion (then it needs our next batch), so at most
+		// A writing peer runs at most heartbeatEvery syncs ahead of
+		// our ingestion (then it needs our next batch), so at most
 		// heartbeatEvery+1 of its batches wait here, and a reconnect
 		// replays at most that many again as duplicates. With room for
 		// both, the reader never stops draining the socket, so the
@@ -381,12 +382,7 @@ func (l *link) connectAndReplay(replay bool) (net.Conn, error) {
 			l.c.replayedFrames.Add(frames)
 			l.c.netBytesOut.Add(int64(len(wire)))
 			l.c.netFramesOut.Add(frames)
-			for {
-				prev := l.c.maxReplay.Load()
-				if replayed <= prev || l.c.maxReplay.CompareAndSwap(prev, replayed) {
-					break
-				}
-			}
+			atomicMax(&l.c.maxReplay, replayed)
 			return conn, nil
 		}
 		conn.Close()
@@ -396,7 +392,7 @@ func (l *link) connectAndReplay(replay bool) (net.Conn, error) {
 	}
 }
 
-// send transmits one encoded batch for the given agreed round,
+// send transmits one encoded batch for the given sync round,
 // transparently reconnecting and replaying on failure. The batch joins
 // the replay log before the first write, so a recovery triggered by
 // either endpoint of the connection re-delivers it; the receiver drops
@@ -432,7 +428,7 @@ func (l *link) send(round int64, buf []byte, frames int64) error {
 	}
 }
 
-// ack drops the logged batches for rounds before round: the peer wrote
+// ack drops the logged batches for syncs before round: the peer wrote
 // its batch for round, so it consumed every one of ours before it.
 func (l *link) ack(round int64) {
 	l.mu.Lock()

@@ -1,6 +1,7 @@
 package nettrans
 
 import (
+	"bytes"
 	"context"
 	"io"
 	"net"
@@ -172,4 +173,56 @@ func TestMeshTwoWorkersTokenWalk(t *testing.T) {
 		t.Errorf("merged stats differ from lockstep: rounds %d vs %d, messages %d vs %d",
 			merged.Rounds, want.Rounds, merged.Messages, want.Messages)
 	}
+}
+
+// FuzzReadMeshHello feeds arbitrary bytes to the accepting end of a
+// mesh connection: acceptMesh reads the magic and the hello off one end
+// of a net.Pipe, for an in-process cluster of 4 shards (run id 0) that
+// never connects. It must never panic, and a hello it accepts must name
+// a local link, which receives the connection, and must be acked. The
+// seed corpus (testdata/fuzz/FuzzReadMeshHello) holds a valid hello,
+// one with the previous magic MSH2, a truncated one, one naming a
+// negative shard and one of a foreign run.
+func FuzzReadMeshHello(f *testing.F) {
+	g := graph.Path(8, graph.GenOptions{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		c := newCluster(g, Config{Shards: 4, ReadTimeout: time.Second}, nil)
+		client, server := net.Pipe()
+		defer client.Close()
+		defer server.Close()
+		go func() {
+			client.Write(data)
+			if len(data) < len(MeshMagic)+meshHelloBodySize {
+				client.Close() // the stream ends inside the hello
+			}
+		}()
+		acked := make(chan bool, 1)
+		go func() {
+			var ack [1]byte
+			_, err := io.ReadFull(client, ack[:])
+			acked <- err == nil && ack[0] == helloAck
+		}()
+		if err := c.acceptMesh(server); err != nil {
+			return
+		}
+		h, err := ReadMeshHello(bytes.NewReader(data[len(MeshMagic):]))
+		if err != nil {
+			t.Fatalf("accepted a hello that does not decode: %v", err)
+		}
+		if h.To < 0 || h.To >= c.nshards || h.From < 0 || h.From >= c.nshards ||
+			c.shards[h.To] == nil || c.shards[h.To].links[h.From] == nil {
+			t.Fatalf("accepted hello %+v names no local link", h)
+		}
+		select {
+		case conn := <-c.shards[h.To].links[h.From].pending:
+			if conn != server {
+				t.Fatalf("hello %+v routed another connection", h)
+			}
+		default:
+			t.Fatalf("accepted hello %+v never reached its link", h)
+		}
+		if !<-acked {
+			t.Fatalf("accepted hello %+v was not acked", h)
+		}
+	})
 }

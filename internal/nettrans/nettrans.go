@@ -16,56 +16,88 @@
 //     (vertex, port) through the shared graph.CSR, so a frame is 41
 //     bytes regardless of graph size.
 //
-//   - Busy-set synchronizer. Instead of an end-of-round marker on every
-//     edge every round (the alpha-synchronizer cost that scales with
-//     idle rounds), a shard writes one batch to every peer only in the
-//     agreed rounds where it has work. A batch carries the sender's own
-//     calendar next — round+1 if a local vertex is due, counting the
-//     recipients of its local sends, else its earliest live park
-//     deadline (congest.Shard.Next) — its count of still-running
-//     programs, and the set of shards it sent frames to. Every shard
-//     keeps the last (next, live) of every shard. The agreed next round
-//     G′ is the minimum of all those next values, or G+1 when any batch
-//     at G named a destination. The busy set B(G′) holds each shard
-//     whose next is G′ plus, when G′ = G+1, each shard named as a
-//     destination at G; round 0 has every shard busy. Every shard
-//     computes the same set from the same batches. At round G only the
-//     members of B(G) run fibers and write, and each shard reads only
-//     from the other members. A shard outside B(G) runs no fiber and is
-//     sent no frame, so its calendar and live count cannot change: its
-//     last announcement stands in for the batch it no longer sends.
-//     Wire traffic follows the shards that have work, idle rounds cost
-//     nothing, and the agreed round sequence is exactly the one the
-//     lockstep engine plays — which is why Stats.Rounds (and
-//     Messages/ByKind, counted on delivery) match the simulators bit
-//     for bit.
+//   - Distance-bounded synchronizer. Shards exchange batches only at
+//     sync rounds, the rounds at which some shard could next put a frame
+//     on the wire, and between two sync rounds each shard plays its own
+//     rounds alone, the way Lockstep plays them. This is a conservative
+//     time window (Nicol, J. ACM 1993) over one global round sequence,
+//     so an idle stretch is still crossed in one exchange.
 //
-// Termination (the live total reaches zero) and deadlock (every next is
-// Forever while programs still run) are agreed on by every shard from
-// the same view; no separate control plane or FIN handshake is needed.
+// The send bound. When a shard is built, one multi-source BFS inside
+// its vertex range gives each vertex its hop distance to the boundary:
+// the nearest vertex with an arc into another shard. A message moves
+// one hop a round, and a vertex parked ParkAwait wakes only to mail, so
+// until a frame arrives no boundary vertex of the shard runs before the
+// minimum, over its pending wakes (the vertices due next round and the
+// live calendar entries), of the wake round plus the vertex's distance
+// (congest.Shard.Reach). That minimum is the shard's send, and it is
+// never below its next, the earliest round it has work at all
+// (congest.Shard.Next).
+//
+// The sync rule. At sync round W a writing shard plays W, then sends
+// every peer one batch: the frames it staged at W, its next and send,
+// its count of still-running programs, and the set of shards it sent
+// frames to. Every shard keeps the last announcement of every shard,
+// and computes from that view, as every other shard does, the next sync
+// round W′: W+1 if any batch of W named a destination, since frames sent
+// at W wake their recipients at W+1, and otherwise the minimum of all
+// sends. Shard j writes at W′ if its next is at most W′, if a batch of W
+// named it, or if it owes a heartbeat; round 0 has every shard writing.
+// A shard that does not write plays no round in (W, W′] and is sent no
+// frame, so its next, send and live count cannot have changed: its last
+// announcement stands in for the batch it no longer sends.
+//
+// Why no frame appears between syncs. Frames reach a shard only in a
+// sync, so from sync W on each shard evolves from its own pending
+// wakes, and its first frame can leave no earlier than its send. W′ is
+// at most every send, so no shard reaches its boundary before W′. A
+// frame staged at any other round means the bound was wrong; that fails
+// the run with an internal error instead of holding the frame back.
+// Rounds that carry no frame therefore need no exchange, and the rounds
+// each shard plays are exactly those Lockstep plays, which is why
+// Stats.Rounds (the last round any fiber ran) and Messages and ByKind
+// (counted on delivery) match the simulators bit for bit. Each sync
+// interval holds at least one played round, and a writer that is not
+// paying a heartbeat played a round since it last wrote, so a run never
+// writes more batches than one exchange per played round would, up to
+// one final exchange.
+//
+// Termination, deadlock and MaxRounds. When every send is Forever and
+// no batch named a destination, W′ is Forever: each shard plays out its
+// own work and then joins one final exchange in which every shard
+// writes. A live total of zero in any exchange ends the run, agreed by
+// every shard from the same view; no separate control plane or FIN
+// handshake is needed. After the final exchange a positive live total is
+// ErrDeadlock, since every program then waits for mail that no one will
+// send. MaxRounds is checked against the rounds a shard has work in, as
+// Lockstep checks the rounds it advances to; a sync round that no fiber
+// plays may lie past the last round and trips nothing by itself.
+//
 // Any transport failure — a broken connection that cannot be healed, a
 // program panic, a bandwidth violation — closes every connection, which
 // unwinds all shards and surfaces as an error from Run instead of a
 // hang.
 //
-// A quiet shard that has not written for heartbeatEvery agreed rounds
-// writes an announcement-only heartbeat. Every shard knows when each
-// shard last wrote, so readers expect heartbeats exactly when they
-// arrive. Heartbeats bound the replay log of each link: reading a
-// peer's batch for round G proves the peer consumed all of ours for
-// rounds before G, so a link keeps only what it wrote since it last
-// heard from the peer, and replays all of it on a fresh connection
-// after a fault (the receiver drops duplicates by round).
+// Heartbeats and the replay log. A quiet shard that has not written for
+// heartbeatEvery syncs writes an announcement-only heartbeat. Every
+// shard knows when each shard last wrote, so readers expect heartbeats
+// exactly when they arrive. Heartbeats bound the replay log of each
+// link: reading a peer's batch for sync W proves the peer consumed all
+// of ours for syncs before W, so a link keeps only what it wrote since
+// it last heard from the peer, at most heartbeatEvery+2 batches, and
+// replays all of it on a fresh connection after a fault (the receiver
+// drops duplicates by round).
 //
-// No deadlock. A busy shard reads only from shards that write, so it
+// No deadlock. A writing shard reads only from shards that write, so it
 // can run ahead of quiet peers until it needs one's heartbeat. Take the
-// shard at the lowest agreed round G. Every batch it waits for comes
-// from a writer of round G, which is at G or beyond and writes before
-// it reads, so the batch is written. Its own writes drain, because
-// every link has a reader goroutine of its own that moves batches off
-// the socket whatever its shard loop is doing, into a channel with room
-// for the largest run-ahead plus a replay. So the lowest shard always
-// makes progress, however far a lone busy shard runs ahead.
+// shard at the lowest sync W. Every batch it waits for comes from a
+// writer of W, which is at W or beyond and writes before it reads, so
+// the batch is written; the rounds a shard plays alone between syncs
+// wait on nothing. Its own writes drain, because every link has a
+// reader goroutine of its own that moves batches off the socket
+// whatever its shard loop is doing, into a channel with room for the
+// largest run-ahead plus a replay. So the lowest shard always makes
+// progress, however far a lone writer runs ahead.
 //
 // Each shard is a congest.Shard, the executor the in-process engines
 // run on, so the vertex record, the Context, the park switch and the
@@ -79,6 +111,7 @@ package nettrans
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"slices"
@@ -126,11 +159,12 @@ type Config struct {
 	// fault-injection hook for exercising the reconnect path in tests
 	// and smoke runs. Zero (the default) disables it.
 	ChaosCloseAfter int64
-	// Observer, when non-nil, receives round events (emitted by shard 0
-	// with best-effort global active counts, exact cumulative message
-	// totals at the final event) and, for congest.ShardObserver /
-	// congest.NetObserver implementations, per-shard workload samples
-	// and the socket-level transport account when the run ends.
+	// Observer, when non-nil, receives one round event per sync round
+	// (emitted by the lowest local shard, with best-effort global active
+	// counts and exact cumulative message totals at the final event)
+	// and, for congest.ShardObserver / congest.NetObserver
+	// implementations, per-shard workload samples and the socket-level
+	// transport account when the run ends.
 	Observer congest.Observer
 }
 
@@ -207,9 +241,9 @@ func Run(g *graph.Graph, cfg Config, factory func(id int) congest.Fiber) (*conge
 }
 
 // RunContext is Run under a context. Cancellation (or a deadline) is
-// observed while the shard mesh is dialing and at every agreed round
-// boundary once the run is underway: the whole mesh is torn down, every
-// shard loop unwinds, and the returned error wraps ctx.Err().
+// observed while the shard mesh is dialing and before every round a
+// shard plays once the run is underway: the whole mesh is torn down,
+// every shard loop unwinds, and the returned error wraps ctx.Err().
 func RunContext(ctx context.Context, g *graph.Graph, cfg Config, factory func(id int) congest.Fiber) (*congest.Stats, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("nettrans: run cancelled: %w", err)
@@ -258,8 +292,9 @@ type cluster struct {
 
 	// Socket-level transport counters (always on: one atomic add per
 	// wire batch, not per message) plus the shared round-event
-	// accumulators the shards feed when an Observer is configured.
-	// maxReplay is the longest replay one reconnect made, in batches.
+	// accumulators the shards feed when an Observer is configured:
+	// obsLast is the last round a local fiber ran. maxReplay is the
+	// longest replay one reconnect made, in batches.
 	netBytesOut, netBytesIn    atomic.Int64
 	netFramesOut, netFramesIn  atomic.Int64
 	netBatches                 atomic.Int64
@@ -267,6 +302,7 @@ type cluster struct {
 	reconnects, replayedFrames atomic.Int64
 	maxReplay                  atomic.Int64
 	obsActive, obsMessages     atomic.Int64
+	obsLast                    atomic.Int64
 
 	mu      sync.Mutex
 	failErr error
@@ -283,13 +319,20 @@ type shard struct {
 
 	links []*link // indexed by peer shard id; links[id] is nil
 
-	// round is the agreed round being played; clock vets each next
-	// agreed round against MaxRounds and deadlock.
-	round int64
-	clock *congest.Clock
+	// dist[v-lo] is vertex v's hop distance inside the shard to the
+	// nearest vertex with an arc into another shard, or -1 when the
+	// shard holds no path to one: the input of the send bound.
+	dist []int32
 
-	// inbound collects the frames of this round's peer batches, resolved
-	// to deliveries; dests lists the peers this round's sends go to, and
+	// sync is the sync round being played towards, round the last round
+	// the shard played or synced at, and last the last round a fiber of
+	// the shard ran; clock vets every round the shard plays against
+	// MaxRounds.
+	sync, round, last int64
+	clock             *congest.Clock
+
+	// inbound collects the frames of this sync's peer batches, resolved
+	// to deliveries; dests lists the peers this sync's sends go to, and
 	// wire and wbuf are the reused wire-encoding buffers.
 	inbound []congest.Delivery
 	dests   []int32
@@ -297,38 +340,66 @@ type shard struct {
 	wbuf    []byte
 
 	// view is the synchronizer state, indexed by shard id and identical
-	// on every shard; played is the index of the current agreed round
-	// among all agreed rounds.
+	// on every shard; played is the index of the current sync among all
+	// syncs.
 	view   []shardView
 	played int64
 
-	// prevMessages is the delivered-message watermark for per-round
+	// prevMessages is the delivered-message watermark for per-sync
 	// deltas of the round events.
 	prevMessages int64
 }
 
-// heartbeatEvery is how many agreed rounds a quiet shard may go
-// without writing before it owes its peers a heartbeat, which bounds
-// every link's replay log (see the package doc).
+// heartbeatEvery is how many syncs a quiet shard may go without
+// writing before it owes its peers a heartbeat, which bounds every
+// link's replay log (see the package doc).
 const heartbeatEvery = 64
 
 // shardView is what every shard knows of one shard: its last announced
-// calendar and live count, the index of the agreed round it last wrote
-// in, whether it writes in the current round (busy), and whether a
-// batch of the current round named it as a destination.
+// next, send and live count, the index of the sync it last wrote in,
+// whether it writes at the current sync (busy), and whether a batch of
+// the current sync named it as a destination.
 type shardView struct {
-	next  int64
-	live  uint32
-	wrote int64
-	busy  bool
-	named bool
+	next, send int64
+	live       uint32
+	wrote      int64
+	busy       bool
+	named      bool
 }
 
-// writes reports whether shard j writes a batch in the current round:
+// writes reports whether shard j writes a batch at the current sync:
 // it is busy, or it owes a heartbeat.
 func (s *shard) writes(j int) bool {
 	v := &s.view[j]
 	return v.busy || s.played-v.wrote >= heartbeatEvery
+}
+
+// boundaryDist returns, for each vertex v in [lo, hi), its hop distance
+// inside [lo, hi) to the nearest vertex with an arc leaving it, or -1
+// when there is none: one multi-source BFS over the range's arcs.
+func boundaryDist(csr *graph.CSR, lo, hi int) []int32 {
+	dist := make([]int32, hi-lo)
+	queue := make([]int32, 0, hi-lo)
+	for v := lo; v < hi; v++ {
+		dist[v-lo] = -1
+		for _, u := range csr.To[csr.Off[v]:csr.Off[v+1]] {
+			if int(u) < lo || int(u) >= hi {
+				dist[v-lo] = 0
+				queue = append(queue, int32(v))
+				break
+			}
+		}
+	}
+	for head := 0; head < len(queue); head++ {
+		v := int(queue[head])
+		for _, u := range csr.To[csr.Off[v]:csr.Off[v+1]] {
+			if int(u) >= lo && int(u) < hi && dist[int(u)-lo] < 0 {
+				dist[int(u)-lo] = dist[v-lo] + 1
+				queue = append(queue, u)
+			}
+		}
+	}
+	return dist
 }
 
 // newCluster builds the shard and link structures for one run without
@@ -374,10 +445,13 @@ func newCluster(g *graph.Graph, cfg Config, topo *Topology) *cluster {
 		if c.obsShard < 0 {
 			c.obsShard = i
 		}
+		lo := i * c.shardSize
 		s := &shard{
 			Shard: congest.NewShard(c.csr, i, c.shardSize, cfg.Bandwidth, func(err error) { c.fail(err) }),
 			c:     c,
 			id:    i,
+			dist:  boundaryDist(c.csr, lo, min(lo+c.shardSize, n)),
+			round: -1, // nothing played yet: round 0 is the first with work
 			clock: congest.NewClock(cfg.MaxRounds),
 		}
 		s.Reserve()
@@ -389,7 +463,7 @@ func newCluster(g *graph.Graph, cfg Config, topo *Topology) *cluster {
 		}
 		s.view = make([]shardView, nShards)
 		for j := range s.view {
-			s.view[j].busy = true // round 0 has every shard busy
+			s.view[j].busy = true // every shard writes at sync 0
 		}
 		c.shards[i] = s
 	}
@@ -571,9 +645,11 @@ func (c *cluster) run(ctx context.Context, factory func(id int) congest.Fiber) (
 	return stats, c.err()
 }
 
-// loop plays agreed rounds until global termination, failure, deadlock
-// or MaxRounds. Every shard executes the identical agreed round
-// sequence, which is what keeps the statistics engine-exact.
+// loop plays the shard's rounds and takes part in every sync until
+// global termination, failure, deadlock or MaxRounds. Every shard
+// computes the same sync sequence, and between two syncs plays exactly
+// the rounds Lockstep would, which is what keeps the statistics
+// engine-exact.
 func (s *shard) loop() {
 	c := s.c
 	obs := c.cfg.Observer
@@ -582,32 +658,30 @@ func (s *shard) loop() {
 		_, sample = obs.(congest.ShardObserver)
 	}
 	var prevActive int64
-	for {
-		if c.aborted.Load() {
-			s.abort()
-			return
-		}
-		var roundStart time.Time
+	for s.sync = 0; ; {
+		var start time.Time
 		if obs != nil {
-			roundStart = time.Now() //lint:allow noclock observer round-wall-clock sampling, off the stats path
+			start = time.Now() //lint:allow noclock observer sync-interval wall-clock sampling, off the stats path
 		}
-		active := 0
-		if s.view[s.id].busy {
-			active = s.Wake(s.round)
-			s.Play(s.round)
-		}
+		active, err := s.playUntilSync()
 		if sample {
-			s.BusyNanos += time.Since(roundStart).Nanoseconds() //lint:allow noclock shard busy-time sampling, off the stats path
+			s.BusyNanos += time.Since(start).Nanoseconds() //lint:allow noclock shard busy-time sampling, off the stats path
 		}
-		if c.aborted.Load() { // a local program panicked or violated bandwidth
-			s.abort()
-			return
+		if err == nil && c.aborted.Load() { // cancelled, or a local program panicked or violated bandwidth
+			err = c.err()
+		}
+		if obs != nil {
+			c.obsActive.Add(int64(active))
+			atomicMax(&c.obsLast, s.last)
 		}
 		// Local sends wake their recipients before this shard announces
 		// its calendar; the peers' frames join them after the exchange,
 		// and one Deliver scatters both.
-		s.Receive(&s.Out[s.id])
-		if err := s.exchange(); err != nil {
+		if err == nil {
+			s.Receive(&s.Out[s.id])
+			err = s.exchange()
+		}
+		if err != nil {
 			c.fail(err)
 			s.abort()
 			return
@@ -615,22 +689,22 @@ func (s *shard) loop() {
 		s.Receive(&s.inbound)
 		s.Deliver()
 		if obs != nil {
-			// Every shard folds its per-round deltas into the shared
-			// accumulators; the lowest local shard emits the round event.
-			// A busy shard can run up to heartbeatEvery agreed rounds
-			// ahead of the emitter, so Active is a best-effort sample
-			// (process-local in worker mode) — the final event in run()
-			// pins the cumulative message total exactly.
-			c.obsActive.Add(int64(active))
+			// Every shard folds its deltas into the shared accumulators;
+			// the lowest local shard emits one event per sync. A writer
+			// can run up to heartbeatEvery syncs ahead of the emitter, so
+			// Active is a best-effort sample (process-local in worker
+			// mode), and no event names a round past the last one a
+			// local fiber ran. The final event in run() pins the
+			// cumulative message total exactly.
 			c.obsMessages.Add(s.Messages - s.prevMessages)
 			s.prevMessages = s.Messages
 			if s.id == c.obsShard {
 				active := c.obsActive.Load()
 				obs.OnRound(congest.RoundEvent{
-					Round:     s.round,
+					Round:     min(s.sync, c.obsLast.Load()),
 					Active:    int(active - prevActive),
 					Messages:  c.obsMessages.Load(),
-					WallNanos: time.Since(roundStart).Nanoseconds(), //lint:allow noclock observer round-wall-clock sampling, off the stats path
+					WallNanos: time.Since(start).Nanoseconds(), //lint:allow noclock observer sync-interval wall-clock sampling, off the stats path
 				})
 				prevActive = active
 			}
@@ -641,18 +715,73 @@ func (s *shard) loop() {
 			// be sent again, so the mesh can simply be dropped.
 			return
 		}
-		if err := s.clock.Advance(next); err != nil {
-			c.fail(fmt.Errorf("nettrans: %w", err))
+		if s.sync == congest.Forever {
+			// Every shard played out its work and no frame crossed:
+			// every program left waits for mail no one will send.
+			c.fail(fmt.Errorf("nettrans: %w", congest.ErrDeadlock))
 			s.abort()
 			return
 		}
-		s.round = next
+		s.sync = next
 	}
 }
 
-// exchange is the wire half of one agreed round: this shard writes its
-// batch if it writes this round, then reads the batch of every other
-// shard that does, folding each announcement into the view.
+// playUntilSync plays, alone, every round the shard has work in up to
+// and including the sync round, and returns how many vertices it woke.
+// A round before the sync round delivers its local sends at once; the
+// sync round's go out with the exchange. The sync round becomes the
+// shard's round whether or not it played it, so that mail of the
+// exchange wakes its recipients at the round after it.
+func (s *shard) playUntilSync() (active int, err error) {
+	for r := s.Next(s.round); r <= s.sync && r < congest.Forever; r = s.Next(s.round) {
+		if s.c.aborted.Load() {
+			return active, nil
+		}
+		if err := s.clock.Advance(r); err != nil {
+			return active, fmt.Errorf("nettrans: %w", err)
+		}
+		if n := s.Wake(r); n > 0 {
+			active += n
+			s.last = r
+		}
+		s.Play(r)
+		s.round = r
+		if r == s.sync {
+			break
+		}
+		for j, row := range s.Out {
+			if j != s.id && len(row) > 0 {
+				return active, fmt.Errorf("%w: shard %d staged %d frames for shard %d at round %d, before sync round %d",
+					errEarlyFrame, s.id, len(row), j, r, s.sync)
+			}
+		}
+		s.Receive(&s.Out[s.id])
+		s.Deliver()
+	}
+	if s.sync < congest.Forever {
+		s.round = s.sync
+	}
+	return active, nil
+}
+
+// errEarlyFrame fails a run in which a shard staged a frame for another
+// shard at a round that is not a sync round: its send bound was wrong,
+// and holding the frame back or delivering it late would desync the run.
+var errEarlyFrame = errors.New("nettrans: internal error: frame staged between sync rounds")
+
+// atomicMax raises a to v if v is larger.
+func atomicMax(a *atomic.Int64, v int64) {
+	for {
+		prev := a.Load()
+		if v <= prev || a.CompareAndSwap(prev, v) {
+			return
+		}
+	}
+}
+
+// exchange is the wire half of one sync: this shard writes its batch
+// if it writes at this sync, then reads the batch of every other shard
+// that does, folding each announcement into the view.
 func (s *shard) exchange() error {
 	if s.writes(s.id) {
 		if err := s.flush(); err != nil {
@@ -669,38 +798,39 @@ func (s *shard) exchange() error {
 	return nil
 }
 
-// agree computes the next agreed round, and the busy set that plays it,
+// agree computes the next sync round, and the shards that write at it,
 // from the view — exactly as every other shard does — and returns the
 // round with the total count of programs still running.
 func (s *shard) agree() (next int64, totalLive int) {
 	next = congest.Forever
 	named := false
 	for _, v := range s.view {
-		next = min(next, v.next)
+		next = min(next, v.send)
 		named = named || v.named
 		totalLive += int(v.live)
 	}
 	if named {
-		// Frames sent at this round wake their recipients at the next.
-		next = s.round + 1
+		// Frames sent at this sync wake their recipients at the next round.
+		next = s.sync + 1
 	}
 	for j := range s.view {
 		v := &s.view[j]
-		v.busy = v.next == next || v.named
+		v.busy = v.next <= next || v.named
 		v.named = false
 	}
 	s.played++
 	return next, totalLive
 }
 
-// flush writes this round's batch to every peer shard: the frames
-// staged for it, then this shard's calendar, live count and
-// destination set. A quiet shard's heartbeat is the same batch with no
-// frames and no destinations. A broken connection is transparently
-// re-established and the batch replayed by the link; only an exhausted
-// retry budget fails the run.
+// flush writes this sync's batch to every peer shard: the frames staged
+// for it, then this shard's next, send, live count and destination set.
+// A quiet shard's heartbeat is the same batch with no frames and no
+// destinations. A broken connection is transparently re-established and
+// the batch replayed by the link; only an exhausted retry budget fails
+// the run.
 func (s *shard) flush() error {
 	next := s.Next(s.round)
+	send := s.Reach(s.round, s.dist)
 	live := uint32(s.Live())
 	s.dests = s.dests[:0]
 	for d, row := range s.Out {
@@ -712,17 +842,17 @@ func (s *shard) flush() error {
 		if l == nil {
 			continue
 		}
-		s.wbuf = appendBatch(s.wbuf[:0], s.round, next, live, s.dests, s.frames(j))
-		if err := l.send(s.round, s.wbuf, int64(len(s.Out[j]))); err != nil {
+		s.wbuf = appendBatch(s.wbuf[:0], s.sync, next, send, live, s.dests, s.frames(j))
+		if err := l.send(s.sync, s.wbuf, int64(len(s.Out[j]))); err != nil {
 			return fmt.Errorf("nettrans: shard %d write to shard %d: %w", s.id, j, err)
 		}
 		s.Out[j] = s.Out[j][:0]
 	}
-	s.announced(s.id, next, live, s.dests)
+	s.announced(s.id, next, send, live, s.dests)
 	return nil
 }
 
-// frames returns this round's sends to shard j as wire frames. A
+// frames returns this sync's sends to shard j as wire frames. A
 // Delivery names the arc's receiving end; the frame names its sending
 // end, which the CSR gives back: the arc behind port p of vertex v
 // leads to vertex To and arrives there on port PeerPort.
@@ -736,22 +866,22 @@ func (s *shard) frames(j int) []wireMsg {
 	return s.wire
 }
 
-// announced folds shard j's batch for the current round into the view.
-func (s *shard) announced(j int, next int64, live uint32, dests []int32) {
+// announced folds shard j's batch for the current sync into the view.
+func (s *shard) announced(j int, next, send int64, live uint32, dests []int32) {
 	v := &s.view[j]
-	v.next, v.live, v.wrote = next, live, s.played
+	v.next, v.send, v.live, v.wrote = next, send, live, s.played
 	for _, d := range dests {
 		s.view[d].named = true
 	}
 }
 
-// recvBatch blocks for peer shard j's batch for the current agreed
-// round, checks its frames and resolves them into inbound for this
-// round's delivery, and folds its announcement into the view.
-// Batches for past rounds are duplicates replayed by the peer's
-// reconnect path and are skipped, which is what makes the at-least-once
-// replay exactly-once at ingestion. The mesh closing mid-wait means
-// another shard aborted the run.
+// recvBatch blocks for peer shard j's batch for the current sync, checks
+// its announcement and frames, resolves the frames into inbound for this
+// sync's delivery, and folds the announcement into the view. Batches
+// for past syncs are duplicates replayed by the peer's reconnect path
+// and are skipped, which is what makes the at-least-once replay
+// exactly-once at ingestion. The mesh closing mid-wait means another
+// shard aborted the run.
 func (s *shard) recvBatch(j int) error {
 	var b *batch
 	for {
@@ -766,17 +896,24 @@ func (s *shard) recvBatch(j int) error {
 		if b.err != nil {
 			return fmt.Errorf("nettrans: shard %d read from shard %d: %w", s.id, j, b.err)
 		}
-		if b.round < s.round {
-			continue // replayed duplicate of an already-ingested round
+		if b.round < s.sync {
+			continue // replayed duplicate of an already-ingested sync
 		}
 		break
 	}
-	if b.round != s.round {
+	if b.round != s.sync {
 		return fmt.Errorf("nettrans: shard %d: round skew from shard %d: got %d at %d",
-			s.id, j, b.round, s.round)
+			s.id, j, b.round, s.sync)
 	}
-	if b.next <= s.round {
-		return fmt.Errorf("nettrans: shard %d: shard %d announced past round %d at %d", s.id, j, b.next, s.round)
+	// A shard announces only rounds it has not reached, and at the final
+	// exchange (sync Forever) only Forever. Its send is at least its
+	// next, so it too lies past the sync.
+	if b.next <= s.sync && b.next != congest.Forever {
+		return fmt.Errorf("nettrans: shard %d: shard %d announced past round %d at %d", s.id, j, b.next, s.sync)
+	}
+	if b.send < b.next {
+		return fmt.Errorf("nettrans: shard %d: shard %d announced send round %d with next %d at %d",
+			s.id, j, b.send, b.next, s.sync)
 	}
 	if (len(b.msgs) > 0) != slices.Contains(b.dests, int32(s.id)) {
 		return fmt.Errorf("nettrans: shard %d: batch from shard %d disagrees with its destination set", s.id, j)
@@ -797,7 +934,7 @@ func (s *shard) recvBatch(j int) error {
 		s.inbound = append(s.inbound, congest.Delivery{To: to, Port: s.c.csr.PeerPort[pos], Msg: wm.msg})
 	}
 	s.links[j].ack(b.round)
-	s.announced(j, b.next, b.live, b.dests)
+	s.announced(j, b.next, b.send, b.live, b.dests)
 	return nil
 }
 

@@ -3,6 +3,8 @@ package nettrans
 import (
 	"context"
 	"errors"
+	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -438,16 +440,16 @@ func TestFaultInjectionConnKill(t *testing.T) {
 	}
 }
 
-// netRecorder captures the final NetSample of a run and counts its
-// round events (one per agreed round, plus the final summary).
+// netRecorder captures the final NetSample of a run and the rounds its
+// round events name (one per sync round, plus the final summary).
 type netRecorder struct {
 	sink   *congest.NetSample
-	events int64
+	rounds []int64
 }
 
-func (r *netRecorder) OnRound(congest.RoundEvent) { r.events++ }
-func (r *netRecorder) OnPhase(congest.PhaseEvent) {}
-func (r *netRecorder) OnNet(ns congest.NetSample) { *r.sink = ns }
+func (r *netRecorder) OnRound(e congest.RoundEvent) { r.rounds = append(r.rounds, e.Round) }
+func (r *netRecorder) OnPhase(congest.PhaseEvent)   {}
+func (r *netRecorder) OnNet(ns congest.NetSample)   { *r.sink = ns }
 
 // TestDeadlockDetectedOverTCP: all programs awaiting a delivery with no
 // traffic possible must surface as ErrDeadlock, agreed by every shard.
@@ -487,19 +489,54 @@ func tokenWalk(c congest.Context) congest.Step {
 	})
 }
 
-// TestBatchesFollowBusyShards pins the synchronizer's wire cost: a
-// shard writes only in rounds where it is busy or owes a heartbeat. On
-// the token walk every round is played with exactly one busy shard, so
-// the batch count is known in closed form; on the round-bound lollipop
-// Elkin run, most rounds leave some shard quiet.
+// tokenWalkSyncs derives the sync rounds of the token walk on Path(n)
+// in nshards equal shards from the sync rule. Once the holder of round
+// w has played, vertex w+1 is due. In another shard, it is sent a frame,
+// and w+1 is the next sync. In the same shard, no frame can leave before
+// the token reaches the shard's boundary, so the next sync is w+1 plus
+// the vertex's distance to it: to the nearest end of the shard that has
+// a neighbouring shard. Past the boundary the last shard never reaches,
+// that sync lies beyond round n-1, where the walk ends.
+func tokenWalkSyncs(n, nshards int) []int64 {
+	size := n / nshards
+	syncs := []int64{0}
+	for w := 0; w < n-1; {
+		v := w + 1
+		lo := v / size * size
+		if lo != w/size*size {
+			w = v
+		} else {
+			d := n // no boundary inside the shard
+			if lo > 0 {
+				d = v - lo
+			}
+			if lo+size < n {
+				d = min(d, lo+size-1-v)
+			}
+			w = v + d
+		}
+		syncs = append(syncs, int64(w))
+	}
+	return syncs
+}
+
+// TestBatchesFollowBusyShards pins the synchronizer's wire cost: shards
+// exchange batches only at sync rounds, and a shard writes at one only
+// when it played a round since its last batch, was sent frames, or owes
+// a heartbeat. The token walk's syncs and batches are known in closed
+// form; the round-bound lollipop Elkin run writes about a quarter of the
+// batches an exchange at every played round did; and the message-bound
+// random graph, where every played round touches a boundary, writes no
+// more than that exchange did.
 func TestBatchesFollowBusyShards(t *testing.T) {
 	t.Run("token-walk", func(t *testing.T) {
 		const n, nshards = 400, 4
 		g := graph.Path(n, graph.GenOptions{})
 		want := lockstepStats(t, g, 1, steps(g, tokenWalk))
 		var ns congest.NetSample
+		rec := &netRecorder{sink: &ns}
 		got, err := runWithTimeout(t, 30*time.Second, g,
-			Config{Shards: nshards, Observer: &netRecorder{sink: &ns}}, steps(g, tokenWalk))
+			Config{Shards: nshards, Observer: rec}, steps(g, tokenWalk))
 		if err != nil {
 			t.Fatalf("Run: %v", err)
 		}
@@ -507,26 +544,31 @@ func TestBatchesFollowBusyShards(t *testing.T) {
 			t.Errorf("stats differ: tcp rounds=%d msgs=%d, lockstep rounds=%d msgs=%d",
 				got.Rounds, got.Messages, want.Rounds, want.Messages)
 		}
-		// Round 0 has every shard busy. Round r >= 1 plays with the token
-		// at vertex r, whose shard is B(r); every other shard writes a
-		// heartbeat once it has not written for heartbeatEvery rounds.
-		batches := int64(nshards * (nshards - 1))
-		wrote := make([]int, nshards)
-		for r := 1; r < n; r++ {
-			for j := range wrote {
-				if j == r/(n/nshards) || r-wrote[j] >= heartbeatEvery {
-					wrote[j] = r
-					batches += nshards - 1
-				}
-			}
+		// 0, 99; 100, 102, 106, 114, 130, 162, 199 (the distance to the
+		// entry boundary doubles until the exit boundary is nearer); the
+		// same from 200 to 299; 300, 302, 306, 314, 330, 362; and 426,
+		// where no program runs any more.
+		syncs := tokenWalkSyncs(n, nshards)
+		if len(syncs) != 23 || syncs[22] != 426 {
+			t.Fatalf("derived syncs %v, want 22 and a final one at 426", syncs)
 		}
-		if ns.Batches != batches {
-			t.Errorf("Batches = %d, want %d (busy shards plus heartbeats)", ns.Batches, batches)
+		// One event per sync, none past the last round (399), then the
+		// end-of-run summary.
+		events := append(slices.Clone(syncs), want.Rounds)
+		events[len(syncs)-1] = want.Rounds
+		if !slices.Equal(rec.rounds, events) {
+			t.Errorf("round events at %v, want %v", rec.rounds, events)
+		}
+		// Every shard writes at sync 0; at every later sync only the
+		// shard holding the token does, since the others have no work
+		// and 23 syncs owe no heartbeat.
+		if batches := int64(nshards*(nshards-1) + (len(syncs)-1)*(nshards-1)); ns.Batches != batches {
+			t.Errorf("Batches = %d, want %d", ns.Batches, batches)
 		}
 	})
 
-	t.Run("lollipop-elkin", func(t *testing.T) {
-		g := graph.Lollipop(32, 512, graph.GenOptions{Seed: 1})
+	elkin := func(t *testing.T, g *graph.Graph, maxBatches int64) {
+		t.Helper()
 		program := func() func(id int) congest.Fiber {
 			return core.FiberFactory(g.N(), core.Config{}, func(int, *core.Result) {})
 		}
@@ -541,39 +583,150 @@ func TestBatchesFollowBusyShards(t *testing.T) {
 			t.Errorf("stats differ: tcp rounds=%d msgs=%d, lockstep rounds=%d msgs=%d",
 				got.Rounds, got.Messages, want.Rounds, want.Messages)
 		}
-		played := rec.events - 1 // the last event is the end-of-run summary
-		allToAll := 4 * 3 * played
-		t.Logf("Batches = %d over %d played rounds: %.1f%% of the all-to-all %d",
-			ns.Batches, played, 100*float64(ns.Batches)/float64(allToAll), allToAll)
-		if ns.Batches*100 > 55*allToAll {
-			t.Error("want at most 55% of the all-to-all exchange")
+		t.Logf("Batches = %d over %d syncs", ns.Batches, len(rec.rounds)-1)
+		if ns.Batches > maxBatches {
+			t.Errorf("Batches = %d, want at most %d", ns.Batches, maxBatches)
 		}
+	}
+	// An exchange at every played round wrote 104,079 batches here.
+	t.Run("lollipop-elkin", func(t *testing.T) {
+		elkin(t, graph.Lollipop(32, 512, graph.GenOptions{Seed: 1}), 26_000)
+	})
+	// 15,204 batches with an exchange at every played round, plus one
+	// final exchange of 4 × 3 batches.
+	t.Run("random-elkin", func(t *testing.T) {
+		g, err := graph.RandomConnected(1024, 8192, graph.GenOptions{Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		elkin(t, g, 15_216)
 	})
 }
 
+// TestRandomProgramsMatchLockstep runs programs that send on random
+// ports and park for random spans, in ParkUntil or in a Window, so mail
+// wakes or re-parks them early, on random graphs cut into 2, 3 and 5
+// shards. Most vertices sleep long, so rounds go by without a frame and
+// the sync rule skips them. Each frame must leave at a sync round, or
+// the run fails, and every run must end with Lockstep's stats. A send
+// bound one round too late, on the due set or on the calendar, fails
+// it.
+func TestRandomProgramsMatchLockstep(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		g, err := graph.RandomConnected(48, 96, graph.GenOptions{Seed: uint64(seed)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		program := func(c congest.Context) congest.Step {
+			rng := rand.New(rand.NewSource(seed<<16 | int64(c.ID())))
+			left := 12
+			// One vertex in five parks for short spans; the others sleep
+			// until mail or a far deadline wakes them. Nobody sends at
+			// round 0, which would make round 1 a sync for everyone.
+			span := int64(40)
+			if c.ID()%5 == 0 {
+				span = 8
+			}
+			var k congest.Resume
+			k = func(c congest.Context, _ []congest.Inbound) congest.Step {
+				if left--; left < 0 {
+					return congest.Done()
+				}
+				if c.Round() > 0 && rng.Intn(3) == 0 {
+					c.Send(rng.Intn(c.Degree()), congest.Message{Kind: 1, A: int64(c.ID())})
+				}
+				end := c.Round() + 1 + rng.Int63n(span)
+				if rng.Intn(2) == 0 {
+					return congest.Until(end, k)
+				}
+				return congest.Window(c, end, func(congest.Context, congest.Inbound) {},
+					func(c congest.Context) congest.Step { return k(c, nil) })
+			}
+			return k(c, nil)
+		}
+		want := lockstepStats(t, g, 1, steps(g, program))
+		for _, nshards := range []int{2, 3, 5} {
+			got, err := runWithTimeout(t, 30*time.Second, g, Config{Shards: nshards}, steps(g, program))
+			if err != nil {
+				t.Fatalf("seed %d, %d shards: %v", seed, nshards, err)
+			}
+			if *got != *want {
+				t.Errorf("seed %d, %d shards: rounds=%d msgs=%d, lockstep rounds=%d msgs=%d",
+					seed, nshards, got.Rounds, got.Messages, want.Rounds, want.Messages)
+			}
+		}
+	}
+}
+
+// TestEarlyFrameFailsRun inflates one shard's boundary distances, so
+// its send bound lies past the round at which the token walk reaches
+// its boundary. The frame it stages there falls between syncs, and the
+// run must fail with the internal error rather than return stats.
+func TestEarlyFrameFailsRun(t *testing.T) {
+	g := graph.Path(400, graph.GenOptions{})
+	c := newCluster(g, Config{Shards: 4}, nil)
+	for i := range c.shards[1].dist {
+		c.shards[1].dist[i] += 5
+	}
+	if err := c.connect(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	stats, err := c.run(context.Background(), steps(g, tokenWalk))
+	if !errors.Is(err, errEarlyFrame) {
+		t.Fatalf("err = %v, stats %+v; want the early-frame error", err, stats)
+	}
+}
+
+// TestMaxRoundsPastLastRound runs the token walk, whose last round is
+// 399 and whose last exchange falls at round 426. A sync round no fiber
+// plays must not trip MaxRounds by itself: with MaxRounds 399 the run
+// completes with Lockstep's stats, and with 398 both engines fail with
+// ErrMaxRounds.
+func TestMaxRoundsPastLastRound(t *testing.T) {
+	g := graph.Path(400, graph.GenOptions{})
+	want := lockstepStats(t, g, 1, steps(g, tokenWalk))
+	got, err := runWithTimeout(t, 30*time.Second, g, Config{Shards: 4, MaxRounds: 399}, steps(g, tokenWalk))
+	if err != nil {
+		t.Fatalf("MaxRounds 399: %v", err)
+	}
+	if *got != *want {
+		t.Errorf("stats differ: tcp rounds=%d msgs=%d, lockstep rounds=%d msgs=%d",
+			got.Rounds, got.Messages, want.Rounds, want.Messages)
+	}
+	if _, err := congest.NewEngine(g, congest.Config{MaxRounds: 398}).Run(steps(g, tokenWalk)); !errors.Is(err, congest.ErrMaxRounds) {
+		t.Errorf("lockstep with MaxRounds 398: err = %v, want ErrMaxRounds", err)
+	}
+	if _, err := runWithTimeout(t, 30*time.Second, g, Config{Shards: 4, MaxRounds: 398}, steps(g, tokenWalk)); !errors.Is(err, congest.ErrMaxRounds) {
+		t.Errorf("cluster with MaxRounds 398: err = %v, want ErrMaxRounds", err)
+	}
+}
+
 // TestRecvBatchRejectsBadAnnouncements feeds a shard batches whose
-// announcement contradicts the synchronizer: a calendar in the past, or
-// frames and destination set that disagree. Each must fail the round
-// rather than stall a shard or wake the wrong one.
+// announcement contradicts the synchronizer: a calendar or a send bound
+// in the past, a send bound before the calendar, or frames and
+// destination set that disagree. Each must fail the sync rather than
+// stall a shard, skip a frame or wake the wrong one.
 func TestRecvBatchRejectsBadAnnouncements(t *testing.T) {
 	g := graph.Path(8, graph.GenOptions{})
 	c := newCluster(g, Config{Shards: 2}, nil)
 	s := c.shards[0]
-	s.round = 5
+	s.sync = 5
 	for _, tc := range []struct {
 		name string
 		b    *batch
 	}{
-		{"past-next", &batch{round: 5, next: 5}},
-		{"frames-without-destination", &batch{round: 5, next: 6, msgs: []wireMsg{{src: 4, port: 0}}}},
-		{"destination-without-frames", &batch{round: 5, next: 6, dests: []int32{0}}},
+		{"past-next", &batch{round: 5, next: 5, send: 6}},
+		{"send-before-next", &batch{round: 5, next: 8, send: 7}},
+		{"past-send", &batch{round: 5, next: 6, send: 5}},
+		{"frames-without-destination", &batch{round: 5, next: 6, send: 6, msgs: []wireMsg{{src: 4, port: 0}}}},
+		{"destination-without-frames", &batch{round: 5, next: 6, send: 6, dests: []int32{0}}},
 	} {
 		s.links[1].batches <- tc.b
 		if err := s.recvBatch(1); err == nil {
 			t.Errorf("%s: batch accepted", tc.name)
 		}
 	}
-	s.links[1].batches <- &batch{round: 5, next: 6, dests: []int32{0}, msgs: []wireMsg{{src: 4, port: 0}}}
+	s.links[1].batches <- &batch{round: 5, next: 6, send: 9, dests: []int32{0}, msgs: []wireMsg{{src: 4, port: 0}}}
 	if err := s.recvBatch(1); err != nil {
 		t.Errorf("consistent batch rejected: %v", err)
 	}

@@ -206,16 +206,42 @@ func TestReplayFailureKeepsCause(t *testing.T) {
 	}
 }
 
-// TestReconnectWhileRunningAhead severs sockets while a lone busy shard
-// runs ahead of its quiet peers. On the token walk shard 0 writes every
-// round from round 0 to 99 while its peers stay quiet until their first
-// heartbeat at round heartbeatEvery, so shard 0's links close under
-// their N-th write with N batches the peer has not acknowledged — more
-// than the two a fixed two-batch replay window would resend. The run
-// must heal to lockstep's stats.
+// aheadWalk is the token walk on Path(400) in 4 shards with the token
+// held back at vertex 99, the boundary vertex of shard 0: it wakes at
+// every round from 0 to 99 and passes the token to vertex 100 at round
+// 100. Vertices 0 to 98 retire at once.
+func aheadWalk(c congest.Context) congest.Step {
+	switch {
+	case c.ID() < 99:
+		return congest.Done()
+	case c.ID() > 99:
+		return tokenWalk(c)
+	}
+	var hold congest.Resume
+	hold = func(c congest.Context, _ []congest.Inbound) congest.Step {
+		if c.Round() < 100 {
+			return nextRound(c, hold)
+		}
+		c.Send(1, congest.Message{Kind: 1, A: 99}) // port 1 leads to vertex 100
+		return congest.Done()
+	}
+	return hold(c, nil)
+}
+
+// TestReconnectWhileRunningAhead severs sockets while a lone writer
+// runs ahead of its quiet peers. On aheadWalk a boundary vertex of
+// shard 0 wakes every round, so every round from 0 to 100 is a sync and
+// shard 0 writes at each, while its peers have no work and stay quiet
+// until their first heartbeat at sync heartbeatEvery. Shard 0's links
+// close under their N-th write with N batches the peer has not
+// acknowledged — more than the two a fixed two-batch replay window
+// would resend. The run must heal to lockstep's stats.
 func TestReconnectWhileRunningAhead(t *testing.T) {
 	g := graph.Path(400, graph.GenOptions{})
-	want := lockstepStats(t, g, 1, steps(g, tokenWalk))
+	want := lockstepStats(t, g, 1, steps(g, aheadWalk))
+	if want.Rounds != 400 {
+		t.Fatalf("aheadWalk ended at round %d, want 400 (the token reaches vertex 399)", want.Rounds)
+	}
 	for _, after := range []int64{5, 17, 40} {
 		t.Run(fmt.Sprintf("chaos-after-%d", after), func(t *testing.T) {
 			var ns congest.NetSample
@@ -233,7 +259,7 @@ func TestReconnectWhileRunningAhead(t *testing.T) {
 			}
 			ch := make(chan result, 1)
 			go func() {
-				stats, err := c.run(context.Background(), steps(g, tokenWalk))
+				stats, err := c.run(context.Background(), steps(g, aheadWalk))
 				ch <- result{stats, err}
 			}()
 			var r result
